@@ -12,11 +12,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError, RangeError, SaturationError, StateError
+from .errors import ConfigError, DomainError, ParseError, RangeError, SaturationError
 from .geometry import FingerGeometry
 from .pneumatics import RingModel, RingState, joint_torque, leak_step, lock, pressure_at_angle
-
-ANGLE_TOL_DEG = 1e-3  # inversion tolerance, well under the 1 deg sweep resolution
 
 
 @dataclass
@@ -71,10 +69,7 @@ def generate_regulated_sweep(
     """
     alpha_grid = _grid(0.0, alpha_max_deg, alpha_step_deg)
     p_grid = _grid(0.0, p_max_kpa, p_step_kpa)
-    torque = np.empty((alpha_grid.size, p_grid.size))
-    for i, a_deg in enumerate(alpha_grid):
-        for j, p in enumerate(p_grid):
-            torque[i, j] = joint_torque(model, math.radians(a_deg), p)
+    torque = joint_torque(model, np.radians(alpha_grid)[:, None], p_grid)
     meta = {
         "mode": "regulated",
         "alpha_step_deg": repr(alpha_step_deg),
@@ -99,16 +94,14 @@ def generate_locked_sweep(
     p0_grid = np.asarray(p0_grid_kpa, dtype=float)
     if p0_grid.size < 2:
         raise ConfigError("locked sweep needs at least 2 initial pressures")
-    dp = np.empty((alpha_grid.size, p0_grid.size))
-    torque = np.empty_like(dp)
-    for j, p0 in enumerate(p0_grid):
-        state = lock(RingState(p_gauge=float(p0), alpha=0.0), model)
-        for i, a_deg in enumerate(alpha_grid):
-            alpha = math.radians(a_deg)
-            p = pressure_at_angle(state, model, alpha)
-            # the baseline row is zero by definition; drop float residue
-            dp[i, j] = p - p0 if a_deg > 0.0 else 0.0
-            torque[i, j] = joint_torque(model, alpha, p)
+    alphas = np.radians(alpha_grid)
+    p = np.stack(
+        [pressure_at_angle(lock(RingState(p_gauge=float(p0)), model), model, alphas) for p0 in p0_grid],
+        axis=1,
+    )
+    dp = p - p0_grid
+    dp[0] = 0.0  # the baseline row is zero by definition; drop float residue
+    torque = joint_torque(model, alphas[:, None], p)
     meta = {"mode": "locked", "alpha_step_deg": repr(alpha_step_deg)}
     return CalibrationTable(alpha_grid, p0_grid, dp, torque, meta)
 
@@ -169,25 +162,28 @@ def interp_torque(table: CalibrationTable, alpha_deg: float, p0: float) -> float
 
 
 def angle_from_dp(table: CalibrationTable, dp: float, p0: float) -> float:
-    """Bending angle (deg) whose interpolated dp matches the measurement.
+    """Smallest bending angle (deg) at which the interpolated dp reaches the measurement.
 
-    Monotone inversion by bisection on the interpolated curve, to 1e-3 deg.
+    At fixed p0 the bilinear surface is piecewise linear in alpha, so the
+    inversion is exact: blend the two bracketing p0 columns, find the first
+    node whose running maximum reaches dp (the table lets a column dip by up to
+    1e-9), and solve the linear segment that ends there.
     """
     if dp < 0:
         raise DomainError(f"dp must be non-negative, got {dp}")
-    lo, hi = float(table.alpha_grid[0]), float(table.alpha_grid[-1])
-    dp_max = interp_dp(table, hi, p0)
-    if dp > dp_max + 1e-12:
-        raise SaturationError(f"dp={dp} kPa above the table maximum {dp_max} kPa at p0={p0}")
-    if dp <= interp_dp(table, lo, p0):
-        return lo
-    while hi - lo > ANGLE_TOL_DEG:
-        mid = 0.5 * (lo + hi)
-        if interp_dp(table, mid, p0) < dp:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    j, tp = _cell(table.p0_grid, p0, "p0_kpa")
+    col = (1 - tp) * table.dp_surface[:, j] + tp * table.dp_surface[:, j + 1]
+    reach = np.maximum.accumulate(col)
+    if dp > reach[-1] + 1e-12:
+        raise SaturationError(f"dp={dp} kPa above the table maximum {reach[-1]} kPa at p0={p0}")
+    grid = table.alpha_grid
+    if dp <= col[0]:
+        return float(grid[0])
+    # cap dp within the 1e-12 saturation slack; then col[k - 1] < dp <= col[k]
+    dp = min(dp, reach[-1])
+    k = int(np.searchsorted(reach, dp, side="left"))
+    t = (dp - col[k - 1]) / (col[k] - col[k - 1])
+    return float(grid[k - 1] + t * (grid[k] - grid[k - 1]))
 
 
 def force_from_dp(table: CalibrationTable, geom: FingerGeometry, dp: float, p0: float) -> float:
@@ -211,8 +207,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(table: CalibrationTable, path) -> None:
-    """Write a table losslessly; full float precision, LF line endings."""
+def write_csv(table: CalibrationTable) -> str:
+    """CSV text of a table, lossless: full float precision, LF line endings."""
     lines = ["# caltab v1"]
     meta = ";".join(f"{k}={v}" for k, v in table.meta.items())
     lines.append(f"# meta: {meta}")
@@ -222,12 +218,11 @@ def write_csv(table: CalibrationTable, path) -> None:
             lines.append(
                 f"{_fmt(a)},{_fmt(p)},{_fmt(table.dp_surface[i, j])},{_fmt(table.torque_surface[i, j])}"
             )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def read_csv(path) -> CalibrationTable:
-    """Read a table written by write_csv, enforcing schema and grid invariants."""
+    """Read a table saved from write_csv, enforcing schema and grid invariants."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != "# caltab v1":

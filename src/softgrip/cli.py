@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -63,20 +62,6 @@ def _write_run_meta(out_dir: str, cfg: dict, command: str, noise: bool) -> None:
     _atomic_write(os.path.join(out_dir, "run_meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _table_to_text(table) -> str:
-    import io
-
-    # write_csv targets a path; route through a temp file to reuse one code path
-    fd, tmp = tempfile.mkstemp(prefix=".caltab-")
-    os.close(fd)
-    try:
-        write_csv(table, tmp)
-        with open(tmp) as fh:
-            return fh.read()
-    finally:
-        os.unlink(tmp)
-
-
 def _linear_r2(x: np.ndarray, y: np.ndarray) -> float:
     coef = np.polyfit(x, y, 1)
     resid = y - np.polyval(coef, x)
@@ -104,19 +89,12 @@ def cmd_calibrate(cfg: dict, out_dir: str, noise: bool) -> int:
     )
     for table in (reg, locked):
         table.meta["plant_config_sha256"] = config_hash(cfg["plant"])
-    _atomic_write(os.path.join(out_dir, "regulated.csv"), _table_to_text(reg))
-    _atomic_write(os.path.join(out_dir, "locked.csv"), _table_to_text(locked))
+    _atomic_write(os.path.join(out_dir, "regulated.csv"), write_csv(reg))
+    _atomic_write(os.path.join(out_dir, "locked.csv"), write_csv(locked))
 
     # summary: dead-zone extent, dp-alpha linearity, hysteresis gap
-    pressures = reg.p0_grid[reg.p0_grid >= 5.0]
-    dead = 0.0
-    for a_deg in reg.alpha_grid:
-        if all(
-            reg.torque_surface[list(reg.alpha_grid).index(a_deg), j] == 0.0
-            for j, p in enumerate(reg.p0_grid)
-            if p >= 5.0
-        ):
-            dead = float(a_deg)
+    dead_rows = np.all(reg.torque_surface[:, reg.p0_grid >= 5.0] == 0.0, axis=1)
+    dead = float(np.max(reg.alpha_grid, where=dead_rows, initial=0.0))
     fit_mask = locked.alpha_grid <= 60.0
     r2 = min(
         _linear_r2(locked.alpha_grid[fit_mask], locked.dp_surface[fit_mask, j])

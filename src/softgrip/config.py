@@ -12,7 +12,7 @@ import math
 from copy import deepcopy
 
 from .contact import ObjectModel, StiffnessProfile
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .geometry import FingerGeometry
 from .pneumatics import RingModel, SensorModel
 from .probing import ProbeConfig
@@ -25,7 +25,6 @@ DEFAULTS = {
             "a_mm": 15.0,
             "b_mm": 40.0,
             "beta_deg": None,  # None -> atan(a/b)
-            "total_length_mm": 80.0,
             "alpha_max_deg": 80.0,
             "tip_arm_mm": 40.0,
         },
@@ -143,14 +142,23 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _plant_model(section: str, cls, **params):
+    """Construct a plant model; invalid plant values are a config error."""
+    try:
+        return cls(**params)
+    except DomainError as exc:
+        raise ConfigError(f"plant.{section}: {exc}") from None
+
+
 def build_geometry(cfg: dict) -> FingerGeometry:
     g = cfg["plant"]["geometry"]
     beta = None if g["beta_deg"] is None else math.radians(g["beta_deg"])
-    return FingerGeometry(
+    return _plant_model(
+        "geometry",
+        FingerGeometry,
         a=g["a_mm"],
         b=g["b_mm"],
         beta=beta,
-        total_length=g["total_length_mm"],
         alpha_max=math.radians(g["alpha_max_deg"]),
         tip_arm=g["tip_arm_mm"],
     )
@@ -158,7 +166,9 @@ def build_geometry(cfg: dict) -> FingerGeometry:
 
 def build_ring(cfg: dict) -> RingModel:
     r = cfg["plant"]["ring"]
-    return RingModel(
+    return _plant_model(
+        "ring",
+        RingModel,
         v0=r["v0_mm3"],
         kappa=r["kappa_per_rad"],
         alpha_slack=math.radians(r["alpha_slack_deg"]),
@@ -171,7 +181,9 @@ def build_ring(cfg: dict) -> RingModel:
 
 def build_sensor(cfg: dict, noise: bool = True) -> SensorModel:
     s = cfg["plant"]["sensor"]
-    model = SensorModel(
+    model = _plant_model(
+        "sensor",
+        SensorModel,
         full_scale=s["full_scale_kpa"],
         noise_frac=s["noise_frac"],
         quant_step=s["quant_step_kpa"],

@@ -1,6 +1,11 @@
 """Object models with optional spatial stiffness profiles, and the quasi-static
 equilibrium between the pressurized joint and a linear-spring object, plus the
 brute-force grid oracle used in verification.
+
+Both the solver and the oracle evaluate the torque balance through the plant
+formulas in `pneumatics` and `geometry`. Past the fabric dead zone the balance
+is strictly increasing in the bending angle, so the solver brackets it once on
+[alpha_slack, alpha_max] and bisects.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .pneumatics import RingModel, RingState, joint_torque, pressure_at_angle
 TORQUE_FLOOR = 1e-3  # N*mm
 
 ALPHA_TOL = 1e-7  # rad, bisection tolerance of the equilibrium solver
-_SCAN_POINTS = 241
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,7 @@ class EquilibriumResult:
 
 
 def _residual(geom, model, state, k_o, d_c, alpha):
+    """Joint torque minus contact-force torque at alpha (float or array)."""
     p = pressure_at_angle(state, model, alpha)
     delta = d_c - tip_extent(geom, alpha)
     return joint_torque(model, alpha, p) - k_o * delta * geom.tip_arm
@@ -109,8 +114,11 @@ def solve_equilibrium(
 
     Inside the fabric dead zone the joint exerts no torque, so the finger yields
     freely until the object force vanishes; a closing shallower than the dead-zone
-    extent therefore produces bending but no force. Beyond that, the first sign
-    change of the torque balance past alpha_slack is bracketed and bisected.
+    extent therefore produces bending but no force. Beyond that, both the joint
+    torque and the fingertip extent strictly increase with alpha, so the torque
+    balance has at most one root on [slack, alpha_max]: it is negative at slack,
+    and if it is still negative at alpha_max the object is too stiff for the
+    finger to yield (saturated). Otherwise one bisection finds the root.
     """
     if not state.locked:
         raise StateError("solve_equilibrium requires a locked ring")
@@ -130,24 +138,17 @@ def solve_equilibrium(
         dp = pressure_at_angle(state, model, alpha) - p0
         return EquilibriumResult(alpha, 0.0, 0.0, dp, contact=True)
 
-    grid = np.linspace(slack, geom.alpha_max, _SCAN_POINTS)
-    res = [_residual(geom, model, state, k_o, d_c, a) for a in grid]
-    hit = next((i for i in range(1, len(grid)) if res[i - 1] < 0.0 <= res[i]), None)
-    if hit is None:
-        if res[0] >= 0.0:
-            # balance already non-negative at the slack edge: root at the edge
-            lo, hi = slack, slack
+    # the balance at slack is -k_o * (d_c - e_slack) * tip_arm < 0
+    lo, hi = slack, geom.alpha_max
+    if _residual(geom, model, state, k_o, d_c, hi) < 0.0:
+        # spring dominates everywhere: rigid-object limit, no fingertip yield
+        return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, contact=True, saturated=True)
+    while hi - lo > ALPHA_TOL:
+        mid = 0.5 * (lo + hi)
+        if _residual(geom, model, state, k_o, d_c, mid) < 0.0:
+            lo = mid
         else:
-            # spring dominates everywhere: rigid-object limit, no fingertip yield
-            return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, contact=True, saturated=True)
-    else:
-        lo, hi = float(grid[hit - 1]), float(grid[hit])
-        while hi - lo > ALPHA_TOL:
-            mid = 0.5 * (lo + hi)
-            if _residual(geom, model, state, k_o, d_c, mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
+            hi = mid
     alpha = 0.5 * (lo + hi)
     delta = d_c - tip_extent(geom, alpha)
     dp = pressure_at_angle(state, model, alpha) - p0
@@ -176,12 +177,7 @@ def solve_equilibrium_bruteforce(
         return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, contact=d_c > 0)
 
     alphas = np.arange(0.0, geom.alpha_max + 1e-12, math.radians(step_deg))
-    p = state.nv_const / (model.v0 * (1.0 - model.kappa * alphas)) - model.p_atm
-    np.maximum(p, 0.0, out=p)
-    extent = geom.a + geom.radius * np.sin(alphas - geom.beta)
-    tau = (model.c1 + model.c2 * p) * np.maximum(0.0, alphas - model.alpha_slack)
-    res = tau - k_o * (d_c - extent) * geom.tip_arm
-    signs = np.signbit(res)
+    signs = np.signbit(_residual(geom, model, state, k_o, d_c, alphas))
     crossings = np.nonzero(signs[:-1] & ~signs[1:])[0]
     if crossings.size == 0:
         return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, contact=True, saturated=True)

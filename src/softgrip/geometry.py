@@ -1,5 +1,5 @@
-"""Rigid-finger kinematics: fingertip pose on the arc around the passive joint,
-the fingertip x-extent, and object deformation for a commanded closing distance.
+"""Rigid-finger kinematics: the fingertip x-extent on the arc around the passive
+joint, and object deformation for a commanded closing distance.
 
 Angles are radians internally; degrees appear only at external interfaces.
 """
@@ -7,31 +7,11 @@ Angles are radians internally; degrees appear only at external interfaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
-
-TWO_PI = 2.0 * math.pi
-
-
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    a = math.fmod(angle + math.pi, TWO_PI)
-    if a <= 0.0:
-        a += TWO_PI
-    return a - math.pi
-
-
-@dataclass(frozen=True)
-class Pose2D:
-    """Planar pose: x, y in mm, yaw in rad wrapped to (-pi, pi]."""
-
-    x: float = 0.0
-    y: float = 0.0
-    yaw: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
 
 @dataclass(frozen=True)
@@ -43,12 +23,15 @@ class FingerGeometry:
     With the default beta = atan(a/b) the fingertip extent is exactly zero at rest,
     which makes the deformation bookkeeping self-consistent at first contact.
     tip_arm is the moment arm (mm) of the fingertip contact force about the joint.
+
+    beta < 90 deg and alpha_max - beta < 90 deg are enforced, so alpha - beta stays
+    in (-90, 90) deg over [0, alpha_max] and the fingertip extent is strictly
+    increasing there; the equilibrium solver and tip_extent_inverse rely on it.
     """
 
     a: float = 15.0
     b: float = 40.0
     beta: float | None = None
-    total_length: float = 80.0
     alpha_max: float = math.radians(80.0)
     tip_arm: float = 40.0
 
@@ -57,10 +40,14 @@ class FingerGeometry:
             object.__setattr__(self, "beta", math.atan2(self.a, self.b))
         if self.a <= 0 or self.b <= 0:
             raise DomainError(f"link lengths must be positive, got a={self.a}, b={self.b}")
-        if self.total_length <= 0:
-            raise DomainError(f"total_length must be positive, got {self.total_length}")
         if not 0.0 < self.alpha_max <= math.radians(80.0) + 1e-12:
             raise DomainError(f"alpha_max must be in (0, 80 deg], got {self.alpha_max} rad")
+        if not (self.beta < 0.5 * math.pi and self.alpha_max - self.beta < 0.5 * math.pi):
+            raise DomainError(
+                f"fingertip extent must increase over the joint range: need beta < 90 deg "
+                f"and alpha_max - beta < 90 deg, got beta={math.degrees(self.beta)} deg, "
+                f"alpha_max={math.degrees(self.alpha_max)} deg"
+            )
         if self.tip_arm <= 0:
             raise DomainError(f"tip_arm must be positive, got {self.tip_arm}")
 
@@ -69,32 +56,20 @@ class FingerGeometry:
         """Distance from joint axis to fingertip contact point (mm)."""
         return math.hypot(self.a, self.b)
 
-    def check_alpha(self, alpha: float) -> None:
-        if not 0.0 <= alpha <= self.alpha_max + 1e-12:
-            raise DomainError(
-                f"bending angle {alpha} rad outside [0, {self.alpha_max}] rad"
-            )
 
-
-def end_effector_pose(geom: FingerGeometry, origin: Pose2D, alpha: float) -> Pose2D:
-    """Fingertip pose at bending angle alpha about the joint at `origin`."""
-    geom.check_alpha(alpha)
-    r = geom.radius
-    return Pose2D(
-        x=origin.x + r * math.sin(alpha - geom.beta),
-        y=origin.y + r * math.cos(alpha - geom.beta),
-        yaw=wrap_angle(origin.yaw - alpha),
-    )
-
-
-def tip_extent(geom: FingerGeometry, alpha: float) -> float:
+def tip_extent(geom: FingerGeometry, alpha):
     """Inward x-extent of the fingertip at bending angle alpha (mm).
 
-    Zero at alpha = 0 under the default beta = atan(a/b); strictly increasing
-    in alpha while alpha - beta stays within (-pi/2, pi/2).
+    alpha is a float or a numpy array; a float gives a float. Zero at alpha = 0
+    under the default beta = atan(a/b); strictly increasing in alpha over
+    [0, alpha_max], which FingerGeometry guarantees.
     """
-    geom.check_alpha(alpha)
-    return geom.a + geom.radius * math.sin(alpha - geom.beta)
+    array = isinstance(alpha, np.ndarray)
+    lo, hi = (alpha.min(), alpha.max()) if array else (alpha, alpha)
+    if not (0.0 <= lo and hi <= geom.alpha_max + 1e-12):
+        raise DomainError(f"bending angle {lo if lo < 0.0 else hi} rad outside [0, {geom.alpha_max}] rad")
+    sin = np.sin if array else math.sin
+    return geom.a + geom.radius * sin(alpha - geom.beta)
 
 
 def tip_extent_inverse(geom: FingerGeometry, extent: float) -> float:

@@ -5,7 +5,7 @@ and grasp-location selection with soft-region avoidance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

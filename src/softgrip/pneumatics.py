@@ -60,12 +60,27 @@ class RingState:
             raise DomainError(f"gauge pressure must be non-negative, got {self.p_gauge}")
 
 
-def volume_at_angle(model: RingModel, alpha: float) -> float:
+# The plant formulas below take a float or a numpy array for each state
+# argument and give a float for floats; the isinstance dispatch keeps scalar
+# calls, which the equilibrium solver makes, in pure Python.
+
+
+def _lowest(x):
+    """Smallest value of a float or an array, for domain checks."""
+    return x.min() if isinstance(x, np.ndarray) else x
+
+
+def _clip_negative(x):
+    """max(x, 0) of a float or, elementwise, of an array."""
+    return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
+
+
+def volume_at_angle(model: RingModel, alpha):
     """Ring cavity volume at bending angle alpha (mm^3); strictly decreasing."""
-    if alpha < 0:
-        raise DomainError(f"alpha must be non-negative, got {alpha}")
+    if _lowest(alpha) < 0:
+        raise DomainError(f"alpha must be non-negative, got {_lowest(alpha)}")
     frac = 1.0 - model.kappa * alpha
-    if frac <= 0:
+    if _lowest(frac) <= 0:
         raise DomainError(f"alpha={alpha} rad collapses the cavity")
     return model.v0 * frac
 
@@ -78,21 +93,23 @@ def lock(state: RingState, model: RingModel) -> RingState:
     return replace(state, locked=True, nv_const=nv)
 
 
-def pressure_at_angle(state: RingState, model: RingModel, alpha: float) -> float:
+def pressure_at_angle(state: RingState, model: RingModel, alpha):
     """Gauge pressure of the trapped air at bending angle alpha."""
     if not state.locked:
         raise StateError("pressure_at_angle requires a locked ring")
-    p = state.nv_const / volume_at_angle(model, alpha) - model.p_atm
-    return max(p, 0.0)
+    return _clip_negative(state.nv_const / volume_at_angle(model, alpha) - model.p_atm)
 
 
-def joint_torque(model: RingModel, alpha: float, p_gauge: float) -> float:
-    """Joint torque (N*mm) at bending angle alpha and instantaneous gauge pressure."""
-    if alpha < 0:
-        raise DomainError(f"alpha must be non-negative, got {alpha}")
-    if p_gauge < 0:
-        raise DomainError(f"p_gauge must be non-negative, got {p_gauge}")
-    return (model.c1 + model.c2 * p_gauge) * max(0.0, alpha - model.alpha_slack)
+def joint_torque(model: RingModel, alpha, p_gauge):
+    """Joint torque (N*mm) at bending angle alpha and instantaneous gauge pressure.
+
+    Array arguments broadcast against each other.
+    """
+    if _lowest(alpha) < 0:
+        raise DomainError(f"alpha must be non-negative, got {_lowest(alpha)}")
+    if _lowest(p_gauge) < 0:
+        raise DomainError(f"p_gauge must be non-negative, got {_lowest(p_gauge)}")
+    return (model.c1 + model.c2 * p_gauge) * _clip_negative(alpha - model.alpha_slack)
 
 
 def leak_step(state: RingState, model: RingModel, dt: float) -> RingState:
@@ -132,11 +149,15 @@ class SensorModel:
         return replace(self, noise_frac=0.0, quant_step=0.0)
 
 
-def quantize(value: float, step: float) -> float:
-    """Round-half-up onto a grid of the given step; step 0 passes through."""
+def quantize(value, step: float):
+    """Round-half-up onto a grid of the given step; step 0 passes through.
+
+    value is a float or a numpy array; a float gives a float.
+    """
     if step <= 0:
         return value
-    return math.floor(value / step + 0.5) * step
+    floor = np.floor if isinstance(value, np.ndarray) else math.floor
+    return floor(value / step + 0.5) * step
 
 
 def measurement_sigma(sensor: SensorModel, settle_reads: int) -> float:
@@ -170,12 +191,4 @@ class PressureSensor:
         if self.model.noise_frac == 0 and self.model.quant_step == 0:
             return p_true
         noise = self._rng.normal(0.0, self.model.sigma, n) if self.model.noise_frac > 0 else np.zeros(n)
-        reads = p_true + noise
-        if self.model.quant_step > 0:
-            reads = np.floor(reads / self.model.quant_step + 0.5) * self.model.quant_step
-        return float(reads.mean())
-
-
-def sensor_read(stream: PressureSensor, p_true: float) -> float:
-    """Functional alias for a single sensor reading."""
-    return stream.read(p_true)
+        return float(quantize(p_true + noise, self.model.quant_step).mean())

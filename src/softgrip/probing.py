@@ -10,11 +10,9 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .calibration import CalibrationTable, angle_from_dp, force_from_dp, interp_torque
-from .contact import ObjectModel, solve_equilibrium, stiffness_at
-from .errors import ConfigError, DomainError, RangeError, SaturationError, StateError
+from .calibration import CalibrationTable, angle_from_dp, force_from_dp
+from .contact import solve_equilibrium
+from .errors import ConfigError, RangeError, SaturationError, StateError
 from .geometry import FingerGeometry, object_deformation, tip_extent
 from .pneumatics import (
     PressureSensor,

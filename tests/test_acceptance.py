@@ -229,7 +229,7 @@ def test_criterion_9_determinism_and_io(locked_table, tmp_path):
     deterministic = digests[0] == digests[1]
 
     path = tmp_path / "table.csv"
-    write_csv(locked_table, path)
+    path.write_text(write_csv(locked_table))
     back = read_csv(path)
     lossless = (
         np.array_equal(back.alpha_grid, locked_table.alpha_grid)

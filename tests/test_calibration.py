@@ -88,6 +88,47 @@ def test_locked_sweep_dp_monotone(locked_table):
     assert np.all(np.diff(locked_table.dp_surface[1:], axis=1) > 0.0)
 
 
+def _scalar_locked_sweep(model, p0_grid, alpha_grid):
+    """Reference: the locked sweep as a loop of scalar plant calls."""
+    dp = np.empty((alpha_grid.size, p0_grid.size))
+    torque = np.empty_like(dp)
+    for j, p0 in enumerate(p0_grid):
+        state = lock(RingState(p_gauge=float(p0), alpha=0.0), model)
+        for i, a_deg in enumerate(alpha_grid):
+            alpha = math.radians(a_deg)
+            p = pressure_at_angle(state, model, alpha)
+            dp[i, j] = p - p0 if a_deg > 0.0 else 0.0
+            torque[i, j] = joint_torque(model, alpha, p)
+    return dp, torque
+
+
+def _scalar_regulated_sweep(model, alpha_grid, p_grid):
+    """Reference: the regulated sweep as a loop of scalar plant calls."""
+    return np.array(
+        [[joint_torque(model, math.radians(a_deg), float(p)) for p in p_grid] for a_deg in alpha_grid]
+    )
+
+
+def test_sweeps_equal_scalar_loops():
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        model = RingModel(
+            v0=float(rng.uniform(1000.0, 10000.0)),
+            kappa=float(rng.uniform(0.0, 0.7)),
+            alpha_slack=math.radians(float(rng.uniform(0.0, 30.0))),
+            c1=float(rng.uniform(0.0, 60000.0)),
+            c2=float(rng.uniform(0.0, 1200.0)),
+        )
+        step = float(rng.choice([0.5, 1.0, 2.5]))
+        p0_grid = np.sort(rng.uniform(0.0, 120.0, 4))
+        locked = generate_locked_sweep(model, p0_grid_kpa=p0_grid, alpha_step_deg=step)
+        dp, torque = _scalar_locked_sweep(model, locked.p0_grid, locked.alpha_grid)
+        assert np.array_equal(locked.dp_surface, dp)
+        assert np.array_equal(locked.torque_surface, torque)
+        reg = generate_regulated_sweep(model, alpha_step_deg=step, p_step_kpa=7.5)
+        assert np.array_equal(reg.torque_surface, _scalar_regulated_sweep(model, reg.alpha_grid, reg.p0_grid))
+
+
 def test_hysteresis_leak_gap(ring):
     alphas, fwd, bwd = hysteresis_sweep(ring, p0=60.0)
     interior = slice(1, -1)
@@ -187,6 +228,43 @@ def test_angle_from_dp_noise_propagation(locked_table):
         assert abs(a_hat - a_star) <= abs(noisy - dp_star) / slope_lo + 2e-3
 
 
+def _bisect_angle_from_dp(table, dp, p0, tol_deg=1e-3):
+    """Reference: bisection on the interpolated dp curve to tol_deg."""
+    lo, hi = float(table.alpha_grid[0]), float(table.alpha_grid[-1])
+    if dp <= interp_dp(table, lo, p0):
+        return lo
+    while hi - lo > tol_deg:
+        mid = 0.5 * (lo + hi)
+        if interp_dp(table, mid, p0) < dp:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_angle_from_dp_exact_inverse(locked_table):
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        p0 = float(rng.uniform(0.0, 80.0))
+        dp = float(rng.uniform(0.0, interp_dp(locked_table, 80.0, p0)))
+        a = angle_from_dp(locked_table, dp, p0)
+        assert type(a) is float
+        assert interp_dp(locked_table, a, p0) == pytest.approx(dp, abs=1e-9)
+        assert a == pytest.approx(_bisect_angle_from_dp(locked_table, dp, p0), abs=1e-3)
+
+
+def test_angle_from_dp_smallest_angle_on_flat_and_dipping_columns():
+    # the validator lets a column dip by up to 1e-9; the first crossing is returned
+    alpha = np.array([0.0, 1.0, 2.0, 3.0])
+    col = np.array([0.0, 2.0, 2.0 - 5e-10, 3.0])
+    table = CalibrationTable(alpha, np.array([0.0, 1.0]), np.c_[col, col], np.zeros((4, 2)))
+    assert angle_from_dp(table, 1.0, 0.5) == 0.5
+    assert angle_from_dp(table, 2.0, 0.5) == 1.0
+    assert angle_from_dp(table, 2.0 - 2.5e-10, 0.5) == pytest.approx(1.0, abs=1e-9)
+    assert angle_from_dp(table, 2.5, 0.5) == pytest.approx(2.5)
+    assert angle_from_dp(table, 3.0 + 1e-13, 0.5) == 3.0
+
+
 def test_angle_from_dp_errors(locked_table):
     with pytest.raises(DomainError):
         angle_from_dp(locked_table, -0.1, 60.0)
@@ -227,7 +305,7 @@ def test_force_from_dp_matches_plant(ring, geom, locked_table):
 def test_csv_roundtrip_lossless(locked_table, tmp_path):
     path = tmp_path / "locked.csv"
     locked_table.meta["note"] = "unit-test"
-    write_csv(locked_table, path)
+    path.write_text(write_csv(locked_table))
     back = read_csv(path)
     assert np.array_equal(back.alpha_grid, locked_table.alpha_grid)
     assert np.array_equal(back.p0_grid, locked_table.p0_grid)
@@ -236,7 +314,7 @@ def test_csv_roundtrip_lossless(locked_table, tmp_path):
     assert back.meta == {k: str(v) for k, v in locked_table.meta.items()}
     # a rewrite of the parsed table is byte-identical
     path2 = tmp_path / "again.csv"
-    write_csv(back, path2)
+    path2.write_text(write_csv(back))
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -249,7 +327,7 @@ def test_csv_rejects_missing_magic(tmp_path):
 
 def test_csv_rejects_wrong_header_token(locked_table, tmp_path):
     path = tmp_path / "tab.csv"
-    write_csv(locked_table, path)
+    path.write_text(write_csv(locked_table))
     lines = path.read_text().splitlines()
     lines[2] = "alpha_deg,pressure,dp_kpa,torque_nmm"
     path.write_text("\n".join(lines) + "\n")
@@ -259,7 +337,7 @@ def test_csv_rejects_wrong_header_token(locked_table, tmp_path):
 
 def test_csv_rejects_shuffled_rows(locked_table, tmp_path):
     path = tmp_path / "tab.csv"
-    write_csv(locked_table, path)
+    path.write_text(write_csv(locked_table))
     lines = path.read_text().splitlines()
     lines[3], lines[4] = lines[4], lines[3]
     path.write_text("\n".join(lines) + "\n")
@@ -269,7 +347,7 @@ def test_csv_rejects_shuffled_rows(locked_table, tmp_path):
 
 def test_csv_rejects_bad_cell(locked_table, tmp_path):
     path = tmp_path / "tab.csv"
-    write_csv(locked_table, path)
+    path.write_text(write_csv(locked_table))
     lines = path.read_text().splitlines()
     parts = lines[10].split(",")
     parts[2] = "oops"
@@ -281,7 +359,7 @@ def test_csv_rejects_bad_cell(locked_table, tmp_path):
 
 def test_csv_rejects_incomplete_grid(locked_table, tmp_path):
     path = tmp_path / "tab.csv"
-    write_csv(locked_table, path)
+    path.write_text(write_csv(locked_table))
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ParseError, match="not complete"):

@@ -105,6 +105,22 @@ def test_cli_unknown_fixture_exits_config(capsys):
     assert "available" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("geometry", "beta_deg", -80.0), ("geometry", "a_mm", -1.0), ("ring", "kappa_per_rad", 2.0)],
+)
+def test_cli_invalid_plant_value_exits_config(tmp_path, capsys, section, key, value):
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    doc.setdefault("plant", {}).setdefault(section, {})[key] = value
+    path = _write(tmp_path, doc)
+    code = main(["probe", "--config", path, "--fixture", "cube1", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"config error: plant.{section}:")
+    assert "Traceback" not in err
+
+
 def test_cli_probe_requires_fixture():
     assert main(["probe", "--config", CUBES]) == EXIT_CONFIG
 
@@ -131,7 +147,8 @@ def test_cli_probe_cube_ordering(tmp_path):
         doc = json.loads((tmp_path / name / f"probe_{name}.json").read_text())
         assert doc["flags"] == []
         krs[name] = doc["k_r"]
-        assert os.path.exists(os.path.join(out, f"probe_{name}_trace.csv"))
+        trace = (tmp_path / name / f"probe_{name}_trace.csv").read_text()
+        assert "np." not in trace  # plain float reprs only
     assert krs["cube1"] < krs["cube2"] < krs["cube3"]
 
 

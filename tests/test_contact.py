@@ -11,8 +11,8 @@ from softgrip.contact import (
     stiffness_at,
 )
 from softgrip.errors import ConfigError, DomainError, RangeError, StateError
-from softgrip.geometry import tip_extent, tip_extent_inverse
-from softgrip.pneumatics import RingState, joint_torque, lock, pressure_at_angle
+from softgrip.geometry import FingerGeometry, tip_extent, tip_extent_inverse
+from softgrip.pneumatics import RingModel, RingState, joint_torque, lock, pressure_at_angle
 
 
 def _locked(ring, p0):
@@ -172,6 +172,40 @@ def test_solver_matches_bruteforce_randomized(geom, ring):
         assert fast.saturated == slow.saturated
         assert abs(fast.alpha_star - slow.alpha_star) <= math.radians(0.01)
         # half a grid cell of the oracle is its own force resolution
+        floor = k * geom.radius * math.radians(5e-4)
+        assert abs(fast.force - slow.force) <= max(5e-3 * abs(slow.force), floor)
+
+
+def test_solver_matches_bruteforce_random_plants():
+    # ring and geometry drawn over their valid ranges, beta anywhere in the
+    # range where the fingertip extent increases over [0, alpha_max]
+    rng = np.random.default_rng(33)
+    for _ in range(60):
+        ring = RingModel(
+            v0=float(rng.uniform(1000.0, 10000.0)),
+            kappa=float(rng.uniform(0.0, 0.7)),
+            alpha_slack=math.radians(float(rng.uniform(0.0, 30.0))),
+            c1=float(rng.uniform(0.0, 60000.0)),
+            c2=float(rng.uniform(0.0, 1200.0)),
+        )
+        alpha_max = math.radians(float(rng.uniform(15.0, 80.0)))
+        margin = 1e-3
+        geom = FingerGeometry(
+            a=float(rng.uniform(5.0, 30.0)),
+            b=float(rng.uniform(20.0, 60.0)),
+            beta=float(rng.uniform(alpha_max - 0.5 * math.pi + margin, 0.5 * math.pi - margin)),
+            alpha_max=alpha_max,
+        )
+        # a closing shallower than the rest extent leaves tip_extent_inverse's
+        # domain, so closings start at the rest extent when it is positive
+        rest, reach = tip_extent(geom, 0.0), tip_extent(geom, alpha_max)
+        d_c = max(rest, 0.0) + float(rng.uniform(0.0, reach - rest + 10.0))
+        k = float(rng.uniform(10.0, 500.0))
+        state = _locked(ring, float(rng.uniform(0.0, 80.0)))
+        fast = solve_equilibrium(geom, ring, state, k, d_c)
+        slow = solve_equilibrium_bruteforce(geom, ring, state, k, d_c)
+        assert fast.saturated == slow.saturated
+        assert abs(fast.alpha_star - slow.alpha_star) <= math.radians(0.01)
         floor = k * geom.radius * math.radians(5e-4)
         assert abs(fast.force - slow.force) <= max(5e-3 * abs(slow.force), floor)
 

@@ -6,73 +6,15 @@ import pytest
 from softgrip.errors import DomainError
 from softgrip.geometry import (
     FingerGeometry,
-    Pose2D,
-    end_effector_pose,
     object_deformation,
     tip_extent,
     tip_extent_inverse,
-    wrap_angle,
 )
-
-ORIGIN = Pose2D(0.0, 0.0, 0.0)
-
-
-def test_wrap_angle_basics():
-    assert wrap_angle(0.0) == 0.0
-    assert wrap_angle(math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(-math.pi) == pytest.approx(math.pi)
-    assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
-    assert wrap_angle(10 * math.pi + 0.25) == pytest.approx(0.25)
 
 
 def test_default_design_angle_and_radius(geom):
     assert geom.beta == pytest.approx(0.35877067027057225, abs=1e-15)
     assert geom.radius == pytest.approx(42.720018726587654, abs=1e-12)
-
-
-def test_pose_at_rest(geom):
-    pose = end_effector_pose(geom, ORIGIN, 0.0)
-    assert pose.x == pytest.approx(-15.0, abs=1e-12)
-    assert pose.y == pytest.approx(40.0, abs=1e-12)
-    assert pose.yaw == 0.0
-
-
-def test_pose_at_design_angle(geom):
-    # at alpha = beta the fingertip sits straight above the joint
-    pose = end_effector_pose(geom, ORIGIN, geom.beta)
-    assert pose.x == pytest.approx(0.0, abs=1e-12)
-    assert pose.y == pytest.approx(geom.radius, abs=1e-12)
-    assert pose.yaw == pytest.approx(-geom.beta)
-
-
-def test_pose_respects_origin_offset(geom):
-    base = Pose2D(3.0, -7.0, 0.5)
-    p0 = end_effector_pose(geom, ORIGIN, 0.3)
-    p1 = end_effector_pose(geom, base, 0.3)
-    assert p1.x - p0.x == pytest.approx(3.0)
-    assert p1.y - p0.y == pytest.approx(-7.0)
-    assert p1.yaw == pytest.approx(wrap_angle(p0.yaw + 0.5))
-
-
-def test_fingertip_stays_on_circle(geom):
-    for alpha in np.linspace(0.0, geom.alpha_max, 97):
-        pose = end_effector_pose(geom, ORIGIN, float(alpha))
-        assert math.hypot(pose.x, pose.y) == pytest.approx(geom.radius, abs=1e-9)
-
-
-def test_arc_step_length(geom):
-    # chord length between nearby angles matches R * dalpha to first order
-    da = math.radians(1.0)
-    p0 = end_effector_pose(geom, ORIGIN, 0.4)
-    p1 = end_effector_pose(geom, ORIGIN, 0.4 + da)
-    chord = math.hypot(p1.x - p0.x, p1.y - p0.y)
-    assert chord == pytest.approx(geom.radius * da, rel=1e-4)
-
-
-def test_yaw_decreases_linearly_with_bending(geom):
-    yaws = [end_effector_pose(geom, ORIGIN, a).yaw for a in (0.1, 0.2, 0.3)]
-    assert yaws[0] - yaws[1] == pytest.approx(0.1)
-    assert yaws[1] - yaws[2] == pytest.approx(0.1)
 
 
 def test_tip_extent_zero_at_rest(geom):
@@ -99,6 +41,7 @@ def test_tip_extent_strictly_increasing(geom):
     grid = np.linspace(0.0, geom.alpha_max, 801)
     vals = [tip_extent(geom, float(a)) for a in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+    assert np.array_equal(tip_extent(geom, grid), vals)
 
 
 def test_tip_extent_inverse_roundtrip(geom):
@@ -140,8 +83,6 @@ def test_deformation_can_go_negative(geom):
 
 def test_domain_checks(geom):
     with pytest.raises(DomainError):
-        end_effector_pose(geom, ORIGIN, -0.1)
-    with pytest.raises(DomainError):
         tip_extent(geom, geom.alpha_max + 0.1)
     with pytest.raises(DomainError):
         object_deformation(geom, -1.0, 0.2)
@@ -154,3 +95,10 @@ def test_invalid_geometry_rejected():
         FingerGeometry(tip_arm=0.0)
     with pytest.raises(DomainError):
         FingerGeometry(alpha_max=math.radians(90.0))
+    # the extent must increase over [0, alpha_max]: beta < 90 deg, alpha_max - beta < 90 deg
+    alpha_max = math.radians(80.0)
+    for beta in (0.5 * math.pi, alpha_max - 0.5 * math.pi):
+        with pytest.raises(DomainError, match="increase"):
+            FingerGeometry(beta=beta, alpha_max=alpha_max)
+        inside = beta - 1e-9 if beta > 0 else beta + 1e-9
+        FingerGeometry(beta=inside, alpha_max=alpha_max)

@@ -15,7 +15,6 @@ from softgrip.pneumatics import (
     measurement_sigma,
     pressure_at_angle,
     quantize,
-    sensor_read,
     volume_at_angle,
 )
 
@@ -231,11 +230,6 @@ def test_measurement_sigma_formula(sensor):
     per_read = math.sqrt(sensor.sigma**2 + sensor.quant_step**2 / 12.0)
     assert measurement_sigma(sensor, 512) == pytest.approx(per_read / math.sqrt(512))
     assert measurement_sigma(sensor, 1) == pytest.approx(per_read)
-
-
-def test_sensor_read_alias(quiet_sensor):
-    stream = PressureSensor(quiet_sensor)
-    assert sensor_read(stream, 12.0) == 12.0
 
 
 def test_model_validation():
