@@ -8,13 +8,13 @@ Table grids are stored in external units: degrees, kPa, N*mm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParseError, RangeError, SaturationError
 from .geometry import FingerGeometry
-from .pneumatics import RingModel, RingState, joint_torque, leak_step, lock, pressure_at_angle
+from .pneumatics import RingModel, RingState, joint_torque, leak_path, lock, pressure_at_angle
 
 
 @dataclass
@@ -50,6 +50,8 @@ class CalibrationTable:
 
 
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    if not (step > 0 and math.isfinite(step)):
+        raise ConfigError(f"grid step must be positive and finite, got {step}")
     n = int(round((stop - start) / step))
     if n < 1:
         raise ConfigError(f"degenerate grid: start={start}, stop={stop}, step={step}")
@@ -94,6 +96,10 @@ def generate_locked_sweep(
     p0_grid = np.asarray(p0_grid_kpa, dtype=float)
     if p0_grid.size < 2:
         raise ConfigError("locked sweep needs at least 2 initial pressures")
+    if p0_grid[0] < 0 or np.any(np.diff(p0_grid) <= 0):
+        raise ConfigError(
+            f"locked sweep p0 grid must be non-negative and strictly increasing, got {p0_grid.tolist()}"
+        )
     alphas = np.radians(alpha_grid)
     p = np.stack(
         [pressure_at_angle(lock(RingState(p_gauge=float(p0)), model), model, alphas) for p0 in p0_grid],
@@ -117,17 +123,16 @@ def hysteresis_sweep(
 
     Returns (alpha_deg, p_forward, p_backward) with pressures in gauge kPa.
     """
+    if p0 < 0:
+        raise ConfigError(f"hysteresis p0 must be non-negative, got {p0}")
+    if dt_per_step < 0:
+        raise ConfigError(f"hysteresis dt_per_step must be non-negative, got {dt_per_step}")
     alpha_grid = _grid(0.0, alpha_max_deg, alpha_step_deg)
-    state = lock(RingState(p_gauge=float(p0), alpha=0.0), model)
-    forward = np.empty(alpha_grid.size)
-    backward = np.empty(alpha_grid.size)
-    for i, a_deg in enumerate(alpha_grid):
-        state = leak_step(replace(state, alpha=math.radians(a_deg)), model, dt_per_step)
-        forward[i] = pressure_at_angle(state, model, state.alpha)
-    for i in range(alpha_grid.size - 1, -1, -1):
-        state = leak_step(replace(state, alpha=math.radians(alpha_grid[i])), model, dt_per_step)
-        backward[i] = pressure_at_angle(state, model, state.alpha)
-    return alpha_grid, forward, backward
+    path = np.radians(np.concatenate((alpha_grid, alpha_grid[::-1])))
+    state = leak_path(lock(RingState(p_gauge=float(p0)), model), model, path, dt_per_step)
+    p = pressure_at_angle(state, model, path)
+    n = alpha_grid.size
+    return alpha_grid, p[:n], p[n:][::-1]
 
 
 def _cell(grid: np.ndarray, value: float, label: str) -> tuple[int, float]:
@@ -203,22 +208,18 @@ def force_from_dp(table: CalibrationTable, geom: FingerGeometry, dp: float, p0: 
 _HEADER = "alpha_deg,p0_kpa,dp_kpa,torque_nmm"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(table: CalibrationTable) -> str:
-    """CSV text of a table, lossless: full float precision, LF line endings."""
-    lines = ["# caltab v1"]
+    """CSV text of a table, lossless: full float precision, LF line endings.
+
+    Grid values are formatted once, and the surface cells fill a single
+    %-template, row-major with alpha outer.
+    """
     meta = ";".join(f"{k}={v}" for k, v in table.meta.items())
-    lines.append(f"# meta: {meta}")
-    lines.append(_HEADER)
-    for i, a in enumerate(table.alpha_grid):
-        for j, p in enumerate(table.p0_grid):
-            lines.append(
-                f"{_fmt(a)},{_fmt(p)},{_fmt(table.dp_surface[i, j])},{_fmt(table.torque_surface[i, j])}"
-            )
-    return "\n".join(lines) + "\n"
+    alphas = ["%.17g" % a for a in table.alpha_grid.tolist()]
+    p0s = ["%.17g" % p for p in table.p0_grid.tolist()]
+    template = "\n".join(f"{a},{p},%.17g,%.17g" for a in alphas for p in p0s)
+    cells = np.stack((table.dp_surface, table.torque_surface), axis=-1).ravel().tolist()
+    return f"# caltab v1\n# meta: {meta}\n{_HEADER}\n" + template % tuple(cells) + "\n"
 
 
 def read_csv(path) -> CalibrationTable:

@@ -244,6 +244,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             cfg["seed"] = args.seed
         out_dir = args.out or cfg["output_dir"]
         noise = args.noise == "on"

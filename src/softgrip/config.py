@@ -1,7 +1,8 @@
 """Scenario configuration: JSON file with strict validation, embedded physical
 defaults, and builders for the plant / probe / fixture objects.
 
-Config units are external: mm, degrees, kPa, N/mm. Unknown keys are rejected.
+Config units are external: mm, degrees, kPa, N/mm. Unknown keys are rejected,
+and every value must have the type of its default.
 """
 
 from __future__ import annotations
@@ -82,12 +83,14 @@ DEFAULTS = {
     },
 }
 
-_FIXTURE_KEYS = {
-    "kind",
-    "base_k_n_per_mm",
-    "samples",
-    "surface_offset_mm",
-    "damage_threshold_n",
+# the type each fixture field must have, given as a value of that type;
+# samples are [coordinate, stiffness] pairs and are checked on their own
+_FIXTURE_FIELDS = {
+    "kind": "uniform",
+    "base_k_n_per_mm": 0.0,
+    "samples": [],
+    "surface_offset_mm": 0.0,
+    "damage_threshold_n": None,
 }
 
 
@@ -107,14 +110,64 @@ def _merge(defaults, user, path=""):
     return out
 
 
+def _is_number(value) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _check_leaf(here: str, default, value) -> None:
+    """Reject a value whose type differs from the type of its default."""
+    if isinstance(default, str):
+        ok, expected = isinstance(value, str), "a string"
+    elif isinstance(default, int):
+        ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, list):
+        ok = isinstance(value, list) and all(_is_number(x) for x in value)
+        expected = "a list of finite numbers"
+    elif default is None:
+        ok, expected = value is None or _is_number(value), "null or a finite number"
+    else:
+        ok, expected = _is_number(value), "a finite number"
+    if not ok:
+        raise ConfigError(f"'{here}' must be {expected}, got {json.dumps(value)}")
+
+
 def _check_fixture(name, raw):
     if not isinstance(raw, dict):
         raise ConfigError(f"fixture '{name}' must be an object")
-    for key in raw:
-        if key not in _FIXTURE_KEYS:
-            raise ConfigError(f"unknown config key 'fixtures.{name}.{key}'")
+    for key, value in raw.items():
+        here = f"fixtures.{name}.{key}"
+        if key not in _FIXTURE_FIELDS:
+            raise ConfigError(f"unknown config key '{here}'")
+        if key != "samples":
+            _check_leaf(here, _FIXTURE_FIELDS[key], value)
+        elif not isinstance(value, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(_is_number(x) for x in pair)
+            for pair in value
+        ):
+            raise ConfigError(f"'{here}' must be a list of [coordinate, stiffness] number pairs")
     if "surface_offset_mm" not in raw:
         raise ConfigError(f"fixture '{name}' is missing 'surface_offset_mm'")
+
+
+def _check_types(defaults: dict, cfg: dict, path: str = "") -> None:
+    """Check every leaf of a merged config against the type of its default."""
+    for key, default in defaults.items():
+        here = f"{path}.{key}" if path else key
+        if here == "fixtures":
+            if not isinstance(cfg[key], dict):
+                raise ConfigError("config section 'fixtures' must be an object")
+            for name, raw in cfg[key].items():
+                _check_fixture(name, raw)
+        elif isinstance(default, dict):
+            _check_types(default, cfg[key], here)
+        else:
+            _check_leaf(here, default, cfg[key])
 
 
 def load_config(path) -> dict:
@@ -127,8 +180,9 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     resolved = _merge(DEFAULTS, user)
-    for name, raw in resolved["fixtures"].items():
-        _check_fixture(name, raw)
+    _check_types(DEFAULTS, resolved)
+    if resolved["seed"] < 0:
+        raise ConfigError(f"'seed' must be non-negative, got {resolved['seed']}")
     return resolved
 
 

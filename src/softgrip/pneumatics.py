@@ -112,17 +112,27 @@ def joint_torque(model: RingModel, alpha, p_gauge):
     return (model.c1 + model.c2 * p_gauge) * _clip_negative(alpha - model.alpha_slack)
 
 
-def leak_step(state: RingState, model: RingModel, dt: float) -> RingState:
-    """Reduce the trapped gas quantity by leak_rate * dt, floored at atmospheric."""
+def leak_path(state: RingState, model: RingModel, alphas: np.ndarray, dt: float) -> RingState:
+    """Locked ring state after a timed path through the angles alphas (rad).
+
+    Each step moves to the next angle and leaks the trapped gas quantity by
+    leak_rate * dt, floored at atmospheric pressure at that angle. The result
+    holds the path in alpha and the gas quantity after each step in nv_const,
+    both arrays, ready for pressure_at_angle.
+    """
     if dt < 0:
         raise DomainError(f"dt must be non-negative, got {dt}")
     if not state.locked:
-        raise StateError("leak_step requires a locked ring")
+        raise StateError("leak_path requires a locked ring")
     if model.leak_rate == 0.0 or dt == 0.0:
-        return state
-    floor = model.p_atm * volume_at_angle(model, state.alpha)
-    nv = max(state.nv_const * (1.0 - model.leak_rate * dt), floor)
-    return replace(state, nv_const=nv)
+        return replace(state, alpha=alphas, nv_const=np.full(alphas.shape, state.nv_const))
+    keep = 1.0 - model.leak_rate * dt
+    nv = state.nv_const
+    path = []
+    for floor in (model.p_atm * volume_at_angle(model, alphas)).tolist():
+        nv = max(nv * keep, floor)
+        path.append(nv)
+    return replace(state, alpha=alphas, nv_const=np.array(path))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from softgrip.errors import (
     RangeError,
     SaturationError,
 )
-from softgrip.pneumatics import RingModel, RingState, joint_torque, lock, pressure_at_angle
+from softgrip.pneumatics import RingModel, RingState, joint_torque, lock, pressure_at_angle, volume_at_angle
 
 
 def test_regulated_sweep_grid_shape(regulated_table):
@@ -139,6 +140,46 @@ def test_hysteresis_vanishes_without_leak():
     model = RingModel(leak_rate=0.0)
     alphas, fwd, bwd = hysteresis_sweep(model, p0=60.0)
     assert np.max(np.abs(fwd - bwd)) <= 1e-9
+
+
+def _stepwise_hysteresis(model, p0, alpha_grid, dt):
+    """Reference: the timed sweep as a loop of scalar leak steps, one RingState per step."""
+
+    def step(state, a_deg):
+        state = replace(state, alpha=math.radians(a_deg))
+        if model.leak_rate != 0.0 and dt != 0.0:
+            floor = model.p_atm * volume_at_angle(model, state.alpha)
+            state = replace(state, nv_const=max(state.nv_const * (1.0 - model.leak_rate * dt), floor))
+        return state, pressure_at_angle(state, model, state.alpha)
+
+    state = lock(RingState(p_gauge=p0, alpha=0.0), model)
+    forward, backward = [], []
+    for a_deg in alpha_grid:
+        state, p = step(state, a_deg)
+        forward.append(p)
+    for a_deg in alpha_grid[::-1]:
+        state, p = step(state, a_deg)
+        backward.append(p)
+    return np.array(forward), np.array(backward[::-1])
+
+
+@pytest.mark.parametrize(
+    "model, p0, step, dt",
+    [
+        (RingModel(), 60.0, 1.0, 1.0),
+        (RingModel(kappa=0.1, leak_rate=3e-4), 35.5, 0.1, 2.5),
+        (RingModel(leak_rate=0.0), 60.0, 1.0, 1.0),
+        (RingModel(), 60.0, 2.5, 0.0),
+        (RingModel(leak_rate=0.05), 80.0, 1.0, 10.0),  # reaches the atmospheric floor
+    ],
+)
+def test_hysteresis_equals_stepwise_leak_loop(model, p0, step, dt):
+    alphas, fwd, bwd = hysteresis_sweep(model, p0=p0, alpha_step_deg=step, dt_per_step=dt)
+    ref_fwd, ref_bwd = _stepwise_hysteresis(model, p0, alphas, dt)
+    assert np.array_equal(fwd, ref_fwd)
+    assert np.array_equal(bwd, ref_bwd)
+    if model.leak_rate == 0.05:
+        assert np.any(bwd == 0.0)
 
 
 def test_interp_exact_at_nodes(locked_table):
@@ -318,6 +359,46 @@ def test_csv_roundtrip_lossless(locked_table, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _per_cell_csv(table):
+    """Reference: the CSV text with every cell formatted on its own."""
+    fmt = lambda x: format(float(x), ".17g")
+    lines = [
+        "# caltab v1",
+        "# meta: " + ";".join(f"{k}={v}" for k, v in table.meta.items()),
+        "alpha_deg,p0_kpa,dp_kpa,torque_nmm",
+    ]
+    for i, a in enumerate(table.alpha_grid):
+        for j, p in enumerate(table.p0_grid):
+            cells = (a, p, table.dp_surface[i, j], table.torque_surface[i, j])
+            lines.append(",".join(fmt(x) for x in cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_equals_per_cell_format(locked_table, regulated_table):
+    rng = np.random.default_rng(11)
+    specials = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, -2.5]
+
+    def spread(shape):
+        """Random signs and magnitudes from 1e-300 to 1e300."""
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+
+    tables = [
+        locked_table,
+        regulated_table,
+        CalibrationTable(
+            [-0.0, 1e300], [-1e-300, 2.5], [[0.0, -0.0], [1e-300, 2.5]], [[-1e300, 1e300], [-0.0, -2.5]]
+        ),
+    ]
+    for n_alpha, n_p0 in ((2, 2), (9, 4), (40, 17)):
+        torque = spread((n_alpha, n_p0))
+        torque.flat[::3] = rng.choice(specials, torque.flat[::3].size)
+        dp = np.sort(spread((n_alpha, n_p0)), axis=0)
+        meta = {"mode": "random", "note": "100% of cells"}
+        tables.append(CalibrationTable(np.sort(spread(n_alpha)), np.sort(spread(n_p0)), dp, torque, meta))
+    for table in tables:
+        assert write_csv(table) == _per_cell_csv(table)
+
+
 def test_csv_rejects_missing_magic(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("alpha_deg,p0_kpa,dp_kpa,torque_nmm\n")
@@ -401,3 +482,17 @@ def test_degenerate_sweep_rejected(ring):
         generate_locked_sweep(ring, p0_grid_kpa=(60.0,))
     with pytest.raises(ConfigError):
         generate_regulated_sweep(ring, alpha_max_deg=0.0)
+    for step in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="grid step"):
+            generate_locked_sweep(ring, alpha_step_deg=step)
+        with pytest.raises(ConfigError, match="grid step"):
+            generate_regulated_sweep(ring, p_step_kpa=step)
+        with pytest.raises(ConfigError, match="grid step"):
+            hysteresis_sweep(ring, alpha_step_deg=step)
+    for p0_grid in ((20.0, 0.0), (0.0, 20.0, 20.0), (-5.0, 20.0)):
+        with pytest.raises(ConfigError, match="p0 grid"):
+            generate_locked_sweep(ring, p0_grid_kpa=p0_grid)
+    with pytest.raises(ConfigError, match="p0"):
+        hysteresis_sweep(ring, p0=-5.0)
+    with pytest.raises(ConfigError, match="dt_per_step"):
+        hysteresis_sweep(ring, dt_per_step=-1.0)

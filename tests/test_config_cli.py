@@ -1,10 +1,14 @@
+import copy
+import hashlib
 import json
 import math
 import os
 
 import pytest
 
-from softgrip.cli import EXIT_CONFIG, EXIT_OK, main
+import numpy as np
+
+from softgrip.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, main
 from softgrip.config import (
     build_fixture,
     build_geometry,
@@ -119,6 +123,92 @@ def test_cli_invalid_plant_value_exits_config(tmp_path, capsys, section, key, va
     assert code == EXIT_CONFIG
     assert err.startswith(f"config error: plant.{section}:")
     assert "Traceback" not in err
+
+
+def _set(doc, dotted, value):
+    *parents, leaf = dotted.split(".")
+    for key in parents:
+        doc = doc.setdefault(key, {})
+    doc[leaf] = value
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("calibration.locked.alpha_step_deg", 0),
+        ("calibration.hysteresis.dt_per_step_s", -1),
+        ("calibration.hysteresis.p0_kpa", -5),
+        ("calibration.locked.p0_grid_kpa", [20, 0]),
+        ("plant.ring.kappa_per_rad", "0.2"),
+        ("calibration.hysteresis.p0_kpa", math.nan),
+        ("plant.geometry.beta_deg", math.inf),
+        ("seed", True),
+        ("seed", -1),
+        ("probe.n_probe_steps", "5"),
+        ("probe.settle_reads", 512.0),
+        ("calibration.locked.p0_grid_kpa", [0.0, "x"]),
+        ("output_dir", None),
+        ("fixtures.cube1.base_k_n_per_mm", "50"),
+        ("fixtures.cube1.samples", [[1.0]]),
+        ("fixtures", []),
+    ],
+)
+def test_cli_bad_value_exits_config(tmp_path, capsys, key, value):
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, key, value)
+    path = _write(tmp_path, doc)
+    code = main(["calibrate", "--config", path, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_cli_calibrate_golden_csv(tmp_path):
+    """Any drift in the calibration CSV format or values changes these digests."""
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_OK
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("regulated.csv", "locked.csv")
+    }
+    assert digests == {
+        "regulated.csv": "e7f498196bae22cef3bbe3a5e451c3ee366a51d40f8a59f2a27bd10930a785aa",
+        "locked.csv": "946d1e53e3d3840fbe4f19ff8ba515292817b059747045b7487c697d7bced9fc",
+    }
+
+
+def _leaves(doc, path=()):
+    for key, value in doc.items():
+        if isinstance(value, dict) and value:
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def test_cli_config_fuzz_exit_contract(tmp_path, capsys):
+    """One leaf of the resolved cubes config set to a junk value: exit 0, 2 or 3, never raise."""
+    base = load_config(CUBES)
+    leaves = list(_leaves(base))
+    junk = ["x", True, None, [], {}, math.nan, math.inf, -math.inf, 0, -1]
+    rng = np.random.default_rng(2024)
+    for case in range(64):
+        doc = copy.deepcopy(base)
+        leaf = ".".join(leaves[rng.integers(len(leaves))])
+        value = junk[rng.integers(len(junk))]
+        _set(doc, leaf, value)
+        path = _write(tmp_path, doc, name=f"fuzz{case}.json")
+        for argv in (["calibrate"], ["probe", "--fixture", "cube1"]):
+            code = main(argv + ["--config", path, "--out", str(tmp_path / "out")])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME_FLAG), (leaf, value, argv)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_negative_seed_override_exits_config(tmp_path, capsys):
+    argv = ["probe", "--config", CUBES, "--fixture", "cube1", "--seed", "-1", "--out", str(tmp_path / "x")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --seed")
 
 
 def test_cli_probe_requires_fixture():

@@ -10,7 +10,7 @@ from softgrip.pneumatics import (
     RingState,
     SensorModel,
     joint_torque,
-    leak_step,
+    leak_path,
     lock,
     measurement_sigma,
     pressure_at_angle,
@@ -153,24 +153,33 @@ def test_torque_closed_form(ring):
 def test_leak_reduces_gas_quantity(ring):
     model = RingModel(leak_rate=1e-3)
     state = _locked(model, 60.0)
-    leaked = leak_step(state, model, 10.0)
-    assert leaked.nv_const == pytest.approx(0.99 * state.nv_const, rel=1e-12)
+    leaked = leak_path(state, model, np.zeros(2), 10.0)
+    assert leaked.nv_const[0] == pytest.approx(0.99 * state.nv_const, rel=1e-12)
+    assert leaked.nv_const[1] == pytest.approx(0.99**2 * state.nv_const, rel=1e-12)
+    assert leaked.alpha.shape == (2,)
 
 
 def test_leak_noop_cases(ring):
     state = _locked(ring, 60.0)
-    assert leak_step(state, ring, 0.0) == state
+    path = np.radians([0.0, 30.0, 60.0])
+    assert np.all(leak_path(state, ring, path, 0.0).nv_const == state.nv_const)
     model = RingModel(leak_rate=0.0)
     state2 = _locked(model, 60.0)
-    assert leak_step(state2, model, 100.0) == state2
+    assert np.all(leak_path(state2, model, path, 100.0).nv_const == state2.nv_const)
+    with pytest.raises(DomainError):
+        leak_path(state, ring, path, -1.0)
+    with pytest.raises(StateError):
+        leak_path(RingState(p_gauge=60.0), ring, path, 1.0)
 
 
 def test_leak_floors_at_atmospheric(ring):
     model = RingModel(leak_rate=0.5)
     state = _locked(model, 60.0)
-    leaked = leak_step(state, model, 1e6)
-    assert leaked.nv_const == pytest.approx(model.p_atm * model.v0)
-    assert pressure_at_angle(leaked, model, 0.0) == 0.0
+    path = np.radians([0.0, 40.0])
+    leaked = leak_path(state, model, path, 1e6)
+    assert leaked.nv_const[0] == pytest.approx(model.p_atm * model.v0)
+    assert leaked.nv_const[1] == pytest.approx(model.p_atm * volume_at_angle(model, path[1]))
+    assert np.all(pressure_at_angle(leaked, model, path) == 0.0)
 
 
 def test_leak_lowers_pressure_at_same_angle(ring):
@@ -178,8 +187,8 @@ def test_leak_lowers_pressure_at_same_angle(ring):
     state = _locked(model, 60.0)
     alpha = math.radians(40.0)
     before = pressure_at_angle(state, model, alpha)
-    after = pressure_at_angle(leak_step(state, model, 20.0), model, alpha)
-    assert after < before
+    after = pressure_at_angle(leak_path(state, model, np.full(1, alpha), 20.0), model, alpha)
+    assert after[0] < before
 
 
 def test_quantize_round_half_up():
