@@ -2,7 +2,7 @@
 sensitivity runs driven by a JSON config file.
 
 Exit codes: 0 success, 2 config error, 3 runtime flag (no_contact, out_of_table,
-no safe grasp).
+travel_exhausted, no safe grasp).
 """
 
 from __future__ import annotations

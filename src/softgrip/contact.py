@@ -5,7 +5,8 @@ brute-force grid oracle used in verification.
 Both the solver and the oracle evaluate the torque balance through the plant
 formulas in `pneumatics` and `geometry`. Past the fabric dead zone the balance
 is strictly increasing in the bending angle, so the solver brackets it once on
-[alpha_slack, alpha_max] and bisects.
+[alpha_slack, alpha_max] and narrows the bracket with Illinois (modified
+regula falsi) steps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .pneumatics import RingModel, RingState, joint_torque, pressure_at_angle
 # does not move. Keeps the zero-stiffness limit well defined.
 TORQUE_FLOOR = 1e-3  # N*mm
 
-ALPHA_TOL = 1e-7  # rad, bisection tolerance of the equilibrium solver
+ALPHA_TOL = 1e-7  # rad, final bracket width of the equilibrium solver
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,12 @@ def solve_equilibrium(
     torque and the fingertip extent strictly increase with alpha, so the torque
     balance has at most one root on [slack, alpha_max]: it is negative at slack,
     and if it is still negative at alpha_max the object is too stiff for the
-    finger to yield (saturated). Otherwise one bisection finds the root.
+    finger to yield (saturated). Otherwise the bracket narrows to ALPHA_TOL and
+    its midpoint is returned. Each step evaluates the balance at the regula
+    falsi point of the bracket, held at least ALPHA_TOL / 2 inside it, and
+    halves the value kept at an end that survives two steps in a row
+    (Illinois). The midpoint replaces that point when it falls outside the
+    open bracket, or when the bracket has not halved over the last three steps.
     """
     if not state.locked:
         raise StateError("solve_equilibrium requires a locked ring")
@@ -138,17 +144,34 @@ def solve_equilibrium(
         dp = pressure_at_angle(state, model, alpha) - p0
         return EquilibriumResult(alpha, 0.0, 0.0, dp, contact=True)
 
-    # the balance at slack is -k_o * (d_c - e_slack) * tip_arm < 0
+    # the balance is negative at lo and non-negative at hi throughout
     lo, hi = slack, geom.alpha_max
-    if _residual(geom, model, state, k_o, d_c, hi) < 0.0:
+    f_lo = -k_o * (d_c - e_slack) * geom.tip_arm
+    f_hi = _residual(geom, model, state, k_o, d_c, hi)
+    if f_hi < 0.0:
         # spring dominates everywhere: rigid-object limit, no fingertip yield
         return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, contact=True, saturated=True)
+    kept = 0  # end that survived the last step: -1 lo, +1 hi
+    widths = (math.inf,) * 3  # bracket widths before the last three steps
     while hi - lo > ALPHA_TOL:
-        mid = 0.5 * (lo + hi)
-        if _residual(geom, model, state, k_o, d_c, mid) < 0.0:
-            lo = mid
+        alpha = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+        # at least half a tolerance from either end, so the step that lands
+        # next to a converged end closes the bracket on the far side of the root
+        alpha = min(max(alpha, lo + 0.5 * ALPHA_TOL), hi - 0.5 * ALPHA_TOL)
+        if not lo < alpha < hi or 2.0 * (hi - lo) > widths[0]:
+            alpha = 0.5 * (lo + hi)
+        widths = (*widths[1:], hi - lo)
+        f = _residual(geom, model, state, k_o, d_c, alpha)
+        if f < 0.0:
+            lo, f_lo = alpha, f
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
+            hi, f_hi = alpha, f
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
     alpha = 0.5 * (lo + hi)
     delta = d_c - tip_extent(geom, alpha)
     dp = pressure_at_angle(state, model, alpha) - p0

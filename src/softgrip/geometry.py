@@ -24,9 +24,11 @@ class FingerGeometry:
     which makes the deformation bookkeeping self-consistent at first contact.
     tip_arm is the moment arm (mm) of the fingertip contact force about the joint.
 
-    beta < 90 deg and alpha_max - beta < 90 deg are enforced, so alpha - beta stays
-    in (-90, 90) deg over [0, alpha_max] and the fingertip extent is strictly
-    increasing there; the equilibrium solver and tip_extent_inverse rely on it.
+    atan(a/b) <= beta < 90 deg is enforced. The lower bound keeps the extent at
+    rest from being positive, so every closing from first contact on is
+    reachable; with alpha_max <= 80 deg it also keeps alpha - beta in
+    (-90, 90) deg over [0, alpha_max], so the fingertip extent is strictly
+    increasing there. The equilibrium solver and tip_extent_inverse rely on both.
     """
 
     a: float = 15.0
@@ -42,11 +44,17 @@ class FingerGeometry:
             raise DomainError(f"link lengths must be positive, got a={self.a}, b={self.b}")
         if not 0.0 < self.alpha_max <= math.radians(80.0) + 1e-12:
             raise DomainError(f"alpha_max must be in (0, 80 deg], got {self.alpha_max} rad")
-        if not (self.beta < 0.5 * math.pi and self.alpha_max - self.beta < 0.5 * math.pi):
+        if not self.beta < 0.5 * math.pi:
             raise DomainError(
-                f"fingertip extent must increase over the joint range: need beta < 90 deg "
-                f"and alpha_max - beta < 90 deg, got beta={math.degrees(self.beta)} deg, "
-                f"alpha_max={math.degrees(self.alpha_max)} deg"
+                f"fingertip extent must increase over the joint range: need beta < 90 deg, "
+                f"got beta={math.degrees(self.beta)} deg"
+            )
+        rest = tip_extent(self, 0.0)
+        if rest > 1e-9:
+            raise DomainError(
+                f"fingertip extent at rest must not be positive: need beta >= atan(a/b) = "
+                f"{math.degrees(math.atan2(self.a, self.b))} deg, got beta={math.degrees(self.beta)} deg "
+                f"(rest extent {rest} mm)"
             )
         if self.tip_arm <= 0:
             raise DomainError(f"tip_arm must be positive, got {self.tip_arm}")
@@ -61,8 +69,8 @@ def tip_extent(geom: FingerGeometry, alpha):
     """Inward x-extent of the fingertip at bending angle alpha (mm).
 
     alpha is a float or a numpy array; a float gives a float. Zero at alpha = 0
-    under the default beta = atan(a/b); strictly increasing in alpha over
-    [0, alpha_max], which FingerGeometry guarantees.
+    under the default beta = atan(a/b), never positive there; strictly
+    increasing in alpha over [0, alpha_max], which FingerGeometry guarantees.
     """
     array = isinstance(alpha, np.ndarray)
     lo, hi = (alpha.min(), alpha.max()) if array else (alpha, alpha)

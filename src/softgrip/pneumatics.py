@@ -44,6 +44,8 @@ class RingModel:
             raise DomainError("torque coefficients must be non-negative")
         if self.leak_rate < 0:
             raise DomainError(f"leak_rate must be non-negative, got {self.leak_rate}")
+        if self.p_atm <= 0:
+            raise DomainError(f"p_atm must be positive, got {self.p_atm}")
 
 
 @dataclass(frozen=True)
@@ -162,12 +164,18 @@ class SensorModel:
 def quantize(value, step: float):
     """Round-half-up onto a grid of the given step; step 0 passes through.
 
-    value is a float or a numpy array; a float gives a float.
+    value is a float or a float array; a float gives a float, and an array is
+    quantized in place and returned.
     """
     if step <= 0:
         return value
-    floor = np.floor if isinstance(value, np.ndarray) else math.floor
-    return floor(value / step + 0.5) * step
+    if isinstance(value, np.ndarray):
+        value /= step
+        value += 0.5
+        np.floor(value, out=value)
+        value *= step
+        return value
+    return math.floor(value / step + 0.5) * step
 
 
 def measurement_sigma(sensor: SensorModel, settle_reads: int) -> float:
@@ -200,5 +208,11 @@ class PressureSensor:
             raise DomainError(f"settle read count must be >= 1, got {n}")
         if self.model.noise_frac == 0 and self.model.quant_step == 0:
             return p_true
-        noise = self._rng.normal(0.0, self.model.sigma, n) if self.model.noise_frac > 0 else np.zeros(n)
-        return float(quantize(p_true + noise, self.model.quant_step).mean())
+        if self.model.noise_frac > 0:
+            # normal(0, sigma, n) draws exactly these values: 0 + sigma * z
+            reads = self._rng.standard_normal(n)
+            reads *= self.model.sigma
+            reads += p_true
+        else:
+            reads = np.full(n, float(p_true))
+        return float(quantize(reads, self.model.quant_step).mean())

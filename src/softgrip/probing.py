@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .calibration import CalibrationTable, angle_from_dp, force_from_dp
-from .contact import solve_equilibrium
+from .contact import EquilibriumResult, solve_equilibrium
 from .errors import ConfigError, RangeError, SaturationError, StateError
 from .geometry import FingerGeometry, object_deformation, tip_extent
 from .pneumatics import (
@@ -135,10 +135,13 @@ class GripperSim:
         self.lock_reading: float | None = None
         self.contact_opening: float | None = None
         self.contact_dp: float | None = None
+        # (opening, equilibrium) that the last close_to solved; None without contact
+        self._solved: tuple[float, EquilibriumResult] | None = None
 
     def pressurize_and_lock(self, p0: float, settle_reads: int) -> None:
         """Open fully, regulate to p0 at rest, close the valve, record the baseline."""
         self.opening = self.max_open
+        self._solved = None
         self.state = lock(RingState(p_gauge=p0, alpha=0.0), self.ring)
         self.lock_reading = self.stream.read_avg(p0, settle_reads)
 
@@ -147,8 +150,10 @@ class GripperSim:
         if self.surface_offset is not None:
             pen = max(0.0, self.surface_offset - self.opening)
         if pen <= 0.0 or self.k_object is None:
+            self._solved = None
             return pressure_at_angle(self.state, self.ring, 0.0)
         eq = solve_equilibrium(self.geom, self.ring, self.state, self.k_object, pen)
+        self._solved = (self.opening, eq)
         p0 = pressure_at_angle(self.state, self.ring, 0.0)
         return p0 + eq.dp
 
@@ -160,8 +165,14 @@ class GripperSim:
         reading = self.stream.read_avg(self._plant_pressure(), settle_reads)
         return reading - self.lock_reading
 
-    def true_equilibrium(self):
-        """Ground-truth equilibrium at the current opening (tests and reporting)."""
+    def true_equilibrium(self) -> EquilibriumResult:
+        """Ground-truth equilibrium at the current opening (tests and reporting).
+
+        Returns the equilibrium that close_to solved while the opening is
+        unchanged; it solves only where close_to solved nothing (no contact).
+        """
+        if self._solved is not None and self._solved[0] == self.opening:
+            return self._solved[1]
         pen = max(0.0, (self.surface_offset or 0.0) - self.opening)
         return solve_equilibrium(self.geom, self.ring, self.state, self.k_object or 0.0, pen)
 
@@ -208,9 +219,9 @@ def probe(
 
     baseline = sim.contact_dp
     trace = []
-    dp_lock = baseline
     for i in range(1, cfg.n_probe_steps + 1):
-        dp_lock = sim.close_to(sim.contact_opening - i * cfg.probe_step, cfg.settle_reads)
+        command = sim.contact_opening - i * cfg.probe_step
+        dp_lock = sim.close_to(command, cfg.settle_reads)
         trace.append((i * cfg.probe_step, dp_lock - baseline))
 
     report = ProbeReport(
@@ -223,6 +234,12 @@ def probe(
         p0=cfg.p0,
         d_c=cfg.d_c,
     )
+    if command < -cfg.approach_step:
+        # the gripper shut well before the commanded closing, so d_c was never
+        # applied; a shortfall within one approach step, the accuracy of the
+        # contact estimate, cannot be told from a closing that ends at zero
+        report.flags.append("travel_exhausted")
+        return report
     try:
         alpha_deg = angle_from_dp(table, max(dp_lock, 0.0), cfg.p0)
     except SaturationError:

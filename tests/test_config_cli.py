@@ -111,7 +111,12 @@ def test_cli_unknown_fixture_exits_config(capsys):
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("geometry", "beta_deg", -80.0), ("geometry", "a_mm", -1.0), ("ring", "kappa_per_rad", 2.0)],
+    [
+        ("geometry", "beta_deg", -80.0),
+        ("geometry", "beta_deg", 5.0),  # below atan(a/b): positive extent at rest
+        ("geometry", "a_mm", -1.0),
+        ("ring", "kappa_per_rad", 2.0),
+    ],
 )
 def test_cli_invalid_plant_value_exits_config(tmp_path, capsys, section, key, value):
     with open(CUBES) as fh:
@@ -151,6 +156,8 @@ def _set(doc, dotted, value):
         ("fixtures.cube1.base_k_n_per_mm", "50"),
         ("fixtures.cube1.samples", [[1.0]]),
         ("fixtures", []),
+        ("plant.ring.p_atm_kpa", 0),
+        ("plant.ring.p_atm_kpa", -1),
     ],
 )
 def test_cli_bad_value_exits_config(tmp_path, capsys, key, value):
@@ -240,6 +247,28 @@ def test_cli_probe_cube_ordering(tmp_path):
         trace = (tmp_path / name / f"probe_{name}_trace.csv").read_text()
         assert "np." not in trace  # plain float reprs only
     assert krs["cube1"] < krs["cube2"] < krs["cube3"]
+
+
+def test_cli_probe_travel_exhausted(tmp_path, capsys):
+    # a closing far past the end of the travel is flagged, not reported as k_r
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, "probe.probe_step_mm", 1e9)
+    path = _write(tmp_path, doc)
+    for noise in ("on", "off"):
+        out = tmp_path / noise
+        code = main(["probe", "--config", path, "--fixture", "cube1", "--noise", noise, "--out", str(out)])
+        assert code == EXIT_RUNTIME_FLAG
+        assert "travel_exhausted" in capsys.readouterr().err
+        report = json.loads((out / "probe_cube1.json").read_text())
+        assert report["flags"] == ["travel_exhausted"]
+        assert report["est_force"] is None and report["k_r"] is None and report["k_o_est"] is None
+        assert len(report["dp_trace"]) == 5  # the default n_probe_steps
+    # closing the whole 40 mm from a 40 mm surface stays within the contact
+    # estimate's accuracy of one approach step and is not flagged
+    _set(doc, "probe.probe_step_mm", 8.0)
+    path = _write(tmp_path, doc, name="full.json")
+    assert main(["probe", "--config", path, "--fixture", "cube1", "--out", str(tmp_path / "full")]) == EXIT_OK
 
 
 def test_cli_probe_spatial_fixture_rejected(tmp_path):

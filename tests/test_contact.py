@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import softgrip.contact
 from softgrip.contact import (
+    ALPHA_TOL,
     ObjectModel,
     StiffnessProfile,
+    _residual,
     solve_equilibrium,
     solve_equilibrium_bruteforce,
     stiffness_at,
@@ -176,32 +179,31 @@ def test_solver_matches_bruteforce_randomized(geom, ring):
         assert abs(fast.force - slow.force) <= max(5e-3 * abs(slow.force), floor)
 
 
+def _random_plant(rng):
+    """(geom, ring, state, k_o, d_c) drawn over the valid ranges: beta anywhere
+    in [atan(a/b), 90 deg), where the fingertip extent increases over
+    [0, alpha_max] from a non-positive rest extent."""
+    ring = RingModel(
+        v0=float(rng.uniform(1000.0, 10000.0)),
+        kappa=float(rng.uniform(0.0, 0.7)),
+        alpha_slack=math.radians(float(rng.uniform(0.0, 30.0))),
+        c1=float(rng.uniform(0.0, 60000.0)),
+        c2=float(rng.uniform(0.0, 1200.0)),
+    )
+    alpha_max = math.radians(float(rng.uniform(15.0, 80.0)))
+    a, b = float(rng.uniform(5.0, 30.0)), float(rng.uniform(20.0, 60.0))
+    beta = float(rng.uniform(math.atan2(a, b), 0.5 * math.pi - 1e-3))
+    geom = FingerGeometry(a=a, b=b, beta=beta, alpha_max=alpha_max)
+    d_c = float(rng.uniform(0.0, max(tip_extent(geom, alpha_max), 0.0) + 10.0))
+    k = float(rng.uniform(10.0, 500.0))
+    state = _locked(ring, float(rng.uniform(0.0, 80.0)))
+    return geom, ring, state, k, d_c
+
+
 def test_solver_matches_bruteforce_random_plants():
-    # ring and geometry drawn over their valid ranges, beta anywhere in the
-    # range where the fingertip extent increases over [0, alpha_max]
     rng = np.random.default_rng(33)
     for _ in range(60):
-        ring = RingModel(
-            v0=float(rng.uniform(1000.0, 10000.0)),
-            kappa=float(rng.uniform(0.0, 0.7)),
-            alpha_slack=math.radians(float(rng.uniform(0.0, 30.0))),
-            c1=float(rng.uniform(0.0, 60000.0)),
-            c2=float(rng.uniform(0.0, 1200.0)),
-        )
-        alpha_max = math.radians(float(rng.uniform(15.0, 80.0)))
-        margin = 1e-3
-        geom = FingerGeometry(
-            a=float(rng.uniform(5.0, 30.0)),
-            b=float(rng.uniform(20.0, 60.0)),
-            beta=float(rng.uniform(alpha_max - 0.5 * math.pi + margin, 0.5 * math.pi - margin)),
-            alpha_max=alpha_max,
-        )
-        # a closing shallower than the rest extent leaves tip_extent_inverse's
-        # domain, so closings start at the rest extent when it is positive
-        rest, reach = tip_extent(geom, 0.0), tip_extent(geom, alpha_max)
-        d_c = max(rest, 0.0) + float(rng.uniform(0.0, reach - rest + 10.0))
-        k = float(rng.uniform(10.0, 500.0))
-        state = _locked(ring, float(rng.uniform(0.0, 80.0)))
+        geom, ring, state, k, d_c = _random_plant(rng)
         fast = solve_equilibrium(geom, ring, state, k, d_c)
         slow = solve_equilibrium_bruteforce(geom, ring, state, k, d_c)
         assert fast.saturated == slow.saturated
@@ -211,8 +213,6 @@ def test_solver_matches_bruteforce_random_plants():
 
 
 def test_residual_sign_flips_around_root(geom, ring):
-    from softgrip.contact import _residual
-
     state = _locked(ring, 60.0)
     for k in (30.0, 150.0, 400.0):
         eq = solve_equilibrium(geom, ring, state, k, 30.0)
@@ -240,3 +240,54 @@ def test_solver_rejects_negative_closing(geom, ring):
     state = _locked(ring, 60.0)
     with pytest.raises(DomainError):
         solve_equilibrium(geom, ring, state, 50.0, -1.0)
+
+
+def _bisection_reference(geom, ring, state, k_o, d_c):
+    """The plain bisection the solver used before its Illinois step: (alpha or
+    None when saturated, residual evaluations including the one at alpha_max)."""
+    lo, hi = min(ring.alpha_slack, geom.alpha_max), geom.alpha_max
+    evals = 1
+    if _residual(geom, ring, state, k_o, d_c, hi) < 0.0:
+        return None, evals
+    while hi - lo > ALPHA_TOL:
+        mid = 0.5 * (lo + hi)
+        evals += 1
+        if _residual(geom, ring, state, k_o, d_c, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), evals
+
+
+def test_solver_matches_bisection_reference(monkeypatch):
+    # seeded random rings and geometries over their valid ranges; every solve
+    # that reaches the bracket is held to the bisection answer and its cost
+    evals = [0]
+
+    def counted(*args):
+        evals[0] += 1
+        return _residual(*args)
+
+    monkeypatch.setattr(softgrip.contact, "_residual", counted)
+    rng = np.random.default_rng(404)
+    costs = []
+    saturated = 0
+    for _ in range(1500):
+        geom, ring, state, k, d_c = _random_plant(rng)
+        slack = min(ring.alpha_slack, geom.alpha_max)
+        evals[0] = 0
+        eq = solve_equilibrium(geom, ring, state, k, d_c)
+        cost = evals[0]
+        if k * geom.tip_arm * d_c <= softgrip.contact.TORQUE_FLOOR or d_c <= tip_extent(geom, slack):
+            assert cost == 0  # no-resistance and free-bend solves never bracket
+            continue
+        ref, ref_cost = _bisection_reference(geom, ring, state, k, d_c)
+        assert eq.saturated == (ref is None)
+        if ref is None:
+            saturated += 1
+            continue
+        assert abs(eq.alpha_star - ref) <= ALPHA_TOL
+        assert cost <= ref_cost
+        costs.append(cost)
+    assert len(costs) > 500 and saturated > 100
+    assert np.mean(costs) <= 8.0

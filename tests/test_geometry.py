@@ -95,10 +95,14 @@ def test_invalid_geometry_rejected():
         FingerGeometry(tip_arm=0.0)
     with pytest.raises(DomainError):
         FingerGeometry(alpha_max=math.radians(90.0))
-    # the extent must increase over [0, alpha_max]: beta < 90 deg, alpha_max - beta < 90 deg
-    alpha_max = math.radians(80.0)
-    for beta in (0.5 * math.pi, alpha_max - 0.5 * math.pi):
-        with pytest.raises(DomainError, match="increase"):
-            FingerGeometry(beta=beta, alpha_max=alpha_max)
-        inside = beta - 1e-9 if beta > 0 else beta + 1e-9
-        FingerGeometry(beta=inside, alpha_max=alpha_max)
+    # the extent must increase over [0, alpha_max] and not be positive at rest:
+    # atan(a/b) <= beta < 90 deg
+    with pytest.raises(DomainError, match="increase"):
+        FingerGeometry(beta=0.5 * math.pi)
+    FingerGeometry(beta=0.5 * math.pi - 1e-9)
+    rest_beta = math.atan2(15.0, 40.0)
+    with pytest.raises(DomainError, match="at rest"):
+        FingerGeometry(beta=rest_beta - 1e-6)
+    FingerGeometry(beta=rest_beta)
+    with pytest.raises(DomainError, match="at rest"):
+        FingerGeometry(beta=math.radians(5.0))

@@ -248,6 +248,9 @@ def test_model_validation():
         RingModel(kappa=0.8)  # cavity collapses before full bending
     with pytest.raises(DomainError):
         RingModel(leak_rate=-1.0)
+    for p_atm in (0.0, -1.0):
+        with pytest.raises(DomainError, match="p_atm"):
+            RingModel(p_atm=p_atm)
     with pytest.raises(DomainError):
         SensorModel(full_scale=0.0)
     with pytest.raises(DomainError):
@@ -256,3 +259,39 @@ def test_model_validation():
         volume_at_angle(RingModel(), -0.1)
     with pytest.raises(DomainError):
         joint_torque(RingModel(), 0.5, -2.0)
+
+
+def test_read_avg_bit_identical_to_normal_draw():
+    # the settle average draws standard normals and scales them in place; numpy
+    # draws normal(0, sigma, n) as 0 + sigma * z, so the values and the stream
+    # must match the direct expression exactly
+    rng = np.random.default_rng(8)
+    models = [SensorModel(), SensorModel(noise_frac=0.0), SensorModel(quant_step=0.0)]
+    for _ in range(40):
+        models.append(
+            SensorModel(noise_frac=float(rng.uniform(0.0, 0.05)), quant_step=float(rng.choice([0.0, 0.68, 0.1])))
+        )
+    for i, model in enumerate(models):
+        for n in (1, 512, 4096):
+            p_true = float(rng.uniform(0.0, 150.0))
+            stream = PressureSensor(model, seed=i)
+            ref = np.random.default_rng(i)
+            got = stream.read_avg(p_true, n)
+            if model.noise_frac == 0 and model.quant_step == 0:
+                expect = p_true
+            else:
+                noise = ref.normal(0.0, model.sigma, n) if model.noise_frac > 0 else np.zeros(n)
+                reads = p_true + noise
+                if model.quant_step > 0:
+                    reads = np.floor(reads / model.quant_step + 0.5) * model.quant_step
+                expect = float(reads.mean())
+            assert got == expect
+            assert type(got) is float
+            assert stream._rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_quantize_array_in_place():
+    values = np.array([1.26, 1.24, 1.25, -0.3])
+    out = quantize(values, 0.5)
+    assert out is values
+    assert out.tolist() == [quantize(x, 0.5) for x in (1.26, 1.24, 1.25, -0.3)]

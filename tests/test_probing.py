@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import softgrip.probing
+from softgrip.contact import solve_equilibrium
 from softgrip.errors import ConfigError, StateError
 from softgrip.pneumatics import measurement_sigma
 from softgrip.probing import (
@@ -188,3 +190,50 @@ def test_sensitivity_sweep_deterministic(geom, ring, sensor, locked_table):
     r2 = sensitivity_sweep(geom, ring, sensor, locked_table, 50.83, 202.39,
                            p0_grid=(40.0, 80.0), dc_grid=(18.0, 30.0))
     assert r1 == r2
+
+
+def test_probe_solves_each_contact_step_once(geom, ring, sensor, locked_table, monkeypatch):
+    # one equilibrium per commanded opening in contact; the ground-truth check
+    # at the end of probe() reuses the last one instead of solving it again
+    solves, openings = [], []
+    close_to = GripperSim.close_to
+
+    def recorded_solve(*args):
+        solves.append(solve_equilibrium(*args))
+        return solves[-1]
+
+    def recorded_close_to(self, opening, settle_reads):
+        openings.append(max(0.0, opening))
+        return close_to(self, opening, settle_reads)
+
+    monkeypatch.setattr(softgrip.probing, "solve_equilibrium", recorded_solve)
+    monkeypatch.setattr(GripperSim, "close_to", recorded_close_to)
+    sim = _sim(geom, ring, sensor, 100.0, seed=5)
+    report = run_probe(sim, locked_table, CFG)
+    assert report.flags == []
+    assert len(solves) == sum(o < 40.0 for o in openings)
+    assert len(solves) >= CFG.n_probe_steps
+
+    truth = sim.true_equilibrium()
+    assert truth is solves[-1]
+    assert truth == solve_equilibrium(geom, ring, sim.state, 100.0, 40.0 - sim.opening)
+    assert len(solves) == sum(o < 40.0 for o in openings)
+
+    # out of contact close_to solves nothing and true_equilibrium solves alone
+    sim.close_to(42.0, 8)
+    count = len(solves)
+    free = sim.true_equilibrium()
+    assert len(solves) == count + 1
+    assert not free.contact and free.force == 0.0
+
+
+def test_probe_flags_travel_exhausted(geom, ring, quiet_sensor, locked_table):
+    # commanded closing past the travel left: no estimates, like out_of_table
+    report = run_probe(_sim(geom, ring, quiet_sensor, 100.0), locked_table, replace(CFG, probe_step=1e9))
+    assert report.flags == ["travel_exhausted"]
+    assert report.est_force is None and report.k_r is None and report.k_o_est is None
+    assert len(report.dp_trace) == CFG.n_probe_steps
+    # a shortfall within one approach step of the contact estimate is accepted
+    shallow = replace(CFG, probe_step=(40.0 + 0.9 * CFG.approach_step) / CFG.n_probe_steps)
+    report = run_probe(_sim(geom, ring, quiet_sensor, 100.0), locked_table, shallow)
+    assert report.flags == [] and report.k_r is not None
