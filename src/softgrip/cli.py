@@ -2,7 +2,7 @@
 sensitivity runs driven by a JSON config file.
 
 Exit codes: 0 success, 2 config error, 3 runtime flag (no_contact, out_of_table,
-travel_exhausted, no safe grasp).
+travel_exhausted, saturated, no safe grasp, a sensitivity pair left out).
 """
 
 from __future__ import annotations
@@ -81,12 +81,7 @@ def cmd_calibrate(cfg: dict, out_dir: str, noise: bool) -> int:
         p_max_kpa=cal["regulated"]["p_max_kpa"],
         p_step_kpa=cal["regulated"]["p_step_kpa"],
     )
-    locked = generate_locked_sweep(
-        ring,
-        p0_grid_kpa=cal["locked"]["p0_grid_kpa"],
-        alpha_max_deg=cal["locked"]["alpha_max_deg"],
-        alpha_step_deg=cal["locked"]["alpha_step_deg"],
-    )
+    locked = _locked_table(cfg)
     for table in (reg, locked):
         table.meta["plant_config_sha256"] = config_hash(cfg["plant"])
     _atomic_write(os.path.join(out_dir, "regulated.csv"), write_csv(reg))
@@ -221,6 +216,16 @@ def cmd_sensitivity(cfg: dict, out_dir: str, fixture_a: str, fixture_b: str, noi
         lines.append(f"{p0!r},{dc!r},{sep!r},{z!r}")
     _atomic_write(os.path.join(out_dir, "sensitivity.csv"), "\n".join(lines) + "\n")
     _write_run_meta(out_dir, cfg, "sensitivity", noise)
+    ranked_pairs = {(p0, dc) for p0, dc, _, _ in ranked}
+    dropped = [
+        f"p0={float(p0)!r} kPa d_c={float(dc)!r} mm"
+        for p0 in sens["p0_grid_kpa"]
+        for dc in sens["dc_grid_mm"]
+        if (float(p0), float(dc)) not in ranked_pairs
+    ]
+    if dropped:
+        print(f"sensitivity left out flagged pairs: {'; '.join(dropped)}", file=sys.stderr)
+        return EXIT_RUNTIME_FLAG
     return EXIT_OK
 
 

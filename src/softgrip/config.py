@@ -186,10 +186,6 @@ def load_config(path) -> dict:
     return resolved
 
 
-def resolve_defaults() -> dict:
-    return deepcopy(DEFAULTS)
-
-
 def config_hash(cfg: dict) -> str:
     """Stable hash of the resolved config for run provenance."""
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
@@ -241,7 +237,6 @@ def build_sensor(cfg: dict, noise: bool = True) -> SensorModel:
         full_scale=s["full_scale_kpa"],
         noise_frac=s["noise_frac"],
         quant_step=s["quant_step_kpa"],
-        seed=cfg["seed"],
     )
     return model if noise else model.noiseless()
 

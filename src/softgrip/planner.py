@@ -23,12 +23,9 @@ DEFAULT_AVOID_FRACTION = 0.6  # entries below this fraction of the map maximum a
 class ProbePlan:
     """Ordered probing locations: mm along the body (linear) or degrees (angular)."""
 
-    kind: str  # linear | angular
     locations: tuple
 
     def __post_init__(self):
-        if self.kind not in ("linear", "angular"):
-            raise ConfigError(f"unknown plan kind '{self.kind}'")
         if len(self.locations) < 2:
             raise ConfigError("a probe plan needs at least 2 locations")
         if any(b <= a for a, b in zip(self.locations, self.locations[1:])):
@@ -44,14 +41,9 @@ def make_plan(shape: str, span: float, n: int) -> ProbePlan:
         raise ConfigError(f"need at least 2 probing locations, got {n}")
     if span <= 0:
         raise ConfigError(f"span must be positive, got {span}")
-    if shape == "elongated":
-        kind = "linear"
-    elif shape == "round":
-        kind = "angular"
-    else:
+    if shape not in ("elongated", "round"):
         raise ConfigError(f"unknown object shape '{shape}'")
-    locations = tuple(float(x) for x in np.linspace(0.0, span, n))
-    return ProbePlan(kind, locations)
+    return ProbePlan(tuple(float(x) for x in np.linspace(0.0, span, n)))
 
 
 @dataclass

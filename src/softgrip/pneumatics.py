@@ -144,7 +144,6 @@ class SensorModel:
     full_scale: float = 700.0
     noise_frac: float = 0.025 / 3.0  # 2.5% max deviation read as a 3-sigma bound
     quant_step: float = 0.68  # 10-bit ADC over the full scale
-    seed: int = 0
 
     def __post_init__(self):
         if self.full_scale <= 0:
@@ -161,21 +160,18 @@ class SensorModel:
         return replace(self, noise_frac=0.0, quant_step=0.0)
 
 
-def quantize(value, step: float):
-    """Round-half-up onto a grid of the given step; step 0 passes through.
+def quantize(values: np.ndarray, step: float) -> np.ndarray:
+    """Round a float array half-up onto a grid of the given step, in place.
 
-    value is a float or a float array; a float gives a float, and an array is
-    quantized in place and returned.
+    Returns the array; step 0 passes it through.
     """
     if step <= 0:
-        return value
-    if isinstance(value, np.ndarray):
-        value /= step
-        value += 0.5
-        np.floor(value, out=value)
-        value *= step
-        return value
-    return math.floor(value / step + 0.5) * step
+        return values
+    values /= step
+    values += 0.5
+    np.floor(values, out=values)
+    values *= step
+    return values
 
 
 def measurement_sigma(sensor: SensorModel, settle_reads: int) -> float:
@@ -191,16 +187,9 @@ class PressureSensor:
     confined to a single simulation at a time.
     """
 
-    def __init__(self, model: SensorModel, seed=None):
+    def __init__(self, model: SensorModel, seed=0):
         self.model = model
-        self._rng = np.random.default_rng(model.seed if seed is None else seed)
-
-    def read(self, p_true: float) -> float:
-        """One noisy quantized reading of the true pressure."""
-        noisy = p_true
-        if self.model.noise_frac > 0:
-            noisy += self._rng.normal(0.0, self.model.sigma)
-        return quantize(noisy, self.model.quant_step)
+        self._rng = np.random.default_rng(seed)
 
     def read_avg(self, p_true: float, n: int) -> float:
         """Settle-averaged measurement over n consecutive readings."""

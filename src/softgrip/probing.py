@@ -6,13 +6,12 @@ relative stiffness and Hooke stiffness.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 from .calibration import CalibrationTable, angle_from_dp, force_from_dp
 from .contact import EquilibriumResult, solve_equilibrium
-from .errors import ConfigError, RangeError, SaturationError, StateError
+from .errors import ConfigError, RangeError, StateError
 from .geometry import FingerGeometry, object_deformation, tip_extent
 from .pneumatics import (
     PressureSensor,
@@ -69,12 +68,13 @@ class ProbeConfig:
 class ProbeReport:
     """Outcome of one probe: measured trace and the derived stiffness estimates."""
 
-    contact_opening: float | None
-    dp_trace: list  # [(cumulative d_c mm, dp kPa rel. contact baseline), ...]
-    est_force: float | None
-    k_r: float | None
-    k_o_est: float | None
-    est_delta: float | None
+    contact_opening: float | None = None
+    # [(cumulative d_c mm, dp kPa rel. contact baseline), ...]
+    dp_trace: list = field(default_factory=list)
+    est_force: float | None = None
+    k_r: float | None = None
+    k_o_est: float | None = None
+    est_delta: float | None = None
     flags: list = field(default_factory=list)
     p0: float = 0.0
     d_c: float = 0.0
@@ -92,9 +92,6 @@ class ProbeReport:
             "d_c": self.d_c,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     def trace_csv(self) -> str:
         lines = ["step,dc_mm,dp_kpa"]
         for i, (dc, dp) in enumerate(self.dp_trace, start=1):
@@ -107,7 +104,10 @@ class GripperSim:
 
     The handle owns its seeded noise stream; concurrent sessions need distinct
     handles. The gripper closes by commanded opening width; each commanded
-    opening yields one quasi-static equilibrium of the plant.
+    opening yields one quasi-static equilibrium of the plant, which close_to
+    reports only as a sensor reading. The handle holds no estimator state:
+    detect_contact returns the contact opening and baseline and probe takes
+    them. The ground-truth equilibrium is for tests; the estimator never asks.
     """
 
     def __init__(
@@ -118,7 +118,7 @@ class GripperSim:
         k_object: float | None,
         surface_offset: float | None,
         max_open: float = 45.0,
-        seed=None,
+        seed=0,
     ):
         if max_open <= 0:
             raise ConfigError(f"max_open must be positive, got {max_open}")
@@ -133,29 +133,21 @@ class GripperSim:
         self.opening = max_open
         self.state: RingState | None = None
         self.lock_reading: float | None = None
-        self.contact_opening: float | None = None
-        self.contact_dp: float | None = None
-        # (opening, equilibrium) that the last close_to solved; None without contact
-        self._solved: tuple[float, EquilibriumResult] | None = None
 
     def pressurize_and_lock(self, p0: float, settle_reads: int) -> None:
         """Open fully, regulate to p0 at rest, close the valve, record the baseline."""
         self.opening = self.max_open
-        self._solved = None
         self.state = lock(RingState(p_gauge=p0, alpha=0.0), self.ring)
         self.lock_reading = self.stream.read_avg(p0, settle_reads)
 
     def _plant_pressure(self) -> float:
+        p0 = pressure_at_angle(self.state, self.ring, 0.0)
         pen = 0.0
         if self.surface_offset is not None:
             pen = max(0.0, self.surface_offset - self.opening)
         if pen <= 0.0 or self.k_object is None:
-            self._solved = None
-            return pressure_at_angle(self.state, self.ring, 0.0)
-        eq = solve_equilibrium(self.geom, self.ring, self.state, self.k_object, pen)
-        self._solved = (self.opening, eq)
-        p0 = pressure_at_angle(self.state, self.ring, 0.0)
-        return p0 + eq.dp
+            return p0
+        return p0 + solve_equilibrium(self.geom, self.ring, self.state, self.k_object, pen).dp
 
     def close_to(self, opening: float, settle_reads: int) -> float:
         """Command an opening width and return the measured dp from the lock baseline."""
@@ -166,13 +158,7 @@ class GripperSim:
         return reading - self.lock_reading
 
     def true_equilibrium(self) -> EquilibriumResult:
-        """Ground-truth equilibrium at the current opening (tests and reporting).
-
-        Returns the equilibrium that close_to solved while the opening is
-        unchanged; it solves only where close_to solved nothing (no contact).
-        """
-        if self._solved is not None and self._solved[0] == self.opening:
-            return self._solved[1]
+        """Ground-truth equilibrium at the current opening, solved afresh (tests only)."""
         pen = max(0.0, (self.surface_offset or 0.0) - self.opening)
         return solve_equilibrium(self.geom, self.ring, self.state, self.k_object or 0.0, pen)
 
@@ -181,7 +167,9 @@ def detect_contact(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig):
     """Close in approach_step increments until the pressure signal crosses the
     threshold, then refine the contact opening from the free-bend pressure rise.
 
-    Returns (contact_opening, flags). Travel exhaustion yields (None, ['no_contact']).
+    Returns (contact_opening, contact_dp, flags), contact_dp being the
+    lock-referenced dp at the step that crossed the threshold. Travel
+    exhaustion yields (None, None, ['no_contact']).
     """
     sim.pressurize_and_lock(cfg.p0, cfg.settle_reads)
     threshold = cfg.threshold(sim.stream.model)
@@ -191,49 +179,34 @@ def detect_contact(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig):
             # invert the dead-zone free bend to estimate the true contact opening
             alpha_deg = angle_from_dp(table, dp, cfg.p0)
             pen_hat = tip_extent(sim.geom, math.radians(alpha_deg))
-            sim.contact_opening = sim.opening + pen_hat
-            sim.contact_dp = dp
-            return sim.contact_opening, []
-    return None, ["no_contact"]
+            return sim.opening + pen_hat, dp, []
+    return None, None, ["no_contact"]
 
 
 def probe(
     sim: GripperSim,
     table: CalibrationTable,
     cfg: ProbeConfig,
-    contact_opening: float | None = None,
+    contact_opening: float,
+    contact_dp: float,
 ) -> ProbeReport:
     """Execute the fixed-increment probing steps and derive the stiffness estimates.
 
-    Requires a detected (or supplied) contact opening. The trace stores dp
-    relative to the contact baseline so approach-phase offsets do not bias k_r;
-    the estimation uses the lock-referenced dp, which the table is built from.
+    Continues the locked session that detect_contact left in sim, from its
+    contact opening and the lock-referenced dp measured there. The trace
+    stores dp relative to that contact baseline so approach-phase offsets do
+    not bias k_r; the estimation uses the lock-referenced dp, which the table
+    is built from. Like every estimate, the saturated flag comes from the
+    sensor alone: a last step whose dp does not rise above the contact
+    threshold means the finger could not yield to the object.
     """
-    if contact_opening is not None:
-        if sim.state is None:
-            sim.pressurize_and_lock(cfg.p0, cfg.settle_reads)
-        sim.contact_opening = contact_opening
-        sim.contact_dp = sim.close_to(contact_opening, cfg.settle_reads)
-    if sim.contact_opening is None:
-        raise StateError("probe requires a detected or supplied contact opening")
-
-    baseline = sim.contact_dp
     trace = []
     for i in range(1, cfg.n_probe_steps + 1):
-        command = sim.contact_opening - i * cfg.probe_step
+        command = contact_opening - i * cfg.probe_step
         dp_lock = sim.close_to(command, cfg.settle_reads)
-        trace.append((i * cfg.probe_step, dp_lock - baseline))
+        trace.append((i * cfg.probe_step, dp_lock - contact_dp))
 
-    report = ProbeReport(
-        contact_opening=sim.contact_opening,
-        dp_trace=trace,
-        est_force=None,
-        k_r=None,
-        k_o_est=None,
-        est_delta=None,
-        p0=cfg.p0,
-        d_c=cfg.d_c,
-    )
+    report = ProbeReport(contact_opening=contact_opening, dp_trace=trace, p0=cfg.p0, d_c=cfg.d_c)
     if command < -cfg.approach_step:
         # the gripper shut well before the commanded closing, so d_c was never
         # applied; a shortfall within one approach step, the accuracy of the
@@ -241,15 +214,15 @@ def probe(
         report.flags.append("travel_exhausted")
         return report
     try:
-        alpha_deg = angle_from_dp(table, max(dp_lock, 0.0), cfg.p0)
-    except SaturationError:
-        report.flags.append("out_of_table")
-        return report
+        alpha = math.radians(angle_from_dp(table, max(dp_lock, 0.0), cfg.p0))
     except RangeError:
+        alpha = math.inf
+    if alpha > sim.geom.alpha_max:
+        # beyond the table, or beyond the finger's joint range where the table
+        # (a ring property) reaches further than this finger can bend
         report.flags.append("out_of_table")
         return report
 
-    alpha = math.radians(alpha_deg)
     report.est_force = force_from_dp(table, sim.geom, max(dp_lock, 0.0), cfg.p0)
     report.k_r = report.est_force / cfg.d_c
     delta_hat = object_deformation(sim.geom, cfg.d_c, alpha)
@@ -260,28 +233,17 @@ def probe(
         report.flags.append("degenerate_deformation")
     else:
         report.k_o_est = 0.0
-    true_eq = sim.true_equilibrium()
-    if true_eq.saturated:
+    if dp_lock <= cfg.threshold(sim.stream.model):
         report.flags.append("saturated")
     return report
 
 
 def run_probe(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig) -> ProbeReport:
     """Full session: detect contact, then probe. no_contact yields an empty report."""
-    opening, flags = detect_contact(sim, table, cfg)
+    opening, dp, flags = detect_contact(sim, table, cfg)
     if opening is None:
-        return ProbeReport(
-            contact_opening=None,
-            dp_trace=[],
-            est_force=None,
-            k_r=None,
-            k_o_est=None,
-            est_delta=None,
-            flags=flags,
-            p0=cfg.p0,
-            d_c=cfg.d_c,
-        )
-    return probe(sim, table, cfg)
+        return ProbeReport(flags=flags, p0=cfg.p0, d_c=cfg.d_c)
+    return probe(sim, table, cfg, opening, dp)
 
 
 def sensitivity_sweep(
@@ -301,6 +263,8 @@ def sensitivity_sweep(
 
     Returns a list of (p0, d_c, separation_kpa, z) sorted by descending z;
     deterministic (probes run without noise, sigma from the sensor model).
+    A pair where either object's probe carries a flag (for example a closing
+    past the travel left, which is never applied) is left out of the list.
     """
     quiet = sensor.noiseless()
     sigma = measurement_sigma(sensor, base_cfg.settle_reads)
@@ -308,12 +272,13 @@ def sensitivity_sweep(
     for p0 in p0_grid:
         for dc in dc_grid:
             cfg = replace(base_cfg, p0=float(p0), probe_step=float(dc) / base_cfg.n_probe_steps)
-            dps = []
-            for k in (k_a, k_b):
-                sim = GripperSim(geom, ring, quiet, k, surface_offset, max_open=max_open)
-                rep = run_probe(sim, table, cfg)
-                dps.append(rep.dp_trace[-1][1] if rep.dp_trace else 0.0)
-            sep = abs(dps[0] - dps[1])
+            reports = [
+                run_probe(GripperSim(geom, ring, quiet, k, surface_offset, max_open=max_open), table, cfg)
+                for k in (k_a, k_b)
+            ]
+            if any(rep.flags for rep in reports):
+                continue
+            sep = abs(reports[0].dp_trace[-1][1] - reports[1].dp_trace[-1][1])
             z = sep / sigma if sigma > 0 else math.inf
             out.append((float(p0), float(dc), sep, z))
     out.sort(key=lambda t: (-t[3], t[0], t[1]))

@@ -17,7 +17,7 @@ def ring():
 
 @pytest.fixture(scope="session")
 def sensor():
-    return SensorModel(seed=0)
+    return SensorModel()
 
 
 @pytest.fixture(scope="session")

@@ -143,7 +143,7 @@ def test_criterion_6_contact_detection(geom, ring, sensor, quiet_sensor, locked_
     ok = True
     for offset in (36.0, 37.3, 39.0, 40.0, 41.7, 43.0):
         sim = GripperSim(geom, ring, quiet_sensor, 100.0, offset, max_open=MAX_OPEN)
-        opening, flags = detect_contact(sim, locked_table, cfg)
+        opening, _, flags = detect_contact(sim, locked_table, cfg)
         ok &= flags == [] and abs(opening - offset) <= cfg.approach_step
 
     # empty workspace, default threshold, full noise: 1000 approach steps
@@ -152,7 +152,7 @@ def test_criterion_6_contact_detection(geom, ring, sensor, quiet_sensor, locked_
         geom, ring, sensor, None, None,
         max_open=steps * cfg.approach_step + 0.5, seed=77,
     )
-    opening, flags = detect_contact(sim, locked_table, cfg)
+    opening, _, flags = detect_contact(sim, locked_table, cfg)
     ok &= opening is None and flags == ["no_contact"]
     _report("criterion 6: contact detection and 0/1000 false contacts", ok)
 

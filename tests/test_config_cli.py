@@ -10,6 +10,7 @@ import numpy as np
 
 from softgrip.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, main
 from softgrip.config import (
+    DEFAULTS,
     build_fixture,
     build_geometry,
     build_probe_config,
@@ -17,7 +18,6 @@ from softgrip.config import (
     build_sensor,
     config_hash,
     load_config,
-    resolve_defaults,
 )
 from softgrip.errors import ConfigError
 
@@ -35,7 +35,7 @@ def _write(tmp_path, doc, name="cfg.json"):
 
 def test_defaults_resolve(tmp_path):
     cfg = load_config(_write(tmp_path, {}))
-    assert cfg == resolve_defaults()
+    assert cfg == DEFAULTS
     assert cfg["probe"]["p0_kpa"] == 60.0
 
 
@@ -68,8 +68,7 @@ def test_builders_roundtrip_units(tmp_path):
     assert geom.alpha_max == pytest.approx(math.radians(80.0))
     ring = build_ring(cfg)
     assert ring.alpha_slack == pytest.approx(math.radians(20.0))
-    sensor = build_sensor(cfg)
-    assert sensor.seed == 3
+    assert build_sensor(cfg).noise_frac > 0.0
     assert build_sensor(cfg, noise=False).noise_frac == 0.0
     probe_cfg = build_probe_config(cfg)
     assert probe_cfg.d_c == 30.0
@@ -271,6 +270,23 @@ def test_cli_probe_travel_exhausted(tmp_path, capsys):
     assert main(["probe", "--config", path, "--fixture", "cube1", "--out", str(tmp_path / "full")]) == EXIT_OK
 
 
+def test_cli_probe_saturated(tmp_path, capsys):
+    # a finger that stops at 35 deg cannot yield to the stiff cube: the last
+    # step reads no dp above the contact threshold, so the probe is flagged
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, "plant.geometry.alpha_max_deg", 35)
+    path = _write(tmp_path, doc)
+    for noise in ("on", "off"):
+        out = tmp_path / noise
+        code = main(["probe", "--config", path, "--fixture", "cube3", "--noise", noise, "--out", str(out)])
+        assert code == EXIT_RUNTIME_FLAG
+        assert "saturated" in capsys.readouterr().err
+        assert json.loads((out / "probe_cube3.json").read_text())["flags"] == ["saturated"]
+    # the soft cube still bends the short finger and is not flagged
+    assert main(["probe", "--config", path, "--fixture", "cube1", "--out", str(tmp_path / "soft")]) == EXIT_OK
+
+
 def test_cli_probe_spatial_fixture_rejected(tmp_path):
     code = main(
         ["probe", "--config", BANANA, "--fixture", "banana", "--noise", "off",
@@ -311,6 +327,22 @@ def test_cli_sensitivity(tmp_path):
     assert len(lines) == 1 + 5 * 7
     zs = [float(ln.split(",")[3]) for ln in lines[1:]]
     assert zs == sorted(zs, reverse=True)
+
+
+def test_cli_sensitivity_drops_flagged_pairs(tmp_path, capsys):
+    # closings of 60 and 90 mm from a 40 mm surface are never applied
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, "sensitivity.dc_grid_mm", [30, 60, 90])
+    _set(doc, "sensitivity.p0_grid_kpa", [60])
+    out = tmp_path / "sens"
+    assert main(["sensitivity", "--config", _write(tmp_path, doc), "--out", str(out)]) == EXIT_RUNTIME_FLAG
+    err = capsys.readouterr().err
+    assert "p0=60.0 kPa d_c=60.0 mm" in err and "p0=60.0 kPa d_c=90.0 mm" in err
+    assert "d_c=30.0" not in err
+    lines = (out / "sensitivity.csv").read_text().splitlines()
+    assert lines[0] == "p0_kpa,dc_mm,separation_kpa,z"
+    assert [ln.split(",")[:2] for ln in lines[1:]] == [["60.0", "30.0"]]
 
 
 def test_cli_sensitivity_fixture_override(tmp_path):

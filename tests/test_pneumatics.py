@@ -192,39 +192,36 @@ def test_leak_lowers_pressure_at_same_angle(ring):
 
 
 def test_quantize_round_half_up():
-    assert quantize(1.26, 0.5) == pytest.approx(1.5)
-    assert quantize(1.24, 0.5) == pytest.approx(1.0)
-    assert quantize(1.25, 0.5) == pytest.approx(1.5)
-    assert quantize(-0.3, 0.5) == pytest.approx(-0.5)
-    assert quantize(3.1415, 0.0) == 3.1415
+    assert quantize(np.array([1.26, 1.24, 1.25, -0.3]), 0.5).tolist() == [1.5, 1.0, 1.5, -0.5]
+    assert quantize(np.array([3.1415]), 0.0).tolist() == [3.1415]
 
 
 def test_noiseless_sensor_reads_exactly(quiet_sensor):
     stream = PressureSensor(quiet_sensor, seed=5)
-    assert stream.read(61.37) == 61.37
+    assert stream.read_avg(61.37, 1) == 61.37
     assert stream.read_avg(61.37, 8) == 61.37
 
 
 def test_quantization_only_sensor():
     model = SensorModel(noise_frac=0.0, quant_step=0.5)
     stream = PressureSensor(model)
-    assert stream.read(1.26) == pytest.approx(1.5)
+    assert stream.read_avg(1.26, 1) == pytest.approx(1.5)
     assert stream.read_avg(1.26, 4) == pytest.approx(1.5)
 
 
 def test_sensor_stream_deterministic(sensor):
-    reads1 = [PressureSensor(sensor, seed=42).read(60.0) for _ in range(1)]
+    reads1 = [PressureSensor(sensor, seed=42).read_avg(60.0, 1) for _ in range(1)]
     s1 = PressureSensor(sensor, seed=42)
     s2 = PressureSensor(sensor, seed=42)
-    seq1 = [s1.read(60.0) for _ in range(20)] + [s1.read_avg(60.0, 16)]
-    seq2 = [s2.read(60.0) for _ in range(20)] + [s2.read_avg(60.0, 16)]
+    seq1 = [s1.read_avg(60.0, 1) for _ in range(20)] + [s1.read_avg(60.0, 16)]
+    seq2 = [s2.read_avg(60.0, 1) for _ in range(20)] + [s2.read_avg(60.0, 16)]
     assert seq1 == seq2
     assert reads1[0] == seq1[0]
 
 
 def test_sensor_noise_statistics(sensor):
     stream = PressureSensor(sensor, seed=7)
-    reads = np.array([stream.read(60.0) for _ in range(4000)])
+    reads = np.array([stream.read_avg(60.0, 1) for _ in range(4000)])
     assert abs(reads.mean() - 60.0) < 5 * sensor.sigma / math.sqrt(4000) + sensor.quant_step
     assert reads.std() == pytest.approx(sensor.sigma, rel=0.1)
 
@@ -294,4 +291,4 @@ def test_quantize_array_in_place():
     values = np.array([1.26, 1.24, 1.25, -0.3])
     out = quantize(values, 0.5)
     assert out is values
-    assert out.tolist() == [quantize(x, 0.5) for x in (1.26, 1.24, 1.25, -0.3)]
+    assert out.tolist() == [1.5, 1.0, 1.5, -0.5]

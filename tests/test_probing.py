@@ -7,6 +7,7 @@ import pytest
 import softgrip.probing
 from softgrip.contact import solve_equilibrium
 from softgrip.errors import ConfigError, StateError
+from softgrip.geometry import FingerGeometry
 from softgrip.pneumatics import measurement_sigma
 from softgrip.probing import (
     GripperSim,
@@ -44,15 +45,17 @@ def test_default_threshold_formula(sensor):
 
 def test_detect_contact_noise_free(geom, ring, quiet_sensor, locked_table):
     sim = _sim(geom, ring, quiet_sensor, 202.39, offset=40.0)
-    opening, flags = detect_contact(sim, locked_table, CFG)
+    opening, dp, flags = detect_contact(sim, locked_table, CFG)
     assert flags == []
     assert opening == pytest.approx(40.0, abs=0.05)
+    assert dp > CFG.threshold(quiet_sensor)
+    assert not hasattr(sim, "contact_opening") and not hasattr(sim, "contact_dp")
 
 
 def test_detect_contact_off_grid_offsets(geom, ring, quiet_sensor, locked_table):
     for offset in (36.3, 38.0, 40.7, 41.0):
         sim = _sim(geom, ring, quiet_sensor, 150.0, offset=offset)
-        opening, flags = detect_contact(sim, locked_table, CFG)
+        opening, _, flags = detect_contact(sim, locked_table, CFG)
         assert flags == []
         assert opening == pytest.approx(offset, abs=CFG.approach_step)
 
@@ -60,7 +63,7 @@ def test_detect_contact_off_grid_offsets(geom, ring, quiet_sensor, locked_table)
 def test_detect_contact_noisy(geom, ring, sensor, locked_table):
     for seed in range(5):
         sim = _sim(geom, ring, sensor, 100.0, offset=40.0, seed=seed)
-        opening, flags = detect_contact(sim, locked_table, CFG)
+        opening, _, flags = detect_contact(sim, locked_table, CFG)
         assert flags == []
         assert opening == pytest.approx(40.0, abs=CFG.approach_step)
 
@@ -74,9 +77,10 @@ def test_empty_workspace_reports_no_contact(geom, ring, sensor, locked_table):
 
 
 def test_probe_requires_contact(geom, ring, quiet_sensor, locked_table):
+    # probe continues a locked session; a fresh handle has none
     sim = _sim(geom, ring, quiet_sensor, 100.0)
     with pytest.raises(StateError):
-        probe(sim, locked_table, CFG)
+        probe(sim, locked_table, CFG, 40.0, 0.0)
 
 
 def test_probe_trace_shape_and_monotonicity(geom, ring, quiet_sensor, locked_table):
@@ -128,7 +132,8 @@ def test_soft_object_low_relative_stiffness(geom, ring, quiet_sensor, locked_tab
 
 def test_probe_with_supplied_contact_opening(geom, ring, quiet_sensor, locked_table):
     sim = _sim(geom, ring, quiet_sensor, 202.39)
-    report = probe(sim, locked_table, CFG, contact_opening=40.0)
+    sim.pressurize_and_lock(CFG.p0, CFG.settle_reads)
+    report = probe(sim, locked_table, CFG, 40.0, sim.close_to(40.0, CFG.settle_reads))
     assert report.contact_opening == 40.0
     assert report.k_o_est == pytest.approx(202.39, rel=0.02)
 
@@ -146,7 +151,7 @@ def test_report_serialization(geom, ring, quiet_sensor, locked_table):
 
     sim = _sim(geom, ring, quiet_sensor, 100.0)
     report = run_probe(sim, locked_table, CFG)
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.to_dict()))
     assert doc["k_r"] == report.k_r
     assert doc["p0"] == CFG.p0
     csv = report.trace_csv().splitlines()
@@ -192,9 +197,48 @@ def test_sensitivity_sweep_deterministic(geom, ring, sensor, locked_table):
     assert r1 == r2
 
 
+def test_sensitivity_sweep_leaves_out_flagged_pairs(geom, ring, sensor, locked_table):
+    # a closing past the travel left is flagged travel_exhausted and not ranked
+    ranked = sensitivity_sweep(
+        geom, ring, sensor, locked_table, 50.83, 54.87,
+        p0_grid=(60.0,), dc_grid=(30.0, 60.0, 90.0),
+    )
+    assert [(p0, dc) for p0, dc, _, _ in ranked] == [(60.0, 30.0)]
+
+
+def test_saturated_flag_matches_plant_truth(ring, sensor, quiet_sensor, locked_table):
+    # the flag comes from the sensor alone; over random fingers, supply
+    # pressures and objects it must agree with the plant's equilibrium at the
+    # last probe step. Fingers that stop near 45 deg or less can saturate.
+    rng = np.random.default_rng(2024)
+    saturated = 0
+    for i in range(400):
+        geom = FingerGeometry(alpha_max=math.radians(rng.uniform(30.0, 80.0)))
+        cfg = replace(CFG, p0=float(rng.choice([0.0, 20.0, 40.0, 60.0, 80.0])))
+        k = float(10.0 ** rng.uniform(math.log10(3.0), 4.0))
+        for model in (sensor, quiet_sensor):
+            sim = GripperSim(geom, ring, model, k, 40.0, max_open=45.0, seed=i)
+            report = run_probe(sim, locked_table, cfg)
+            truth = sim.true_equilibrium().saturated
+            assert ("saturated" in report.flags) == truth, (i, model.noise_frac, report.flags)
+            saturated += truth
+    assert 40 <= saturated <= 760  # both outcomes occur often
+
+
+def test_probe_reading_past_joint_range_is_out_of_table(ring, quiet_sensor, locked_table, monkeypatch):
+    # the table reaches 80 deg, a short finger less: an inverted angle past the
+    # finger's joint range (noise near a full bend) is flagged, not a DomainError
+    geom = FingerGeometry(alpha_max=math.radians(40.0))
+    monkeypatch.setattr(softgrip.probing, "angle_from_dp", lambda table, dp, p0: 40.5)
+    sim = _sim(geom, ring, quiet_sensor, 100.0)
+    sim.pressurize_and_lock(CFG.p0, CFG.settle_reads)
+    report = probe(sim, locked_table, CFG, 40.0, 0.0)
+    assert report.flags == ["out_of_table"]
+    assert report.est_force is None and report.k_r is None
+
+
 def test_probe_solves_each_contact_step_once(geom, ring, sensor, locked_table, monkeypatch):
-    # one equilibrium per commanded opening in contact; the ground-truth check
-    # at the end of probe() reuses the last one instead of solving it again
+    # one equilibrium per commanded opening in contact, and none besides
     solves, openings = [], []
     close_to = GripperSim.close_to
 
@@ -214,10 +258,12 @@ def test_probe_solves_each_contact_step_once(geom, ring, sensor, locked_table, m
     assert len(solves) == sum(o < 40.0 for o in openings)
     assert len(solves) >= CFG.n_probe_steps
 
+    # the ground truth is a separate solve that reproduces the last step's
+    probe_solves = list(solves)
     truth = sim.true_equilibrium()
-    assert truth is solves[-1]
+    assert len(solves) == len(probe_solves) + 1
+    assert truth == probe_solves[-1]
     assert truth == solve_equilibrium(geom, ring, sim.state, 100.0, 40.0 - sim.opening)
-    assert len(solves) == sum(o < 40.0 for o in openings)
 
     # out of contact close_to solves nothing and true_equilibrium solves alone
     sim.close_to(42.0, 8)
