@@ -191,15 +191,16 @@ def angle_from_dp(table: CalibrationTable, dp: float, p0: float) -> float:
     return float(grid[k - 1] + t * (grid[k] - grid[k - 1]))
 
 
-def force_from_dp(table: CalibrationTable, geom: FingerGeometry, dp: float, p0: float) -> float:
-    """Normal contact force (N) inferred from a measured pressure change.
+def force_from_dp(table: CalibrationTable, geom: FingerGeometry, dp: float, p0: float):
+    """(alpha_deg, force N): the bending angle and normal contact force inferred
+    from a measured pressure change, from one table inversion.
 
     The locked-sweep torque column at (alpha, p0) is recorded at the trapped-gas
     pressure reached at that angle, i.e. already at the current pressure p0 + dp,
     so no further pressure adjustment is applied.
     """
     alpha_deg = angle_from_dp(table, dp, p0)
-    return interp_torque(table, alpha_deg, p0) / geom.tip_arm
+    return alpha_deg, interp_torque(table, alpha_deg, p0) / geom.tip_arm
 
 
 # ---------------------------------------------------------------------------

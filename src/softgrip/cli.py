@@ -168,7 +168,7 @@ def cmd_scenario(cfg: dict, out_dir: str, noise: bool) -> int:
     if not plan_cfg["fixture"]:
         raise ConfigError("plan.fixture must name a fixture")
     fixture = build_fixture(cfg, plan_cfg["fixture"])
-    plan = make_plan(plan_cfg["shape"], plan_cfg["span"], plan_cfg["n"])
+    plan = make_plan(plan_cfg["span"], plan_cfg["n"])
     table = _locked_table(cfg)
     stiffness_map = execute_plan(
         plan,
@@ -198,6 +198,11 @@ def cmd_sensitivity(cfg: dict, out_dir: str, fixture_a: str, fixture_b: str, noi
     fa, fb = build_fixture(cfg, name_a), build_fixture(cfg, name_b)
     if fa.profile.kind != "uniform" or fb.profile.kind != "uniform":
         raise ConfigError("sensitivity sweep expects uniform fixtures")
+    if fa.surface_offset != fb.surface_offset:
+        raise ConfigError(
+            f"sensitivity probes both fixtures at one surface offset; '{name_a}' has "
+            f"{fa.surface_offset!r} mm and '{name_b}' has {fb.surface_offset!r} mm"
+        )
     ranked = sensitivity_sweep(
         build_geometry(cfg),
         build_ring(cfg),

@@ -25,7 +25,6 @@ DEFAULTS = {
         "geometry": {
             "a_mm": 15.0,
             "b_mm": 40.0,
-            "beta_deg": None,  # None -> atan(a/b)
             "alpha_max_deg": 80.0,
             "tip_arm_mm": 40.0,
         },
@@ -64,12 +63,10 @@ DEFAULTS = {
         "approach_step_mm": 2.0,
         "probe_step_mm": 6.0,
         "n_probe_steps": 5,
-        "contact_threshold_kpa": None,
         "settle_reads": 512,
     },
     "fixtures": {},
     "plan": {
-        "shape": "elongated",
         "span": 90.0,
         "n": 10,
         "fixture": "",
@@ -202,13 +199,11 @@ def _plant_model(section: str, cls, **params):
 
 def build_geometry(cfg: dict) -> FingerGeometry:
     g = cfg["plant"]["geometry"]
-    beta = None if g["beta_deg"] is None else math.radians(g["beta_deg"])
     return _plant_model(
         "geometry",
         FingerGeometry,
         a=g["a_mm"],
         b=g["b_mm"],
-        beta=beta,
         alpha_max=math.radians(g["alpha_max_deg"]),
         tip_arm=g["tip_arm_mm"],
     )
@@ -248,7 +243,6 @@ def build_probe_config(cfg: dict) -> ProbeConfig:
         approach_step=p["approach_step_mm"],
         probe_step=p["probe_step_mm"],
         n_probe_steps=p["n_probe_steps"],
-        contact_threshold=p["contact_threshold_kpa"],
         settle_reads=p["settle_reads"],
     )
 

@@ -19,45 +19,34 @@ class FingerGeometry:
     """Dimensions of one hybrid finger.
 
     a, b are the two link offsets (mm) that place the fingertip contact point on a
-    circle of radius sqrt(a^2 + b^2) around the joint; beta is the design angle.
-    With the default beta = atan(a/b) the fingertip extent is exactly zero at rest,
-    which makes the deformation bookkeeping self-consistent at first contact.
-    tip_arm is the moment arm (mm) of the fingertip contact force about the joint.
+    circle of radius sqrt(a^2 + b^2) around the joint. The design angle beta is
+    atan(a/b), the angle at which the fingertip extent is zero at rest, so object
+    deformation is measured from first contact. tip_arm is the moment arm (mm)
+    of the fingertip contact force about the joint.
 
-    atan(a/b) <= beta < 90 deg is enforced. The lower bound keeps the extent at
-    rest from being positive, so every closing from first contact on is
-    reachable; with alpha_max <= 80 deg it also keeps alpha - beta in
-    (-90, 90) deg over [0, alpha_max], so the fingertip extent is strictly
-    increasing there. The equilibrium solver and tip_extent_inverse rely on both.
+    With a, b > 0, beta lies in (0, 90) deg, and with alpha_max <= 80 deg,
+    alpha - beta stays in (-90, 90) deg over [0, alpha_max], so the extent is
+    strictly increasing over the joint range. The equilibrium solver and
+    tip_extent_inverse rely on both facts.
     """
 
     a: float = 15.0
     b: float = 40.0
-    beta: float | None = None
     alpha_max: float = math.radians(80.0)
     tip_arm: float = 40.0
 
     def __post_init__(self):
-        if self.beta is None:
-            object.__setattr__(self, "beta", math.atan2(self.a, self.b))
         if self.a <= 0 or self.b <= 0:
             raise DomainError(f"link lengths must be positive, got a={self.a}, b={self.b}")
         if not 0.0 < self.alpha_max <= math.radians(80.0) + 1e-12:
             raise DomainError(f"alpha_max must be in (0, 80 deg], got {self.alpha_max} rad")
-        if not self.beta < 0.5 * math.pi:
-            raise DomainError(
-                f"fingertip extent must increase over the joint range: need beta < 90 deg, "
-                f"got beta={math.degrees(self.beta)} deg"
-            )
-        rest = tip_extent(self, 0.0)
-        if rest > 1e-9:
-            raise DomainError(
-                f"fingertip extent at rest must not be positive: need beta >= atan(a/b) = "
-                f"{math.degrees(math.atan2(self.a, self.b))} deg, got beta={math.degrees(self.beta)} deg "
-                f"(rest extent {rest} mm)"
-            )
         if self.tip_arm <= 0:
             raise DomainError(f"tip_arm must be positive, got {self.tip_arm}")
+
+    @property
+    def beta(self) -> float:
+        """Design angle (rad), atan(a/b): the fingertip extent is zero at rest."""
+        return math.atan2(self.a, self.b)
 
     @property
     def radius(self) -> float:
@@ -69,8 +58,8 @@ def tip_extent(geom: FingerGeometry, alpha):
     """Inward x-extent of the fingertip at bending angle alpha (mm).
 
     alpha is a float or a numpy array; a float gives a float. Zero at alpha = 0
-    under the default beta = atan(a/b), never positive there; strictly
-    increasing in alpha over [0, alpha_max], which FingerGeometry guarantees.
+    (up to rounding) and strictly increasing in alpha over [0, alpha_max], as
+    FingerGeometry guarantees.
     """
     array = isinstance(alpha, np.ndarray)
     lo, hi = (alpha.min(), alpha.max()) if array else (alpha, alpha)

@@ -32,17 +32,16 @@ class ProbePlan:
             raise ConfigError("plan locations must be strictly increasing")
 
 
-def make_plan(shape: str, span: float, n: int) -> ProbePlan:
-    """Equally spaced probing locations over [0, span] for the given object shape.
+def make_plan(span: float, n: int) -> ProbePlan:
+    """n equally spaced probing locations over [0, span].
 
-    elongated -> linear positions (mm); round -> wrist angles (deg).
+    The fixture's profile kind gives the unit: mm along the body for
+    linear_positions, wrist angles in degrees for angular_positions.
     """
     if n < 2:
         raise ConfigError(f"need at least 2 probing locations, got {n}")
     if span <= 0:
         raise ConfigError(f"span must be positive, got {span}")
-    if shape not in ("elongated", "round"):
-        raise ConfigError(f"unknown object shape '{shape}'")
     return ProbePlan(tuple(float(x) for x in np.linspace(0.0, span, n)))
 
 

@@ -24,12 +24,6 @@ from .pneumatics import (
 )
 
 
-def default_contact_threshold(sensor: SensorModel, settle_reads: int) -> float:
-    """Detection threshold: 6 sigma of the settle-averaged measurement plus one
-    quantization step, bounding the false-positive rate far below 1e-6 per step."""
-    return 6.0 * measurement_sigma(sensor, settle_reads) + sensor.quant_step
-
-
 @dataclass(frozen=True)
 class ProbeConfig:
     """Knobs of one probing session; distances mm, pressures gauge kPa."""
@@ -38,7 +32,6 @@ class ProbeConfig:
     approach_step: float = 2.0
     probe_step: float = 6.0
     n_probe_steps: int = 5
-    contact_threshold: float | None = None  # None -> default_contact_threshold
     settle_reads: int = 512
 
     def __post_init__(self):
@@ -46,8 +39,6 @@ class ProbeConfig:
             raise ConfigError(f"n_probe_steps must be >= 1, got {self.n_probe_steps}")
         if self.approach_step <= 0 or self.probe_step <= 0:
             raise ConfigError("approach_step and probe_step must be positive")
-        if self.contact_threshold is not None and self.contact_threshold <= 0:
-            raise ConfigError("contact_threshold must be positive when set")
         if self.settle_reads < 1:
             raise ConfigError(f"settle_reads must be >= 1, got {self.settle_reads}")
         if self.p0 < 0:
@@ -59,9 +50,10 @@ class ProbeConfig:
         return self.n_probe_steps * self.probe_step
 
     def threshold(self, sensor: SensorModel) -> float:
-        if self.contact_threshold is not None:
-            return self.contact_threshold
-        return default_contact_threshold(sensor, self.settle_reads)
+        """Contact threshold (kPa): 6 sigma of the settle-averaged measurement plus
+        one quantization step, bounding the false-positive rate far below 1e-6
+        per step."""
+        return 6.0 * measurement_sigma(sensor, self.settle_reads) + sensor.quant_step
 
 
 @dataclass
@@ -214,16 +206,17 @@ def probe(
         report.flags.append("travel_exhausted")
         return report
     try:
-        alpha = math.radians(angle_from_dp(table, max(dp_lock, 0.0), cfg.p0))
+        alpha_deg, force = force_from_dp(table, sim.geom, max(dp_lock, 0.0), cfg.p0)
     except RangeError:
-        alpha = math.inf
+        alpha_deg = math.inf
+    alpha = math.radians(alpha_deg)
     if alpha > sim.geom.alpha_max:
         # beyond the table, or beyond the finger's joint range where the table
         # (a ring property) reaches further than this finger can bend
         report.flags.append("out_of_table")
         return report
 
-    report.est_force = force_from_dp(table, sim.geom, max(dp_lock, 0.0), cfg.p0)
+    report.est_force = force
     report.k_r = report.est_force / cfg.d_c
     delta_hat = object_deformation(sim.geom, cfg.d_c, alpha)
     report.est_delta = delta_hat

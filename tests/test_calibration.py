@@ -316,18 +316,21 @@ def test_angle_from_dp_errors(locked_table):
 
 def test_force_from_dp_zero_in_dead_zone(geom, locked_table):
     # small dp maps to angles inside the fabric dead zone: zero torque, zero force
-    assert force_from_dp(locked_table, geom, 0.0, 60.0) == 0.0
+    assert force_from_dp(locked_table, geom, 0.0, 60.0) == (0.0, 0.0)
     dp_at_15deg = interp_dp(locked_table, 15.0, 60.0)
-    assert force_from_dp(locked_table, geom, dp_at_15deg, 60.0) == pytest.approx(0.0, abs=1e-9)
+    alpha_deg, force = force_from_dp(locked_table, geom, dp_at_15deg, 60.0)
+    assert alpha_deg == pytest.approx(15.0, abs=1e-9)
+    assert force == pytest.approx(0.0, abs=1e-9)
 
 
 def test_force_from_dp_scales_with_moment_arm(geom, locked_table):
     from dataclasses import replace
 
     dp = interp_dp(locked_table, 45.0, 60.0)
-    f1 = force_from_dp(locked_table, geom, dp, 60.0)
-    f2 = force_from_dp(locked_table, replace(geom, tip_arm=2 * geom.tip_arm), dp, 60.0)
+    a1, f1 = force_from_dp(locked_table, geom, dp, 60.0)
+    a2, f2 = force_from_dp(locked_table, replace(geom, tip_arm=2 * geom.tip_arm), dp, 60.0)
     assert f1 > 0.0
+    assert a1 == a2 == angle_from_dp(locked_table, dp, 60.0)
     assert f2 == pytest.approx(f1 / 2.0)
 
 
@@ -339,7 +342,8 @@ def test_force_from_dp_matches_plant(ring, geom, locked_table):
         alpha = math.radians(a_deg)
         p = pressure_at_angle(state, ring, alpha)
         truth = joint_torque(ring, alpha, p) / geom.tip_arm
-        est = force_from_dp(locked_table, geom, p - p0, p0)
+        alpha_deg, est = force_from_dp(locked_table, geom, p - p0, p0)
+        assert alpha_deg == pytest.approx(a_deg, abs=0.05)
         assert est == pytest.approx(truth, rel=5e-3)
 
 

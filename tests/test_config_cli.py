@@ -111,9 +111,8 @@ def test_cli_unknown_fixture_exits_config(capsys):
 @pytest.mark.parametrize(
     "section, key, value",
     [
-        ("geometry", "beta_deg", -80.0),
-        ("geometry", "beta_deg", 5.0),  # below atan(a/b): positive extent at rest
         ("geometry", "a_mm", -1.0),
+        ("geometry", "alpha_max_deg", 90.0),
         ("ring", "kappa_per_rad", 2.0),
     ],
 )
@@ -145,7 +144,7 @@ def _set(doc, dotted, value):
         ("calibration.locked.p0_grid_kpa", [20, 0]),
         ("plant.ring.kappa_per_rad", "0.2"),
         ("calibration.hysteresis.p0_kpa", math.nan),
-        ("plant.geometry.beta_deg", math.inf),
+        ("plant.geometry.alpha_max_deg", math.inf),
         ("seed", True),
         ("seed", -1),
         ("probe.n_probe_steps", "5"),
@@ -172,17 +171,45 @@ def test_cli_bad_value_exits_config(tmp_path, capsys, key, value):
 
 
 def test_cli_calibrate_golden_csv(tmp_path):
-    """Any drift in the calibration CSV format or values changes these digests."""
+    """Any drift in the calibration CSV format or values changes these digests.
+
+    The whole-file digests cover the meta line, whose plant_config_sha256
+    changes with the set of plant config keys; the data digests (line 3 on)
+    change only with the header or the values.
+    """
     out = tmp_path / "cal"
     assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_OK
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("regulated.csv", "locked.csv")
-    }
+    names = ("regulated.csv", "locked.csv")
+    files = {name: (out / name).read_bytes() for name in names}
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
     assert digests == {
-        "regulated.csv": "e7f498196bae22cef3bbe3a5e451c3ee366a51d40f8a59f2a27bd10930a785aa",
-        "locked.csv": "946d1e53e3d3840fbe4f19ff8ba515292817b059747045b7487c697d7bced9fc",
+        "regulated.csv": "71da02f9d0dc26befa6f2c285ab2ba502828613d48840eb3a1fca0ebeb5c277d",
+        "locked.csv": "b3fdf56450578ed494bb20909c4176e53b567836d0a3e420db399fb9a8f23a65",
     }
+    rows = {name: hashlib.sha256(data.split(b"\n", 2)[2]).hexdigest() for name, data in files.items()}
+    assert rows == {
+        "regulated.csv": "219a9281fe2c7f8d7648344ee79aaea8a48b78f30fc137be7738e36967ebbbb9",
+        "locked.csv": "273fcad63ceeef85688b5836743b56a95fa45a795b468db22b681a75489c9fdf",
+    }
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("plant.geometry.beta_deg", 20.556),  # derived: atan(a/b)
+        ("probe.contact_threshold_kpa", 3.0),  # derived from the sensor model
+        ("plan.shape", "elongated"),  # the fixture's profile kind gives the unit
+        ("plant.geometry.total_length_mm", 55.0),  # never read
+    ],
+)
+def test_cli_removed_key_exits_config(tmp_path, capsys, key, value):
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, key, value)
+    code = main(["calibrate", "--config", _write(tmp_path, doc), "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: unknown config key '{key}'\n"
+    assert not (tmp_path / "x").exists()
 
 
 def _leaves(doc, path=()):
@@ -343,6 +370,18 @@ def test_cli_sensitivity_drops_flagged_pairs(tmp_path, capsys):
     lines = (out / "sensitivity.csv").read_text().splitlines()
     assert lines[0] == "p0_kpa,dc_mm,separation_kpa,z"
     assert [ln.split(",")[:2] for ln in lines[1:]] == [["60.0", "30.0"]]
+
+
+def test_cli_sensitivity_rejects_unequal_surface_offsets(tmp_path, capsys):
+    # both fixtures are probed at one surface offset, so unequal offsets are a config error
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, "fixtures.cube2.surface_offset_mm", 25.0)
+    out = tmp_path / "sens"
+    assert main(["sensitivity", "--config", _write(tmp_path, doc), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "cube1" in err and "cube2" in err
+    assert not out.exists()
 
 
 def test_cli_sensitivity_fixture_override(tmp_path):

@@ -180,9 +180,8 @@ def test_solver_matches_bruteforce_randomized(geom, ring):
 
 
 def _random_plant(rng):
-    """(geom, ring, state, k_o, d_c) drawn over the valid ranges: beta anywhere
-    in [atan(a/b), 90 deg), where the fingertip extent increases over
-    [0, alpha_max] from a non-positive rest extent."""
+    """(geom, ring, state, k_o, d_c) drawn over the valid ranges; the fingertip
+    extent increases over [0, alpha_max] from zero at rest."""
     ring = RingModel(
         v0=float(rng.uniform(1000.0, 10000.0)),
         kappa=float(rng.uniform(0.0, 0.7)),
@@ -192,9 +191,8 @@ def _random_plant(rng):
     )
     alpha_max = math.radians(float(rng.uniform(15.0, 80.0)))
     a, b = float(rng.uniform(5.0, 30.0)), float(rng.uniform(20.0, 60.0))
-    beta = float(rng.uniform(math.atan2(a, b), 0.5 * math.pi - 1e-3))
-    geom = FingerGeometry(a=a, b=b, beta=beta, alpha_max=alpha_max)
-    d_c = float(rng.uniform(0.0, max(tip_extent(geom, alpha_max), 0.0) + 10.0))
+    geom = FingerGeometry(a=a, b=b, alpha_max=alpha_max)
+    d_c = float(rng.uniform(0.0, tip_extent(geom, alpha_max) + 10.0))
     k = float(rng.uniform(10.0, 500.0))
     state = _locked(ring, float(rng.uniform(0.0, 80.0)))
     return geom, ring, state, k, d_c

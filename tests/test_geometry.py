@@ -95,14 +95,19 @@ def test_invalid_geometry_rejected():
         FingerGeometry(tip_arm=0.0)
     with pytest.raises(DomainError):
         FingerGeometry(alpha_max=math.radians(90.0))
-    # the extent must increase over [0, alpha_max] and not be positive at rest:
-    # atan(a/b) <= beta < 90 deg
-    with pytest.raises(DomainError, match="increase"):
-        FingerGeometry(beta=0.5 * math.pi)
-    FingerGeometry(beta=0.5 * math.pi - 1e-9)
-    rest_beta = math.atan2(15.0, 40.0)
-    with pytest.raises(DomainError, match="at rest"):
-        FingerGeometry(beta=rest_beta - 1e-6)
-    FingerGeometry(beta=rest_beta)
-    with pytest.raises(DomainError, match="at rest"):
-        FingerGeometry(beta=math.radians(5.0))
+    # the design angle is atan(a/b), derived, never set
+    with pytest.raises(TypeError):
+        FingerGeometry(beta=0.5)
+
+
+def test_pinned_design_angle_random_geometries():
+    # over seeded random (a, b, alpha_max) the fingertip extent is zero at rest
+    # and strictly increasing over the joint range, by construction
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        a, b = 10.0 ** rng.uniform(0.0, 2.0, size=2)
+        geom = FingerGeometry(a=float(a), b=float(b), alpha_max=math.radians(float(rng.uniform(1.0, 80.0))))
+        assert geom.beta == math.atan2(geom.a, geom.b)
+        assert abs(tip_extent(geom, 0.0)) <= 1e-12
+        vals = tip_extent(geom, np.linspace(0.0, geom.alpha_max, 4001))
+        assert np.all(np.diff(vals) > 0.0)

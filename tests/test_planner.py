@@ -32,26 +32,24 @@ ORANGE = ObjectModel(
 
 
 def test_make_plan_elongated():
-    plan = make_plan("elongated", 90.0, 10)
+    plan = make_plan(90.0, 10)
     assert plan.locations == tuple(float(x) for x in range(0, 100, 10))
 
 
 def test_make_plan_round():
-    plan = make_plan("round", 180.0, 7)
+    plan = make_plan(180.0, 7)
     assert plan.locations == (0.0, 30.0, 60.0, 90.0, 120.0, 150.0, 180.0)
 
 
 def test_make_plan_endpoints_only():
-    assert make_plan("elongated", 50.0, 2).locations == (0.0, 50.0)
+    assert make_plan(50.0, 2).locations == (0.0, 50.0)
 
 
 def test_make_plan_validation():
     with pytest.raises(ConfigError):
-        make_plan("elongated", 90.0, 1)
+        make_plan(90.0, 1)
     with pytest.raises(ConfigError):
-        make_plan("elongated", 0.0, 5)
-    with pytest.raises(ConfigError):
-        make_plan("blob", 90.0, 5)
+        make_plan(0.0, 5)
     with pytest.raises(ConfigError):
         ProbePlan((0.0, 0.0, 1.0))
     with pytest.raises(ConfigError):
@@ -59,7 +57,7 @@ def test_make_plan_validation():
 
 
 def test_banana_soft_tail_avoided(geom, ring, quiet_sensor, locked_table):
-    plan = make_plan("elongated", 90.0, 10)
+    plan = make_plan(90.0, 10)
     smap = execute_plan(plan, BANANA, geom, ring, quiet_sensor, locked_table, CFG)
     assert 80.0 in smap.avoided and 90.0 in smap.avoided
     assert smap.chosen not in (80.0, 90.0)
@@ -67,7 +65,7 @@ def test_banana_soft_tail_avoided(geom, ring, quiet_sensor, locked_table):
 
 
 def test_banana_firm_region_ranks_equal(geom, ring, quiet_sensor, locked_table):
-    plan = make_plan("elongated", 90.0, 10)
+    plan = make_plan(90.0, 10)
     smap = execute_plan(plan, BANANA, geom, ring, quiet_sensor, locked_table, CFG)
     firm = [k for c, k, f in smap.entries if c <= 70.0]
     soft = [k for c, k, f in smap.entries if c >= 80.0]
@@ -77,7 +75,7 @@ def test_banana_firm_region_ranks_equal(geom, ring, quiet_sensor, locked_table):
 
 
 def test_orange_soft_arc_avoided(geom, ring, quiet_sensor, locked_table):
-    plan = make_plan("round", 180.0, 7)
+    plan = make_plan(180.0, 7)
     smap = execute_plan(plan, ORANGE, geom, ring, quiet_sensor, locked_table, CFG)
     for coord in (30.0, 60.0, 90.0):
         assert coord in smap.avoided
@@ -88,7 +86,7 @@ def test_uniform_object_nothing_avoided(geom, ring, quiet_sensor, locked_table):
     uniform = ObjectModel(
         profile=StiffnessProfile(kind="uniform", base_k=100.0), surface_offset=40.0
     )
-    plan = make_plan("elongated", 50.0, 4)
+    plan = make_plan(50.0, 4)
     smap = execute_plan(plan, uniform, geom, ring, quiet_sensor, locked_table, CFG)
     assert smap.avoided == []
     assert smap.chosen == 0.0
@@ -101,7 +99,7 @@ def test_map_ranking_matches_true_stiffness(geom, ring, quiet_sensor, locked_tab
         ),
         surface_offset=40.0,
     )
-    plan = make_plan("elongated", 60.0, 4)
+    plan = make_plan(60.0, 4)
     smap = execute_plan(
         plan, gradient, geom, ring, quiet_sensor, locked_table, CFG, avoid_fraction=0.0
     )
@@ -111,7 +109,7 @@ def test_map_ranking_matches_true_stiffness(geom, ring, quiet_sensor, locked_tab
 
 
 def test_avoid_fraction_zero_keeps_everything(geom, ring, quiet_sensor, locked_table):
-    plan = make_plan("elongated", 90.0, 10)
+    plan = make_plan(90.0, 10)
     smap = execute_plan(
         plan, BANANA, geom, ring, quiet_sensor, locked_table, CFG, avoid_fraction=0.0
     )
@@ -126,7 +124,7 @@ def test_damage_threshold_flags_and_avoids(geom, ring, quiet_sensor, locked_tabl
     fragile = ObjectModel(
         profile=BANANA.profile, surface_offset=40.0, damage_threshold=300.0
     )
-    plan = make_plan("elongated", 90.0, 10)
+    plan = make_plan(90.0, 10)
     smap = execute_plan(plan, fragile, geom, ring, quiet_sensor, locked_table, CFG)
     # the firm region exceeds the damage limit; only the soft tail is graspable
     for c, k, flags in smap.entries:
@@ -142,13 +140,13 @@ def test_all_locations_flagged_raises(geom, ring, quiet_sensor, locked_table):
         surface_offset=40.0,
         damage_threshold=1.0,
     )
-    plan = make_plan("elongated", 30.0, 3)
+    plan = make_plan(30.0, 3)
     with pytest.raises(PlanningError):
         execute_plan(plan, doomed, geom, ring, quiet_sensor, locked_table, CFG)
 
 
 def test_execution_deterministic_per_seed(geom, ring, sensor, locked_table):
-    plan = make_plan("elongated", 90.0, 10)
+    plan = make_plan(90.0, 10)
     m1 = execute_plan(plan, BANANA, geom, ring, sensor, locked_table, CFG, seed=7)
     m2 = execute_plan(plan, BANANA, geom, ring, sensor, locked_table, CFG, seed=7)
     assert m1.to_dict() == m2.to_dict()

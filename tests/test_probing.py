@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import softgrip.calibration
 import softgrip.probing
 from softgrip.contact import solve_equilibrium
 from softgrip.errors import ConfigError, StateError
@@ -12,7 +13,6 @@ from softgrip.pneumatics import measurement_sigma
 from softgrip.probing import (
     GripperSim,
     ProbeConfig,
-    default_contact_threshold,
     detect_contact,
     probe,
     run_probe,
@@ -32,15 +32,14 @@ def test_probe_config_totals():
         ProbeConfig(n_probe_steps=0)
     with pytest.raises(ConfigError):
         ProbeConfig(probe_step=-1.0)
-    with pytest.raises(ConfigError):
-        ProbeConfig(contact_threshold=0.0)
+    with pytest.raises(TypeError):  # the threshold is derived, never set
+        ProbeConfig(contact_threshold=3.0)
 
 
 def test_default_threshold_formula(sensor):
-    expect = 6.0 * measurement_sigma(sensor, 512) + sensor.quant_step
-    assert default_contact_threshold(sensor, 512) == pytest.approx(expect)
-    assert CFG.threshold(sensor) == pytest.approx(expect)
-    assert replace(CFG, contact_threshold=3.0).threshold(sensor) == 3.0
+    for reads in (1, 512, 4096):
+        expect = 6.0 * measurement_sigma(sensor, reads) + sensor.quant_step
+        assert replace(CFG, settle_reads=reads).threshold(sensor) == pytest.approx(expect)
 
 
 def test_detect_contact_noise_free(geom, ring, quiet_sensor, locked_table):
@@ -229,12 +228,28 @@ def test_probe_reading_past_joint_range_is_out_of_table(ring, quiet_sensor, lock
     # the table reaches 80 deg, a short finger less: an inverted angle past the
     # finger's joint range (noise near a full bend) is flagged, not a DomainError
     geom = FingerGeometry(alpha_max=math.radians(40.0))
-    monkeypatch.setattr(softgrip.probing, "angle_from_dp", lambda table, dp, p0: 40.5)
+    monkeypatch.setattr(softgrip.probing, "force_from_dp", lambda table, geom, dp, p0: (40.5, 123.0))
     sim = _sim(geom, ring, quiet_sensor, 100.0)
     sim.pressurize_and_lock(CFG.p0, CFG.settle_reads)
     report = probe(sim, locked_table, CFG, 40.0, 0.0)
     assert report.flags == ["out_of_table"]
     assert report.est_force is None and report.k_r is None
+
+
+def test_contact_probe_inverts_the_table_twice(geom, ring, sensor, locked_table, monkeypatch):
+    # once for the contact opening, once for the final reading's angle and force
+    calls = []
+    angle_from_dp = softgrip.calibration.angle_from_dp
+
+    def counted(*args):
+        calls.append(args)
+        return angle_from_dp(*args)
+
+    monkeypatch.setattr(softgrip.probing, "angle_from_dp", counted)
+    monkeypatch.setattr(softgrip.calibration, "angle_from_dp", counted)
+    report = run_probe(_sim(geom, ring, sensor, 100.0, seed=5), locked_table, CFG)
+    assert report.flags == [] and report.k_o_est is not None
+    assert len(calls) == 2
 
 
 def test_probe_solves_each_contact_step_once(geom, ring, sensor, locked_table, monkeypatch):
