@@ -1,8 +1,16 @@
 """Command-line entry point: reproducible calibrate / probe / scenario /
 sensitivity runs driven by a JSON config file.
 
-Exit codes: 0 success, 2 config error, 3 runtime flag (no_contact, out_of_table,
-travel_exhausted, saturated, no safe grasp, a sensitivity pair left out).
+Each ``cmd_*`` function returns the files it produced (name -> text, in write
+order) and a runtime-flag message or None; it writes nothing. ``main`` alone
+writes, adding ``run_meta.json`` last, so one output rule holds for every
+command:
+
+- exit 0: every file is written;
+- exit 3 with a flag (no_contact, out_of_table, travel_exhausted, saturated,
+  no safe grasp, a sensitivity pair left out): every file is written and the
+  flag goes to stderr;
+- exit 2 (config error), or exit 3 with ``error:``: nothing is written.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,7 +36,7 @@ from .config import (
     load_config,
 )
 from .contact import stiffness_at
-from .errors import ConfigError, PlanningError, SoftgripError
+from .errors import ConfigError, SoftgripError
 from .planner import execute_plan, make_plan
 from .probing import GripperSim, run_probe, sensitivity_sweep
 
@@ -51,15 +60,8 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_run_meta(out_dir: str, cfg: dict, command: str, noise: bool) -> None:
-    meta = {
-        "command": command,
-        "config_sha256": config_hash(cfg),
-        "seed": cfg["seed"],
-        "noise": noise,
-        "version": __version__,
-    }
-    _atomic_write(os.path.join(out_dir, "run_meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _linear_r2(x: np.ndarray, y: np.ndarray) -> float:
@@ -71,7 +73,17 @@ def _linear_r2(x: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - float(np.sum(resid**2)) / ss_tot
 
 
-def cmd_calibrate(cfg: dict, out_dir: str, noise: bool) -> int:
+def _locked_table(cfg, ring):
+    cal = cfg["calibration"]["locked"]
+    return generate_locked_sweep(
+        ring,
+        p0_grid_kpa=cal["p0_grid_kpa"],
+        alpha_max_deg=cal["alpha_max_deg"],
+        alpha_step_deg=cal["alpha_step_deg"],
+    )
+
+
+def cmd_calibrate(cfg: dict, fixture_arg: str | None, noise: bool) -> tuple[dict, str | None]:
     ring = build_ring(cfg)
     cal = cfg["calibration"]
     reg = generate_regulated_sweep(
@@ -81,11 +93,10 @@ def cmd_calibrate(cfg: dict, out_dir: str, noise: bool) -> int:
         p_max_kpa=cal["regulated"]["p_max_kpa"],
         p_step_kpa=cal["regulated"]["p_step_kpa"],
     )
-    locked = _locked_table(cfg)
+    locked = _locked_table(cfg, ring)
     for table in (reg, locked):
         table.meta["plant_config_sha256"] = config_hash(cfg["plant"])
-    _atomic_write(os.path.join(out_dir, "regulated.csv"), write_csv(reg))
-    _atomic_write(os.path.join(out_dir, "locked.csv"), write_csv(locked))
+    files = {"regulated.csv": write_csv(reg), "locked.csv": write_csv(locked)}
 
     # summary: dead-zone extent, dp-alpha linearity, hysteresis gap
     dead_rows = np.all(reg.torque_surface[:, reg.p0_grid >= 5.0] == 0.0, axis=1)
@@ -95,44 +106,31 @@ def cmd_calibrate(cfg: dict, out_dir: str, noise: bool) -> int:
         _linear_r2(locked.alpha_grid[fit_mask], locked.dp_surface[fit_mask, j])
         for j in range(locked.p0_grid.size)
     )
-    hp0 = cfg["calibration"]["hysteresis"]["p0_kpa"]
+    hp0 = cal["hysteresis"]["p0_kpa"]
     alphas, fwd, bwd = hysteresis_sweep(
         ring,
         p0=hp0,
         alpha_max_deg=cal["locked"]["alpha_max_deg"],
         alpha_step_deg=cal["locked"]["alpha_step_deg"],
-        dt_per_step=cfg["calibration"]["hysteresis"]["dt_per_step_s"],
+        dt_per_step=cal["hysteresis"]["dt_per_step_s"],
     )
-    summary = {
+    files["calibration_summary.json"] = _json_text({
         "dead_zone_extent_deg": dead,
         "dp_alpha_fit_r2_min": r2,
         "hysteresis_gap_kpa_mean": float(np.mean(fwd - bwd)),
         "hysteresis_p0_kpa": hp0,
-    }
-    _atomic_write(
-        os.path.join(out_dir, "calibration_summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
-    _write_run_meta(out_dir, cfg, "calibrate", noise)
-    return EXIT_OK
+    })
+    return files, None
 
 
-def _locked_table(cfg):
-    cal = cfg["calibration"]["locked"]
-    return generate_locked_sweep(
-        build_ring(cfg),
-        p0_grid_kpa=cal["p0_grid_kpa"],
-        alpha_max_deg=cal["alpha_max_deg"],
-        alpha_step_deg=cal["alpha_step_deg"],
-    )
-
-
-def cmd_probe(cfg: dict, out_dir: str, fixture_name: str, noise: bool) -> int:
+def cmd_probe(cfg: dict, fixture_name: str | None, noise: bool) -> tuple[dict, str | None]:
+    if not fixture_name:
+        raise ConfigError("probe requires --fixture")
     fixture = build_fixture(cfg, fixture_name)
     geom = build_geometry(cfg)
     ring = build_ring(cfg)
     sensor = build_sensor(cfg, noise=noise)
-    table = _locked_table(cfg)
+    table = _locked_table(cfg, ring)
     probe_cfg = build_probe_config(cfg)
     if fixture.profile.kind != "uniform":
         raise ConfigError(
@@ -148,33 +146,32 @@ def cmd_probe(cfg: dict, out_dir: str, fixture_name: str, noise: bool) -> int:
         seed=cfg["seed"],
     )
     report = run_probe(sim, table, probe_cfg)
-    doc = report.to_dict()
-    doc["fixture"] = fixture_name
-    doc["noise"] = noise
-    _atomic_write(
-        os.path.join(out_dir, f"probe_{fixture_name}.json"),
-        json.dumps(doc, indent=2, sort_keys=True) + "\n",
-    )
-    _atomic_write(os.path.join(out_dir, f"probe_{fixture_name}_trace.csv"), report.trace_csv())
-    _write_run_meta(out_dir, cfg, "probe", noise)
-    if report.flags:
-        print(f"probe finished with flags: {', '.join(report.flags)}", file=sys.stderr)
-        return EXIT_RUNTIME_FLAG
-    return EXIT_OK
+    files = {
+        f"probe_{fixture_name}.json": _json_text({**asdict(report), "fixture": fixture_name, "noise": noise}),
+        f"probe_{fixture_name}_trace.csv": report.trace_csv(),
+    }
+    return files, (f"probe finished with flags: {', '.join(report.flags)}" if report.flags else None)
 
 
-def cmd_scenario(cfg: dict, out_dir: str, noise: bool) -> int:
+def cmd_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> tuple[dict, str | None]:
     plan_cfg = cfg["plan"]
     if not plan_cfg["fixture"]:
         raise ConfigError("plan.fixture must name a fixture")
     fixture = build_fixture(cfg, plan_cfg["fixture"])
     plan = make_plan(plan_cfg["span"], plan_cfg["n"])
-    table = _locked_table(cfg)
+    samples = fixture.profile.samples  # () for a uniform fixture
+    if samples and not (samples[0][0] <= 0.0 and plan_cfg["span"] <= samples[-1][0]):
+        raise ConfigError(
+            f"plan.span {plan_cfg['span']!r} probes [0, {plan_cfg['span']!r}], but fixture "
+            f"'{plan_cfg['fixture']}' is sampled over [{samples[0][0]!r}, {samples[-1][0]!r}]"
+        )
+    ring = build_ring(cfg)
+    table = _locked_table(cfg, ring)
     stiffness_map = execute_plan(
         plan,
         fixture,
         build_geometry(cfg),
-        build_ring(cfg),
+        ring,
         build_sensor(cfg, noise=noise),
         table,
         build_probe_config(cfg),
@@ -182,15 +179,18 @@ def cmd_scenario(cfg: dict, out_dir: str, noise: bool) -> int:
         avoid_fraction=plan_cfg["avoid_fraction"],
         max_open=cfg["gripper"]["max_open_mm"],
     )
-    _atomic_write(os.path.join(out_dir, "stiffness_map.json"), stiffness_map.to_json())
-    _atomic_write(os.path.join(out_dir, "stiffness_map.csv"), stiffness_map.to_csv())
-    _atomic_write(os.path.join(out_dir, "stiffness_map_long.csv"), stiffness_map.to_long_csv())
-    _write_run_meta(out_dir, cfg, "scenario", noise)
-    return EXIT_OK
+    files = {
+        "stiffness_map.json": _json_text(stiffness_map.to_dict()),
+        "stiffness_map.csv": stiffness_map.to_csv(),
+        "stiffness_map_long.csv": stiffness_map.to_long_csv(),
+    }
+    no_grasp = stiffness_map.chosen is None
+    return files, ("no safe grasp location: every probed entry is flagged" if no_grasp else None)
 
 
-def cmd_sensitivity(cfg: dict, out_dir: str, fixture_a: str, fixture_b: str, noise: bool) -> int:
+def cmd_sensitivity(cfg: dict, fixture_arg: str | None, noise: bool) -> tuple[dict, str | None]:
     sens = cfg["sensitivity"]
+    fixture_a, _, fixture_b = (fixture_arg or "").partition(",")
     name_a = fixture_a or sens["fixture_a"]
     name_b = fixture_b or sens["fixture_b"]
     if not name_a or not name_b:
@@ -203,11 +203,12 @@ def cmd_sensitivity(cfg: dict, out_dir: str, fixture_a: str, fixture_b: str, noi
             f"sensitivity probes both fixtures at one surface offset; '{name_a}' has "
             f"{fa.surface_offset!r} mm and '{name_b}' has {fb.surface_offset!r} mm"
         )
+    ring = build_ring(cfg)
     ranked = sensitivity_sweep(
         build_geometry(cfg),
-        build_ring(cfg),
+        ring,
         build_sensor(cfg, noise=True),  # sigma taken from the configured sensor
-        _locked_table(cfg),
+        _locked_table(cfg, ring),
         stiffness_at(fa, 0.0),
         stiffness_at(fb, 0.0),
         p0_grid=sens["p0_grid_kpa"],
@@ -219,8 +220,7 @@ def cmd_sensitivity(cfg: dict, out_dir: str, fixture_a: str, fixture_b: str, noi
     lines = ["p0_kpa,dc_mm,separation_kpa,z"]
     for p0, dc, sep, z in ranked:
         lines.append(f"{p0!r},{dc!r},{sep!r},{z!r}")
-    _atomic_write(os.path.join(out_dir, "sensitivity.csv"), "\n".join(lines) + "\n")
-    _write_run_meta(out_dir, cfg, "sensitivity", noise)
+    files = {"sensitivity.csv": "\n".join(lines) + "\n"}
     ranked_pairs = {(p0, dc) for p0, dc, _, _ in ranked}
     dropped = [
         f"p0={float(p0)!r} kPa d_c={float(dc)!r} mm"
@@ -228,10 +228,15 @@ def cmd_sensitivity(cfg: dict, out_dir: str, fixture_a: str, fixture_b: str, noi
         for dc in sens["dc_grid_mm"]
         if (float(p0), float(dc)) not in ranked_pairs
     ]
-    if dropped:
-        print(f"sensitivity left out flagged pairs: {'; '.join(dropped)}", file=sys.stderr)
-        return EXIT_RUNTIME_FLAG
-    return EXIT_OK
+    return files, (f"sensitivity left out flagged pairs: {'; '.join(dropped)}" if dropped else None)
+
+
+COMMANDS = {
+    "calibrate": cmd_calibrate,
+    "probe": cmd_probe,
+    "scenario": cmd_scenario,
+    "sensitivity": cmd_sensitivity,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="softgrip",
         description="Pneumatic self-sensing gripper simulator and probing pipeline",
     )
-    parser.add_argument("command", choices=["calibrate", "probe", "scenario", "sensitivity"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON scenario config")
     parser.add_argument("--fixture", default=None, help="fixture name (probe) or 'a,b' pair (sensitivity)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -262,25 +267,26 @@ def main(argv=None) -> int:
         if args.dry_run:
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return EXIT_OK
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, out_dir, noise)
-        if args.command == "probe":
-            if not args.fixture:
-                raise ConfigError("probe requires --fixture")
-            return cmd_probe(cfg, out_dir, args.fixture, noise)
-        if args.command == "scenario":
-            return cmd_scenario(cfg, out_dir, noise)
-        fa, _, fb = (args.fixture or "").partition(",")
-        return cmd_sensitivity(cfg, out_dir, fa, fb, noise)
+        files, problem = COMMANDS[args.command](cfg, args.fixture, noise)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PlanningError as exc:
-        print(f"planning error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_FLAG
     except SoftgripError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_FLAG
+    files["run_meta.json"] = _json_text({
+        "command": args.command,
+        "config_sha256": config_hash(cfg),
+        "seed": cfg["seed"],
+        "noise": noise,
+        "version": __version__,
+    })
+    for name, text in files.items():
+        _atomic_write(os.path.join(out_dir, name), text)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return EXIT_RUNTIME_FLAG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

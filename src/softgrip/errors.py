@@ -27,7 +27,3 @@ class ConfigError(SoftgripError, ValueError):
 
 class ParseError(SoftgripError, ValueError):
     """A data file could not be parsed; message carries the offending location."""
-
-
-class PlanningError(SoftgripError, RuntimeError):
-    """No safe grasp location remains after flagging."""

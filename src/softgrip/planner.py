@@ -4,14 +4,13 @@ and grasp-location selection with soft-region avoidance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import CalibrationTable
 from .contact import ObjectModel, stiffness_at
-from .errors import ConfigError, PlanningError
+from .errors import ConfigError
 from .geometry import FingerGeometry
 from .pneumatics import RingModel, SensorModel
 from .probing import GripperSim, ProbeConfig, run_probe
@@ -50,7 +49,7 @@ class StiffnessMap:
     """Per-location relative stiffness, the chosen grasp location, and avoided spots."""
 
     entries: list  # [(coordinate, k_r, flags tuple), ...] sorted by coordinate
-    chosen: float
+    chosen: float | None  # None when every entry is flagged
     avoided: list
 
     def to_dict(self) -> dict:
@@ -61,9 +60,6 @@ class StiffnessMap:
             "chosen": self.chosen,
             "avoided": list(self.avoided),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
         lines = ["coord,k_r_n_per_mm,flag"]
@@ -99,8 +95,9 @@ def execute_plan(
     (seed, location index), so the assembled map does not depend on execution
     order. Locations are avoided when flagged, when the estimated force exceeds
     the fixture's damage threshold, or when k_r falls below avoid_fraction of
-    the map maximum. The chosen location maximizes k_r among the remainder,
-    ties broken by the smallest coordinate.
+    the map maximum. The chosen location maximizes k_r among the unflagged
+    entries, ties broken by the smallest coordinate; it is None when every
+    entry is flagged, and then every location is avoided.
     """
     if not 0.0 <= avoid_fraction <= 1.0:
         raise ConfigError(f"avoid_fraction must be in [0, 1], got {avoid_fraction}")
@@ -124,16 +121,13 @@ def execute_plan(
 
     valid = [(c, k) for c, k, f in entries if k is not None and not f]
     if not valid:
-        raise PlanningError("no safe grasp location: every probed entry is flagged")
+        return StiffnessMap(entries=entries, chosen=None, avoided=[c for c, _, _ in entries])
+    # k_r >= 0 and avoid_fraction <= 1, so the stiffest valid entry is never avoided
     k_max = max(k for _, k in valid)
     avoided = [
         c
         for c, k, f in entries
         if f or k is None or k < avoid_fraction * k_max
     ]
-    candidates = [(c, k) for c, k in valid if c not in avoided]
-    if not candidates:
-        raise PlanningError("no safe grasp location: all entries avoided")
-    best_k = max(k for _, k in candidates)
-    chosen = min(c for c, k in candidates if k == best_k)
+    chosen = min(c for c, k in valid if k == k_max)
     return StiffnessMap(entries=entries, chosen=chosen, avoided=avoided)

@@ -71,19 +71,6 @@ class ProbeReport:
     p0: float = 0.0
     d_c: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "contact_opening": self.contact_opening,
-            "dp_trace": [[dc, dp] for dc, dp in self.dp_trace],
-            "est_force": self.est_force,
-            "k_r": self.k_r,
-            "k_o_est": self.k_o_est,
-            "est_delta": self.est_delta,
-            "flags": list(self.flags),
-            "p0": self.p0,
-            "d_c": self.d_c,
-        }
-
     def trace_csv(self) -> str:
         lines = ["step,dc_mm,dp_kpa"]
         for i, (dc, dp) in enumerate(self.dp_trace, start=1):

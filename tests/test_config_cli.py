@@ -126,6 +126,7 @@ def test_cli_invalid_plant_value_exits_config(tmp_path, capsys, section, key, va
     assert code == EXIT_CONFIG
     assert err.startswith(f"config error: plant.{section}:")
     assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def _set(doc, dotted, value):
@@ -156,6 +157,7 @@ def _set(doc, dotted, value):
         ("fixtures", []),
         ("plant.ring.p_atm_kpa", 0),
         ("plant.ring.p_atm_kpa", -1),
+        ("calibration.hysteresis.p0_kpa", -1),  # rejected after both sweeps are built
     ],
 )
 def test_cli_bad_value_exits_config(tmp_path, capsys, key, value):
@@ -168,6 +170,7 @@ def test_cli_bad_value_exits_config(tmp_path, capsys, key, value):
     assert code == EXIT_CONFIG
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_calibrate_golden_csv(tmp_path):
@@ -191,6 +194,60 @@ def test_cli_calibrate_golden_csv(tmp_path):
         "regulated.csv": "219a9281fe2c7f8d7648344ee79aaea8a48b78f30fc137be7738e36967ebbbb9",
         "locked.csv": "273fcad63ceeef85688b5836743b56a95fa45a795b468db22b681a75489c9fdf",
     }
+
+
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (
+            ["probe", "--config", CUBES, "--fixture", "cube3", "--noise", "on"],
+            {
+                "probe_cube3.json": "f40b59bbadb6c7eca44ed67c951d90e1da7c36358b5ef6b5eb713a93d5809b6d",
+                "probe_cube3_trace.csv": "1b965733370701cda845e47cda27de6cdba85519e9626f7bd95e14eeacdc3dbf",
+                "run_meta.json": "d4157fbc5831700385982788db4935e88d52d4e5b6519705d3b93a3868d03e1e",
+            },
+        ),
+        (
+            ["probe", "--config", CUBES, "--fixture", "cube3", "--noise", "off"],
+            {
+                "probe_cube3.json": "dc4bf34d3d40fa541a1b09c10a86eee9255a3b71ea26c364d1129513c24d4785",
+                "probe_cube3_trace.csv": "ad5226e93aab1b99ab03a81f54203ae1fe683263c0b2ab28daba4cb22bda20e7",
+                "run_meta.json": "2bf42700181a4b0db90aebe46f6aa6a6b2dcee36282c540c3b89a37169a3ef55",
+            },
+        ),
+        (
+            ["scenario", "--config", BANANA],
+            {
+                "stiffness_map.json": "86ec1948b38327006abf1f11111fd025ed35f037078d43cc5333e61b855562b3",
+                "stiffness_map.csv": "72f6057178e044104a2090872442b8eacbc1df2a2d79930fab8033a7d8c4ae43",
+                "stiffness_map_long.csv": "c16a64e73cb7a87000c43d473807000a2e39843e6b6322085b1b49ef63bdd099",
+                "run_meta.json": "d1bad57c1915b22715e545230a4789c25ca4349652f3e819ac5cfa025e2f6d11",
+            },
+        ),
+        (
+            ["scenario", "--config", ORANGE],
+            {
+                "stiffness_map.json": "2e5810a4271e3b1b750a8501eec1d4c2f2c61abd4a77c2f04efa2c8b36415472",
+                "stiffness_map.csv": "baec9077451b97eed815e68ea706a9ed130064b037caaeb92bb9a768b8544e1f",
+                "stiffness_map_long.csv": "42c61363066d9a0bcbef42d5e8fc86d8424537f7a113c73781b0954a61bd6af6",
+                "run_meta.json": "9fe33d7626d8142e773912165f50b3ba9b54f341c9600bd86bf90eec31f8ce1f",
+            },
+        ),
+        (
+            ["sensitivity", "--config", CUBES],
+            {
+                "sensitivity.csv": "254c6db1805ba56b3663b91d2dd8f56462e9b9b544821a5b20105edaf867928c",
+                "run_meta.json": "d9b277c38f4e5eff7ecfcbf8b0e7bdac94ea6e9b56f3edc4d1099d01b47c426f",
+            },
+        ),
+    ],
+    ids=["probe-cube3-noise", "probe-cube3-quiet", "scenario-banana", "scenario-orange", "sensitivity-cubes"],
+)
+def test_cli_golden_digests(tmp_path, argv, digests):
+    """Every file a command writes, run_meta.json included, is pinned byte for byte."""
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == digests
 
 
 @pytest.mark.parametrize(
@@ -221,7 +278,11 @@ def _leaves(doc, path=()):
 
 
 def test_cli_config_fuzz_exit_contract(tmp_path, capsys):
-    """One leaf of the resolved cubes config set to a junk value: exit 0, 2 or 3, never raise."""
+    """One leaf of the resolved cubes config set to a junk value: exit 0, 2 or 3, never raise.
+
+    The output rule holds too: exit 2, or exit 3 with an error, writes nothing;
+    exit 0, or exit 3 with a flag, writes run_meta.json.
+    """
     base = load_config(CUBES)
     leaves = list(_leaves(base))
     junk = ["x", True, None, [], {}, math.nan, math.inf, -math.inf, 0, -1]
@@ -233,9 +294,14 @@ def test_cli_config_fuzz_exit_contract(tmp_path, capsys):
         _set(doc, leaf, value)
         path = _write(tmp_path, doc, name=f"fuzz{case}.json")
         for argv in (["calibrate"], ["probe", "--fixture", "cube1"]):
-            code = main(argv + ["--config", path, "--out", str(tmp_path / "out")])
+            out = tmp_path / f"out{case}-{argv[0]}"
+            code = main(argv + ["--config", path, "--out", str(out)])
+            err = capsys.readouterr().err
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME_FLAG), (leaf, value, argv)
-    assert "Traceback" not in capsys.readouterr().err
+            assert "Traceback" not in err
+            wrote_nothing = code == EXIT_CONFIG or err.startswith("error:")
+            assert (out / "run_meta.json").exists() != wrote_nothing, (leaf, value, argv, err)
+            assert out.exists() != wrote_nothing
 
 
 def test_cli_negative_seed_override_exits_config(tmp_path, capsys):
@@ -344,6 +410,42 @@ def test_cli_scenario_orange(tmp_path):
 
 def test_cli_scenario_without_fixture(tmp_path):
     assert main(["scenario", "--config", CUBES, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "key, value, sampled",
+    [
+        ("plan.span", 100.0, "[0.0, 90.0]"),
+        ("fixtures.banana.samples", [[10.0, 150.0], [90.0, 25.0]], "[10.0, 90.0]"),
+    ],
+)
+def test_cli_scenario_span_outside_samples_exits_config(tmp_path, capsys, key, value, sampled):
+    # checked before any probe runs: no location of [0, plan.span] may fall outside the samples
+    with open(BANANA) as fh:
+        doc = json.load(fh)
+    _set(doc, key, value)
+    out = tmp_path / "x"
+    assert main(["scenario", "--config", _write(tmp_path, doc), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: plan.span") and sampled in err
+    assert not out.exists()
+
+
+def test_cli_scenario_no_safe_grasp_writes_map(tmp_path, capsys):
+    # every location exceeds a 1 N damage limit: flagged, so exit 3 with the map written
+    with open(BANANA) as fh:
+        doc = json.load(fh)
+    _set(doc, "fixtures.banana.damage_threshold_n", 1.0)
+    out = tmp_path / "x"
+    assert main(["scenario", "--config", _write(tmp_path, doc), "--out", str(out)]) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == "no safe grasp location: every probed entry is flagged\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run_meta.json", "stiffness_map.csv", "stiffness_map.json", "stiffness_map_long.csv",
+    ]
+    smap = json.loads((out / "stiffness_map.json").read_text())
+    assert smap["chosen"] is None
+    assert smap["avoided"] == [e["coord"] for e in smap["entries"]]
+    assert all("damage_risk" in e["flags"] for e in smap["entries"])
 
 
 def test_cli_sensitivity(tmp_path):

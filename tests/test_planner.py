@@ -1,7 +1,7 @@
 import pytest
 
 from softgrip.contact import ObjectModel, StiffnessProfile
-from softgrip.errors import ConfigError, PlanningError
+from softgrip.errors import ConfigError
 from softgrip.planner import ProbePlan, StiffnessMap, execute_plan, make_plan
 from softgrip.probing import ProbeConfig
 
@@ -134,15 +134,17 @@ def test_damage_threshold_flags_and_avoids(geom, ring, quiet_sensor, locked_tabl
     assert smap.chosen in (80.0, 90.0)
 
 
-def test_all_locations_flagged_raises(geom, ring, quiet_sensor, locked_table):
+def test_all_locations_flagged_chooses_none(geom, ring, quiet_sensor, locked_table):
     doomed = ObjectModel(
         profile=StiffnessProfile(kind="uniform", base_k=150.0),
         surface_offset=40.0,
         damage_threshold=1.0,
     )
     plan = make_plan(30.0, 3)
-    with pytest.raises(PlanningError):
-        execute_plan(plan, doomed, geom, ring, quiet_sensor, locked_table, CFG)
+    smap = execute_plan(plan, doomed, geom, ring, quiet_sensor, locked_table, CFG)
+    assert smap.chosen is None
+    assert smap.avoided == [0.0, 15.0, 30.0]
+    assert all("damage_risk" in flags for _, _, flags in smap.entries)
 
 
 def test_execution_deterministic_per_seed(geom, ring, sensor, locked_table):

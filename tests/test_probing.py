@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -140,7 +140,7 @@ def test_probe_with_supplied_contact_opening(geom, ring, quiet_sensor, locked_ta
 def test_probe_deterministic_for_fixed_seed(geom, ring, sensor, locked_table):
     r1 = run_probe(_sim(geom, ring, sensor, 100.0, seed=123), locked_table, CFG)
     r2 = run_probe(_sim(geom, ring, sensor, 100.0, seed=123), locked_table, CFG)
-    assert r1.to_dict() == r2.to_dict()
+    assert asdict(r1) == asdict(r2)
     r3 = run_probe(_sim(geom, ring, sensor, 100.0, seed=124), locked_table, CFG)
     assert r3.dp_trace != r1.dp_trace
 
@@ -150,8 +150,9 @@ def test_report_serialization(geom, ring, quiet_sensor, locked_table):
 
     sim = _sim(geom, ring, quiet_sensor, 100.0)
     report = run_probe(sim, locked_table, CFG)
-    doc = json.loads(json.dumps(report.to_dict()))
+    doc = json.loads(json.dumps(asdict(report)))
     assert doc["k_r"] == report.k_r
+    assert doc["dp_trace"] == [list(step) for step in report.dp_trace]
     assert doc["p0"] == CFG.p0
     csv = report.trace_csv().splitlines()
     assert csv[0] == "step,dc_mm,dp_kpa"
