@@ -11,11 +11,16 @@ command:
   no safe grasp, a sensitivity pair left out): every file is written and the
   flag goes to stderr;
 - exit 2 (config error), or exit 3 with ``error:``: nothing is written.
+
+An output directory that exists as a file is a config error, found before the
+command runs. A write that fails (exit 3, ``error: cannot write ...``) removes
+the files this run already put in place.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -73,27 +78,21 @@ def _linear_r2(x: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - float(np.sum(resid**2)) / ss_tot
 
 
-def _locked_table(cfg, ring):
-    cal = cfg["calibration"]["locked"]
-    return generate_locked_sweep(
-        ring,
-        p0_grid_kpa=cal["p0_grid_kpa"],
-        alpha_max_deg=cal["alpha_max_deg"],
-        alpha_step_deg=cal["alpha_step_deg"],
-    )
+def _check_p0(table, key: str, values) -> None:
+    """A supply pressure outside the locked table's p0 grid is a config error."""
+    lo, hi = float(table.p0_grid[0]), float(table.p0_grid[-1])
+    for p0 in values:
+        if not lo <= p0 <= hi:
+            raise ConfigError(
+                f"{key} {float(p0)!r} lies outside calibration.locked.p0_grid_kpa [{lo!r}, {hi!r}]"
+            )
 
 
 def cmd_calibrate(cfg: dict, fixture_arg: str | None, noise: bool) -> tuple[dict, str | None]:
     ring = build_ring(cfg)
     cal = cfg["calibration"]
-    reg = generate_regulated_sweep(
-        ring,
-        alpha_max_deg=cal["regulated"]["alpha_max_deg"],
-        alpha_step_deg=cal["regulated"]["alpha_step_deg"],
-        p_max_kpa=cal["regulated"]["p_max_kpa"],
-        p_step_kpa=cal["regulated"]["p_step_kpa"],
-    )
-    locked = _locked_table(cfg, ring)
+    reg = generate_regulated_sweep(ring, **cal["regulated"])
+    locked = generate_locked_sweep(ring, **cal["locked"])
     for table in (reg, locked):
         table.meta["plant_config_sha256"] = config_hash(cfg["plant"])
     files = {"regulated.csv": write_csv(reg), "locked.csv": write_csv(locked)}
@@ -130,8 +129,9 @@ def cmd_probe(cfg: dict, fixture_name: str | None, noise: bool) -> tuple[dict, s
     geom = build_geometry(cfg)
     ring = build_ring(cfg)
     sensor = build_sensor(cfg, noise=noise)
-    table = _locked_table(cfg, ring)
+    table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
     probe_cfg = build_probe_config(cfg)
+    _check_p0(table, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]])
     if fixture.profile.kind != "uniform":
         raise ConfigError(
             f"fixture '{fixture_name}' has a spatial profile; use the scenario command"
@@ -166,7 +166,8 @@ def cmd_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> tuple[dict,
             f"'{plan_cfg['fixture']}' is sampled over [{samples[0][0]!r}, {samples[-1][0]!r}]"
         )
     ring = build_ring(cfg)
-    table = _locked_table(cfg, ring)
+    table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
+    _check_p0(table, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]])
     stiffness_map = execute_plan(
         plan,
         fixture,
@@ -204,11 +205,13 @@ def cmd_sensitivity(cfg: dict, fixture_arg: str | None, noise: bool) -> tuple[di
             f"{fa.surface_offset!r} mm and '{name_b}' has {fb.surface_offset!r} mm"
         )
     ring = build_ring(cfg)
+    table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
+    _check_p0(table, "sensitivity.p0_grid_kpa", sens["p0_grid_kpa"])
     ranked = sensitivity_sweep(
         build_geometry(cfg),
         ring,
         build_sensor(cfg, noise=True),  # sigma taken from the configured sensor
-        _locked_table(cfg, ring),
+        table,
         stiffness_at(fa, 0.0),
         stiffness_at(fb, 0.0),
         p0_grid=sens["p0_grid_kpa"],
@@ -263,8 +266,16 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             cfg["seed"] = args.seed
         out_dir = args.out or cfg["output_dir"]
+        if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+            raise ConfigError(f"output directory '{out_dir}' exists and is not a directory")
         noise = args.noise == "on"
         if args.dry_run:
+            # build every model and the locked table, so a bad value exits 2 here as in a run
+            for build in (build_geometry, build_sensor, build_probe_config):
+                build(cfg)
+            for name in cfg["fixtures"]:
+                build_fixture(cfg, name)
+            generate_locked_sweep(build_ring(cfg), **cfg["calibration"]["locked"])
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return EXIT_OK
         files, problem = COMMANDS[args.command](cfg, args.fixture, noise)
@@ -281,8 +292,20 @@ def main(argv=None) -> int:
         "noise": noise,
         "version": __version__,
     })
-    for name, text in files.items():
-        _atomic_write(os.path.join(out_dir, name), text)
+    fresh_dir, written = not os.path.isdir(out_dir), []
+    try:
+        for name, text in files.items():
+            path = os.path.join(out_dir, name)
+            _atomic_write(path, text)
+            written.append(path)
+    except OSError as exc:
+        for done in written:
+            os.unlink(done)
+        if fresh_dir:
+            with contextlib.suppress(OSError):
+                os.rmdir(out_dir)
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_RUNTIME_FLAG
     if problem is not None:
         print(problem, file=sys.stderr)
         return EXIT_RUNTIME_FLAG

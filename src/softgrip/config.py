@@ -80,8 +80,8 @@ DEFAULTS = {
     },
 }
 
-# the type each fixture field must have, given as a value of that type;
-# samples are [coordinate, stiffness] pairs and are checked on their own
+# each fixture field's default, whose type its value must have; samples are
+# [coordinate, stiffness] pairs checked on their own, and surface_offset_mm is required
 _FIXTURE_FIELDS = {
     "kind": "uniform",
     "base_k_n_per_mm": 0.0,
@@ -92,7 +92,8 @@ _FIXTURE_FIELDS = {
 
 
 def _merge(defaults, user, path=""):
-    """Deep-merge user config over the defaults, rejecting unknown keys."""
+    """Deep-merge user config over the defaults in one walk: reject unknown keys and
+    check each value against its default's type. Fixtures are kept as written."""
     if not isinstance(user, dict):
         raise ConfigError(f"config section '{path or '<root>'}' must be an object")
     out = deepcopy(defaults)
@@ -100,10 +101,16 @@ def _merge(defaults, user, path=""):
         here = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key '{here}'")
-        if isinstance(defaults[key], dict) and here != "fixtures":
-            out[key] = _merge(defaults[key], value, here)
+        if here == "fixtures":
+            if not isinstance(value, dict):
+                raise ConfigError("config section 'fixtures' must be an object")
+            for name, raw in value.items():
+                _check_fixture(name, raw)
+        elif isinstance(defaults[key], dict):
+            value = _merge(defaults[key], value, here)
         else:
-            out[key] = deepcopy(value)
+            _check_leaf(here, defaults[key], value)
+        out[key] = deepcopy(value)
     return out
 
 
@@ -152,21 +159,6 @@ def _check_fixture(name, raw):
         raise ConfigError(f"fixture '{name}' is missing 'surface_offset_mm'")
 
 
-def _check_types(defaults: dict, cfg: dict, path: str = "") -> None:
-    """Check every leaf of a merged config against the type of its default."""
-    for key, default in defaults.items():
-        here = f"{path}.{key}" if path else key
-        if here == "fixtures":
-            if not isinstance(cfg[key], dict):
-                raise ConfigError("config section 'fixtures' must be an object")
-            for name, raw in cfg[key].items():
-                _check_fixture(name, raw)
-        elif isinstance(default, dict):
-            _check_types(default, cfg[key], here)
-        else:
-            _check_leaf(here, default, cfg[key])
-
-
 def load_config(path) -> dict:
     """Load, validate and resolve a scenario config file to a plain dict."""
     try:
@@ -177,7 +169,6 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     resolved = _merge(DEFAULTS, user)
-    _check_types(DEFAULTS, resolved)
     if resolved["seed"] < 0:
         raise ConfigError(f"'seed' must be non-negative, got {resolved['seed']}")
     return resolved
@@ -252,16 +243,10 @@ def build_fixture(cfg: dict, name: str) -> ObjectModel:
     if name not in fixtures:
         available = ", ".join(sorted(fixtures)) or "<none>"
         raise ConfigError(f"unknown fixture '{name}'; available: {available}")
-    raw = fixtures[name]
-    kind = raw.get("kind", "uniform")
-    if kind == "uniform":
-        profile = StiffnessProfile(kind="uniform", base_k=raw.get("base_k_n_per_mm", 0.0))
-    else:
-        samples = tuple((float(c), float(k)) for c, k in raw.get("samples", []))
-        profile = StiffnessProfile(kind=kind, samples=samples)
-    damage = raw.get("damage_threshold_n")
+    raw = {**_FIXTURE_FIELDS, **fixtures[name]}
+    samples = () if raw["kind"] == "uniform" else tuple((float(c), float(k)) for c, k in raw["samples"])
     return ObjectModel(
-        profile=profile,
+        profile=StiffnessProfile(kind=raw["kind"], base_k=raw["base_k_n_per_mm"], samples=samples),
         surface_offset=raw["surface_offset_mm"],
-        damage_threshold=damage,
+        damage_threshold=raw["damage_threshold_n"],
     )

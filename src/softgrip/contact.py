@@ -93,7 +93,6 @@ class EquilibriumResult:
     force: float  # N
     delta: float  # mm, object deformation
     dp: float  # kPa, pressure change from the lock baseline
-    contact: bool
     saturated: bool = False
 
 
@@ -134,7 +133,7 @@ def solve_equilibrium(
 
     if k_o * geom.tip_arm * d_c <= TORQUE_FLOOR:
         # object offers no measurable resistance; nothing bends
-        return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, contact=d_c > 0)
+        return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0)
 
     slack = min(model.alpha_slack, geom.alpha_max)
     e_slack = tip_extent(geom, slack)
@@ -142,7 +141,7 @@ def solve_equilibrium(
         # free bend: zero-torque yield until the deformation is absorbed
         alpha = tip_extent_inverse(geom, d_c)
         dp = pressure_at_angle(state, model, alpha) - p0
-        return EquilibriumResult(alpha, 0.0, 0.0, dp, contact=True)
+        return EquilibriumResult(alpha, 0.0, 0.0, dp)
 
     # the balance is negative at lo and non-negative at hi throughout
     lo, hi = slack, geom.alpha_max
@@ -150,7 +149,7 @@ def solve_equilibrium(
     f_hi = _residual(geom, model, state, k_o, d_c, hi)
     if f_hi < 0.0:
         # spring dominates everywhere: rigid-object limit, no fingertip yield
-        return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, contact=True, saturated=True)
+        return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, saturated=True)
     kept = 0  # end that survived the last step: -1 lo, +1 hi
     widths = (math.inf,) * 3  # bracket widths before the last three steps
     while hi - lo > ALPHA_TOL:
@@ -175,7 +174,7 @@ def solve_equilibrium(
     alpha = 0.5 * (lo + hi)
     delta = d_c - tip_extent(geom, alpha)
     dp = pressure_at_angle(state, model, alpha) - p0
-    return EquilibriumResult(alpha, k_o * delta, delta, dp, contact=True)
+    return EquilibriumResult(alpha, k_o * delta, delta, dp)
 
 
 def solve_equilibrium_bruteforce(
@@ -197,17 +196,17 @@ def solve_equilibrium_bruteforce(
     p0 = pressure_at_angle(state, model, 0.0)
 
     if k_o * geom.tip_arm * d_c <= TORQUE_FLOOR:
-        return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, contact=d_c > 0)
+        return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0)
 
     alphas = np.arange(0.0, geom.alpha_max + 1e-12, math.radians(step_deg))
     signs = np.signbit(_residual(geom, model, state, k_o, d_c, alphas))
     crossings = np.nonzero(signs[:-1] & ~signs[1:])[0]
     if crossings.size == 0:
-        return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, contact=True, saturated=True)
+        return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, saturated=True)
     i = int(crossings[0])
     alpha = 0.5 * (alphas[i] + alphas[i + 1])
     delta = d_c - tip_extent(geom, alpha)
     # free-bend roots carry no force by construction
     force = 0.0 if alpha <= model.alpha_slack else k_o * delta
     dp = pressure_at_angle(state, model, alpha) - p0
-    return EquilibriumResult(alpha, force, max(delta, 0.0) if alpha <= model.alpha_slack else delta, dp, contact=True)
+    return EquilibriumResult(alpha, force, max(delta, 0.0) if alpha <= model.alpha_slack else delta, dp)

@@ -126,8 +126,6 @@ def leak_path(state: RingState, model: RingModel, alphas: np.ndarray, dt: float)
         raise DomainError(f"dt must be non-negative, got {dt}")
     if not state.locked:
         raise StateError("leak_path requires a locked ring")
-    if model.leak_rate == 0.0 or dt == 0.0:
-        return replace(state, alpha=alphas, nv_const=np.full(alphas.shape, state.nv_const))
     keep = 1.0 - model.leak_rate * dt
     nv = state.nv_const
     path = []

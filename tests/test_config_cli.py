@@ -511,3 +511,112 @@ def test_run_meta_records_provenance(tmp_path):
     assert meta["seed"] == 0
     assert meta["noise"] is True
     assert len(meta["config_sha256"]) == 64
+
+
+def test_build_fixture_fills_field_defaults(tmp_path):
+    spelled = {"kind": "uniform", "base_k_n_per_mm": 5.0, "surface_offset_mm": 40.0, "damage_threshold_n": None}
+    fixtures = {
+        "spelled": spelled,
+        "omitted": {"base_k_n_per_mm": 5.0, "surface_offset_mm": 40.0},
+        "stray": {**spelled, "samples": [[0.0, 1.0], [10.0, 2.0]]},
+    }
+    cfg = load_config(_write(tmp_path, {"fixtures": fixtures}))
+    built = {name: build_fixture(cfg, name) for name in fixtures}
+    assert built["omitted"] == built["spelled"] == built["stray"]
+    assert built["stray"].profile.samples == ()  # a uniform profile ignores samples
+    assert built["spelled"].damage_threshold is None
+
+
+def test_first_fault_in_file_order_is_reported(tmp_path):
+    # one walk checks keys and types together, so the earlier fault wins
+    type_first = {"probe": {"n_probe_steps": "5"}, "plan": {"shape": "round"}}
+    with pytest.raises(ConfigError, match="probe.n_probe_steps"):
+        load_config(_write(tmp_path, type_first))
+    key_first = {"plan": {"shape": "round"}, "probe": {"n_probe_steps": "5"}}
+    with pytest.raises(ConfigError, match="plan.shape"):
+        load_config(_write(tmp_path, key_first, name="other.json"))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("plant.ring.kappa_per_rad", 2.0, "config error: plant.ring: kappa=2.0 empties the cavity"),
+        ("probe.n_probe_steps", 0, "config error: n_probe_steps must be >= 1"),
+        ("fixtures.cube1.base_k_n_per_mm", -1, "config error: uniform profile needs base_k > 0"),
+        ("calibration.locked.p0_grid_kpa", [20, 0], "config error: locked sweep p0 grid"),
+    ],
+)
+def test_cli_dry_run_rejects_bad_values(tmp_path, capsys, key, value, message):
+    # --dry-run builds what a run builds, so it fails with the run's own message
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, key, value)
+    path = _write(tmp_path, doc)
+    assert main(["probe", "--config", path, "--dry-run"]) == EXIT_CONFIG
+    dry = capsys.readouterr()
+    assert dry.out == "" and dry.err.startswith(message)
+    assert main(["probe", "--config", path, "--fixture", "cube1", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == dry.err
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, message",
+    [
+        (
+            ["probe", "--config", CUBES, "--fixture", "cube1"],
+            "probe.p0_kpa",
+            90,
+            "probe.p0_kpa 90.0 lies outside calibration.locked.p0_grid_kpa [0.0, 80.0]",
+        ),
+        (
+            ["scenario", "--config", BANANA],
+            "probe.p0_kpa",
+            90,
+            "probe.p0_kpa 90.0 lies outside calibration.locked.p0_grid_kpa [0.0, 80.0]",
+        ),
+        (
+            ["sensitivity", "--config", CUBES],
+            "calibration.locked.p0_grid_kpa",
+            [0, 20],
+            "sensitivity.p0_grid_kpa 40.0 lies outside calibration.locked.p0_grid_kpa [0.0, 20.0]",
+        ),
+    ],
+    ids=["probe", "scenario", "sensitivity"],
+)
+def test_cli_p0_outside_locked_grid_exits_config(tmp_path, capsys, argv, key, value, message):
+    # checked before any probe runs
+    command, _, config, *rest = argv
+    with open(config) as fh:
+        doc = json.load(fh)
+    _set(doc, key, value)
+    out = tmp_path / "x"
+    assert main([command, "--config", _write(tmp_path, doc), *rest, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_out_is_a_file_exits_config(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    assert main(["probe", "--config", CUBES, "--fixture", "cube1", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output directory") and "Traceback" not in err
+    assert out.read_text() == "keep me\n"
+
+
+def test_cli_failed_write_leaves_no_output(tmp_path, capsys, monkeypatch):
+    replace = os.replace
+    calls = []
+
+    def replace_then_fail(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_then_fail)
+    out = tmp_path / "x"
+    assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == f"error: cannot write {out / 'locked.csv'}: No space left on device\n"
+    assert len(calls) == 2
+    assert not out.exists()

@@ -286,7 +286,7 @@ def test_probe_solves_each_contact_step_once(geom, ring, sensor, locked_table, m
     count = len(solves)
     free = sim.true_equilibrium()
     assert len(solves) == count + 1
-    assert not free.contact and free.force == 0.0
+    assert free.delta == 0.0 and free.force == 0.0
 
 
 def test_probe_flags_travel_exhausted(geom, ring, quiet_sensor, locked_table):
