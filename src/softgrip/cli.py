@@ -1,10 +1,14 @@
 """Command-line entry point: reproducible calibrate / probe / scenario /
 sensitivity runs driven by a JSON config file.
 
-Each ``cmd_*`` function returns the files it produced (name -> text, in write
-order) and a runtime-flag message or None; it writes nothing. ``main`` alone
-writes, adding ``run_meta.json`` last, so one output rule holds for every
-command:
+Each ``cmd_*`` function checks its settings before it does any work, then
+returns the files it produced (name -> text, in write order) and a
+runtime-flag message or None; it writes nothing. Under ``--dry-run`` it stops
+after the checks (calibrate, whose sweeps are its checks, runs in full), so a
+bad value fails there with the run's own exit code and message; a name the run
+needs but nothing sets (``--fixture`` for probe, ``plan.fixture``, the
+sensitivity pair) is not a dry-run error. ``main`` alone writes, adding
+``run_meta.json`` last, so one output rule holds for every command:
 
 - exit 0: every file is written;
 - exit 3 with a flag (no_contact, out_of_table, travel_exhausted, saturated,
@@ -14,7 +18,8 @@ command:
 
 An output directory that exists as a file is a config error, found before the
 command runs. A write that fails (exit 3, ``error: cannot write ...``) removes
-the files this run already put in place.
+the files this run already put in place and puts back the ones it replaced, so
+a failed rerun leaves the previous run as it was.
 """
 
 from __future__ import annotations
@@ -50,19 +55,31 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME_FLAG = 3
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def _atomic_write(path: str, text: str) -> str | None:
+    """Write via a temp file in the same directory, then rename.
+
+    A file already at path is first moved aside in the same directory; the
+    return value is where (None if there was none), for the caller to put back
+    or to drop. A write that fails leaves path as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    aside = None
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
+        if os.path.exists(path):
+            aside = f"{tmp}.old"
+            os.replace(path, aside)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if aside is not None and os.path.exists(aside):
+            os.replace(aside, path)
         raise
+    return aside
 
 
 def _json_text(doc: dict) -> str:
@@ -88,7 +105,13 @@ def _check_p0(table, key: str, values) -> None:
             )
 
 
-def cmd_calibrate(cfg: dict, fixture_arg: str | None, noise: bool) -> tuple[dict, str | None]:
+def cmd_calibrate(
+    cfg: dict, fixture_arg: str | None, noise: bool, dry_run: bool = False
+) -> tuple[dict, str | None]:
+    # a dry run runs all of it: the sweeps are the checks, the rest formats
+    # them, and main writes nothing. (Stopping after the checks would move the
+    # hysteresis sweep ahead of write_csv, which raised calibration_dense's
+    # peak RSS by 0.7 MB through the allocation order alone.)
     ring = build_ring(cfg)
     cal = cfg["calibration"]
     reg = generate_regulated_sweep(ring, **cal["regulated"])
@@ -122,20 +145,24 @@ def cmd_calibrate(cfg: dict, fixture_arg: str | None, noise: bool) -> tuple[dict
     return files, None
 
 
-def cmd_probe(cfg: dict, fixture_name: str | None, noise: bool) -> tuple[dict, str | None]:
-    if not fixture_name:
+def cmd_probe(
+    cfg: dict, fixture_name: str | None, noise: bool, dry_run: bool = False
+) -> tuple[dict, str | None]:
+    if not fixture_name and not dry_run:
         raise ConfigError("probe requires --fixture")
-    fixture = build_fixture(cfg, fixture_name)
+    fixture = build_fixture(cfg, fixture_name) if fixture_name else None
     geom = build_geometry(cfg)
     ring = build_ring(cfg)
     sensor = build_sensor(cfg, noise=noise)
     table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
     probe_cfg = build_probe_config(cfg)
     _check_p0(table, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]])
-    if fixture.profile.kind != "uniform":
+    if fixture is not None and fixture.profile.kind != "uniform":
         raise ConfigError(
             f"fixture '{fixture_name}' has a spatial profile; use the scenario command"
         )
+    if dry_run:
+        return {}, None
     sim = GripperSim(
         geom,
         ring,
@@ -153,13 +180,15 @@ def cmd_probe(cfg: dict, fixture_name: str | None, noise: bool) -> tuple[dict, s
     return files, (f"probe finished with flags: {', '.join(report.flags)}" if report.flags else None)
 
 
-def cmd_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> tuple[dict, str | None]:
+def cmd_scenario(
+    cfg: dict, fixture_arg: str | None, noise: bool, dry_run: bool = False
+) -> tuple[dict, str | None]:
     plan_cfg = cfg["plan"]
-    if not plan_cfg["fixture"]:
+    if not plan_cfg["fixture"] and not dry_run:
         raise ConfigError("plan.fixture must name a fixture")
-    fixture = build_fixture(cfg, plan_cfg["fixture"])
+    fixture = build_fixture(cfg, plan_cfg["fixture"]) if plan_cfg["fixture"] else None
     plan = make_plan(plan_cfg["span"], plan_cfg["n"])
-    samples = fixture.profile.samples  # () for a uniform fixture
+    samples = fixture.profile.samples if fixture else ()  # () for a uniform fixture or none
     if samples and not (samples[0][0] <= 0.0 and plan_cfg["span"] <= samples[-1][0]):
         raise ConfigError(
             f"plan.span {plan_cfg['span']!r} probes [0, {plan_cfg['span']!r}], but fixture "
@@ -168,6 +197,8 @@ def cmd_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> tuple[dict,
     ring = build_ring(cfg)
     table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
     _check_p0(table, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]])
+    if dry_run:
+        return {}, None
     stiffness_map = execute_plan(
         plan,
         fixture,
@@ -189,24 +220,29 @@ def cmd_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> tuple[dict,
     return files, ("no safe grasp location: every probed entry is flagged" if no_grasp else None)
 
 
-def cmd_sensitivity(cfg: dict, fixture_arg: str | None, noise: bool) -> tuple[dict, str | None]:
+def cmd_sensitivity(
+    cfg: dict, fixture_arg: str | None, noise: bool, dry_run: bool = False
+) -> tuple[dict, str | None]:
     sens = cfg["sensitivity"]
     fixture_a, _, fixture_b = (fixture_arg or "").partition(",")
     name_a = fixture_a or sens["fixture_a"]
     name_b = fixture_b or sens["fixture_b"]
-    if not name_a or not name_b:
+    if name_a and name_b:
+        fa, fb = build_fixture(cfg, name_a), build_fixture(cfg, name_b)
+        if fa.profile.kind != "uniform" or fb.profile.kind != "uniform":
+            raise ConfigError("sensitivity sweep expects uniform fixtures")
+        if fa.surface_offset != fb.surface_offset:
+            raise ConfigError(
+                f"sensitivity probes both fixtures at one surface offset; '{name_a}' has "
+                f"{fa.surface_offset!r} mm and '{name_b}' has {fb.surface_offset!r} mm"
+            )
+    elif name_a or name_b or not dry_run:
         raise ConfigError("sensitivity needs two fixture names (config or --fixture a,b)")
-    fa, fb = build_fixture(cfg, name_a), build_fixture(cfg, name_b)
-    if fa.profile.kind != "uniform" or fb.profile.kind != "uniform":
-        raise ConfigError("sensitivity sweep expects uniform fixtures")
-    if fa.surface_offset != fb.surface_offset:
-        raise ConfigError(
-            f"sensitivity probes both fixtures at one surface offset; '{name_a}' has "
-            f"{fa.surface_offset!r} mm and '{name_b}' has {fb.surface_offset!r} mm"
-        )
     ring = build_ring(cfg)
     table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
     _check_p0(table, "sensitivity.p0_grid_kpa", sens["p0_grid_kpa"])
+    if dry_run:
+        return {}, None
     ranked = sensitivity_sweep(
         build_geometry(cfg),
         ring,
@@ -270,12 +306,13 @@ def main(argv=None) -> int:
             raise ConfigError(f"output directory '{out_dir}' exists and is not a directory")
         noise = args.noise == "on"
         if args.dry_run:
-            # build every model and the locked table, so a bad value exits 2 here as in a run
-            for build in (build_geometry, build_sensor, build_probe_config):
+            # build every model and fixture, then run the command's own checks,
+            # so a bad value exits 2 here as in a run
+            for build in (build_geometry, build_ring, build_sensor, build_probe_config):
                 build(cfg)
             for name in cfg["fixtures"]:
                 build_fixture(cfg, name)
-            generate_locked_sweep(build_ring(cfg), **cfg["calibration"]["locked"])
+            COMMANDS[args.command](cfg, args.fixture, noise, dry_run=True)
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return EXIT_OK
         files, problem = COMMANDS[args.command](cfg, args.fixture, noise)
@@ -292,20 +329,29 @@ def main(argv=None) -> int:
         "noise": noise,
         "version": __version__,
     })
-    fresh_dir, written = not os.path.isdir(out_dir), []
+    fresh_dir, written = not os.path.isdir(out_dir), []  # (path, where its old file went)
     try:
         for name, text in files.items():
             path = os.path.join(out_dir, name)
-            _atomic_write(path, text)
-            written.append(path)
+            written.append((path, _atomic_write(path, text)))
     except OSError as exc:
-        for done in written:
-            os.unlink(done)
+        # undo: remove the files this run added, put back the ones it replaced
+        for done, aside in written:
+            with contextlib.suppress(OSError):
+                if aside is None:
+                    os.unlink(done)
+                else:
+                    os.replace(aside, done)
         if fresh_dir:
             with contextlib.suppress(OSError):
                 os.rmdir(out_dir)
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_RUNTIME_FLAG
+    # every file is in place: only now drop the previous run's
+    for _, aside in written:
+        if aside is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(aside)
     if problem is not None:
         print(problem, file=sys.stderr)
         return EXIT_RUNTIME_FLAG

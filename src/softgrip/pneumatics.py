@@ -178,6 +178,17 @@ def measurement_sigma(sensor: SensorModel, settle_reads: int) -> float:
     return per_read / math.sqrt(max(settle_reads, 1))
 
 
+# Sigmas of a settle-averaged measurement that make a comparison sure: the
+# contact threshold sits this far above the baseline, and a bounded read stops
+# early only when its mean sits this far under the bound.
+SURE_SIGMAS = 6.0
+
+# A look at a read's running mean costs about as much as drawing 500 readings
+# (some 10 us against 20 ns a reading, numpy 2.4 on a 2-core Xeon), so a
+# bounded read looks only when each of its four blocks holds at least this many.
+MIN_LOOK_BLOCK = 512
+
+
 class PressureSensor:
     """Stateful seeded sampling stream for one SensorModel.
 
@@ -189,17 +200,36 @@ class PressureSensor:
         self.model = model
         self._rng = np.random.default_rng(seed)
 
-    def read_avg(self, p_true: float, n: int) -> float:
-        """Settle-averaged measurement over n consecutive readings."""
+    def read_avg(self, p_true: float, n: int, below: float = math.inf) -> float:
+        """Settle-averaged measurement over n consecutive readings.
+
+        With a finite upper bound and n at least 4 * MIN_LOOK_BLOCK, the read
+        looks at its running mean after n/4, n/2 and 3n/4 readings (Wald's
+        sequential test) and returns that mean once it lies SURE_SIGMAS
+        measurement sigmas of its own length under the bound. A read that
+        never stops early draws and returns exactly what the unbounded read
+        does: the blocks of standard normals are the one draw of n, cut in four.
+        """
         if n < 1:
             raise DomainError(f"settle read count must be >= 1, got {n}")
         if self.model.noise_frac == 0 and self.model.quant_step == 0:
             return p_true
-        if self.model.noise_frac > 0:
-            # normal(0, sigma, n) draws exactly these values: 0 + sigma * z
-            reads = self._rng.standard_normal(n)
-            reads *= self.model.sigma
-            reads += p_true
-        else:
-            reads = np.full(n, float(p_true))
-        return float(quantize(reads, self.model.quant_step).mean())
+        reads = np.empty(n)
+        looks = (n // 4, n // 2, 3 * n // 4) if below < math.inf and n >= 4 * MIN_LOOK_BLOCK else ()
+        start, total = 0, 0.0
+        for end in (*looks, n):
+            block = reads[start:end]
+            if self.model.noise_frac > 0:
+                # normal(0, sigma, n) draws exactly these values: 0 + sigma * z
+                self._rng.standard_normal(out=block)
+                block *= self.model.sigma
+                block += p_true
+            else:
+                block.fill(p_true)
+            quantize(block, self.model.quant_step)
+            if end < n:
+                total += float(block.sum())
+                if total / end + SURE_SIGMAS * measurement_sigma(self.model, end) < below:
+                    return total / end
+            start = end
+        return float(reads.mean())

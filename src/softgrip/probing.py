@@ -14,6 +14,7 @@ from .contact import EquilibriumResult, solve_equilibrium
 from .errors import ConfigError, RangeError, StateError
 from .geometry import FingerGeometry, object_deformation, tip_extent
 from .pneumatics import (
+    SURE_SIGMAS,
     PressureSensor,
     RingModel,
     RingState,
@@ -53,7 +54,7 @@ class ProbeConfig:
         """Contact threshold (kPa): 6 sigma of the settle-averaged measurement plus
         one quantization step, bounding the false-positive rate far below 1e-6
         per step."""
-        return 6.0 * measurement_sigma(sensor, self.settle_reads) + sensor.quant_step
+        return SURE_SIGMAS * measurement_sigma(sensor, self.settle_reads) + sensor.quant_step
 
 
 @dataclass
@@ -128,12 +129,17 @@ class GripperSim:
             return p0
         return p0 + solve_equilibrium(self.geom, self.ring, self.state, self.k_object, pen).dp
 
-    def close_to(self, opening: float, settle_reads: int) -> float:
-        """Command an opening width and return the measured dp from the lock baseline."""
+    def close_to(self, opening: float, settle_reads: int, below: float = math.inf) -> float:
+        """Command an opening width and return the measured dp from the lock baseline.
+
+        A finite below, a dp bound, lets the read stop early once its mean is
+        surely under the bound (see PressureSensor.read_avg); the dp returned
+        is then that shorter mean's.
+        """
         if self.state is None:
             raise StateError("gripper must be pressurized and locked first")
         self.opening = max(0.0, opening)
-        reading = self.stream.read_avg(self._plant_pressure(), settle_reads)
+        reading = self.stream.read_avg(self._plant_pressure(), settle_reads, self.lock_reading + below)
         return reading - self.lock_reading
 
     def true_equilibrium(self) -> EquilibriumResult:
@@ -149,11 +155,16 @@ def detect_contact(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig):
     Returns (contact_opening, contact_dp, flags), contact_dp being the
     lock-referenced dp at the step that crossed the threshold. Travel
     exhaustion yields (None, None, ['no_contact']).
+
+    An approach step's read is bounded by the threshold, so a long read of a
+    surely contact-free step stops early (see PressureSensor.read_avg); a step
+    can cross only on a full-length read, and the lock read is always full
+    length.
     """
     sim.pressurize_and_lock(cfg.p0, cfg.settle_reads)
     threshold = cfg.threshold(sim.stream.model)
     while sim.opening > 0.0:
-        dp = sim.close_to(sim.opening - cfg.approach_step, cfg.settle_reads)
+        dp = sim.close_to(sim.opening - cfg.approach_step, cfg.settle_reads, below=threshold)
         if dp > threshold:
             # invert the dead-zone free bend to estimate the true contact opening
             alpha_deg = angle_from_dp(table, dp, cfg.p0)

@@ -537,26 +537,104 @@ def test_first_fault_in_file_order_is_reported(tmp_path):
         load_config(_write(tmp_path, key_first, name="other.json"))
 
 
+def _dry_run_case(
+    key, value, message, command="probe", config=CUBES, run_flags=("--fixture", "cube1"), id=None
+):
+    return pytest.param(command, config, run_flags, key, value, message, id=id or f"{command}-{key}-{value}")
+
+
 @pytest.mark.parametrize(
-    "key, value, message",
+    "command, config, run_flags, key, value, message",
     [
-        ("plant.ring.kappa_per_rad", 2.0, "config error: plant.ring: kappa=2.0 empties the cavity"),
-        ("probe.n_probe_steps", 0, "config error: n_probe_steps must be >= 1"),
-        ("fixtures.cube1.base_k_n_per_mm", -1, "config error: uniform profile needs base_k > 0"),
-        ("calibration.locked.p0_grid_kpa", [20, 0], "config error: locked sweep p0 grid"),
+        _dry_run_case(
+            "plant.ring.kappa_per_rad", 2.0, "config error: plant.ring: kappa=2.0 empties the cavity",
+            id="plant.ring.kappa_per_rad-2.0-config error: plant.ring: kappa=2.0 empties the cavity",
+        ),
+        _dry_run_case(
+            "probe.n_probe_steps", 0, "config error: n_probe_steps must be >= 1",
+            id="probe.n_probe_steps-0-config error: n_probe_steps must be >= 1",
+        ),
+        _dry_run_case(
+            "fixtures.cube1.base_k_n_per_mm", -1, "config error: uniform profile needs base_k > 0",
+            id="fixtures.cube1.base_k_n_per_mm--1-config error: uniform profile needs base_k > 0",
+        ),
+        _dry_run_case(
+            "calibration.locked.p0_grid_kpa", [20, 0], "config error: locked sweep p0 grid",
+            id="calibration.locked.p0_grid_kpa-value3-config error: locked sweep p0 grid",
+        ),
+        # the settings only one command reads: its dry run checks them too
+        _dry_run_case(
+            "calibration.regulated.p_step_kpa", 0,
+            "config error: grid step must be positive and finite, got 0\n",
+            command="calibrate", run_flags=(),
+        ),
+        _dry_run_case(
+            "calibration.hysteresis.p0_kpa", -1, "config error: hysteresis p0 must be non-negative",
+            command="calibrate", run_flags=(),
+        ),
+        _dry_run_case(
+            "calibration.hysteresis.dt_per_step_s", -1,
+            "config error: hysteresis dt_per_step must be non-negative",
+            command="calibrate", run_flags=(),
+        ),
+        _dry_run_case(
+            "plan.n", 1, "config error: need at least 2 probing locations",
+            command="scenario", config=BANANA, run_flags=(),
+        ),
+        _dry_run_case(
+            "plan.span", 100.0, "config error: plan.span 100.0 probes [0, 100.0]",
+            command="scenario", config=BANANA, run_flags=(),
+        ),
+        _dry_run_case(
+            "plan.fixture", "pear", "config error: unknown fixture 'pear'",
+            command="scenario", config=BANANA, run_flags=(),
+        ),
+        _dry_run_case(
+            "sensitivity.fixture_b", "", "config error: sensitivity needs two fixture names",
+            command="sensitivity", run_flags=(),
+        ),
+        _dry_run_case(
+            "fixtures.cube2.surface_offset_mm", 30.0,
+            "config error: sensitivity probes both fixtures at one surface offset",
+            command="sensitivity", run_flags=(),
+        ),
+        _dry_run_case(
+            "probe.p0_kpa", 90, "config error: probe.p0_kpa 90.0 lies outside calibration.locked.p0_grid_kpa",
+        ),
+        _dry_run_case(
+            "probe.p0_kpa", 90, "config error: probe.p0_kpa 90.0 lies outside calibration.locked.p0_grid_kpa",
+            command="scenario", config=BANANA, run_flags=(),
+        ),
+        _dry_run_case(
+            "sensitivity.p0_grid_kpa", [0, 90],
+            "config error: sensitivity.p0_grid_kpa 90.0 lies outside calibration.locked.p0_grid_kpa",
+            command="sensitivity", run_flags=(),
+        ),
     ],
 )
-def test_cli_dry_run_rejects_bad_values(tmp_path, capsys, key, value, message):
+def test_cli_dry_run_rejects_bad_values(
+    tmp_path, capsys, command, config, run_flags, key, value, message
+):
     # --dry-run builds what a run builds, so it fails with the run's own message
-    with open(CUBES) as fh:
+    with open(config) as fh:
         doc = json.load(fh)
     _set(doc, key, value)
     path = _write(tmp_path, doc)
-    assert main(["probe", "--config", path, "--dry-run"]) == EXIT_CONFIG
+    assert main([command, "--config", path, "--dry-run"]) == EXIT_CONFIG
     dry = capsys.readouterr()
     assert dry.out == "" and dry.err.startswith(message)
-    assert main(["probe", "--config", path, "--fixture", "cube1", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    out = tmp_path / "x"
+    assert main([command, "--config", path, *run_flags, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == dry.err
+    assert not out.exists()
+
+
+def test_cli_dry_run_needs_no_names(tmp_path, capsys):
+    # a name the run needs but nothing sets is a run's error, not a dry run's
+    for command, config in (("probe", CUBES), ("scenario", CUBES), ("sensitivity", BANANA)):
+        assert main([command, "--config", config, "--dry-run"]) == EXIT_OK
+        assert main([command, "--config", config, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(
@@ -620,3 +698,27 @@ def test_cli_failed_write_leaves_no_output(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"error: cannot write {out / 'locked.csv'}: No space left on device\n"
     assert len(calls) == 2
     assert not out.exists()
+
+
+def test_cli_failed_rerun_keeps_previous_run(tmp_path, capsys, monkeypatch):
+    # a rerun into the same --out that fails on its second file leaves the first run's files
+    out = tmp_path / "x"
+    assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    replace = os.replace
+    failed = []
+
+    def replace_then_fail(src, dst):
+        if dst == str(out / "locked.csv") and not failed:
+            failed.append(dst)
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_then_fail)
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, "plant.ring.c2_nmm_per_rad_kpa", 700.0)  # every file of the second run differs
+    assert main(["calibrate", "--config", _write(tmp_path, doc), "--out", str(out)]) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == f"error: cannot write {out / 'locked.csv'}: No space left on device\n"
+    assert failed
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -5,6 +5,7 @@ import pytest
 
 from softgrip.errors import DomainError, StateError
 from softgrip.pneumatics import (
+    MIN_LOOK_BLOCK,
     PressureSensor,
     RingModel,
     RingState,
@@ -292,3 +293,60 @@ def test_quantize_array_in_place():
     out = quantize(values, 0.5)
     assert out is values
     assert out.tolist() == [1.5, 1.0, 1.5, -0.5]
+
+
+def _drawn(model, seed, p_true, n, below):
+    """How many readings one bounded read drew, told from its stream's state."""
+    stream = PressureSensor(model, seed=seed)
+    stream.read_avg(p_true, n, below)
+    ref, done = np.random.default_rng(seed), 0
+    for end in (n // 4, n // 2, 3 * n // 4, n):
+        ref.standard_normal(end - done)
+        done = end
+        if ref.bit_generator.state == stream._rng.bit_generator.state:
+            return end
+    raise AssertionError("the read drew a length off the look schedule")
+
+
+def test_unbounded_read_is_unchanged():
+    # below=inf is the plain settle read: these floats predate the bound
+    for seed, p_true, n, expect in ((3, 60.0, 512, 60.35265625), (4, 0.0, 2048, 0.009960937500000017)):
+        assert PressureSensor(SensorModel(), seed=seed).read_avg(p_true, n, math.inf) == expect
+        assert PressureSensor(SensorModel(), seed=seed).read_avg(p_true, n) == expect
+
+
+def test_bounded_read_stops_early_only_far_under_the_bound(sensor):
+    # a bound k settle sigmas above the true pressure: at 6 sigma most reads run
+    # to full length, at 12 sigma none does (half stop at the first look, after
+    # n/4 readings, whose own sigma is twice the full read's)
+    n = 4 * MIN_LOOK_BLOCK
+    sigma = measurement_sigma(sensor, n)
+    lengths = {
+        k: [_drawn(sensor, seed, 60.0, n, 60.0 + k * sigma) for seed in range(2000)] for k in (6, 12, 24)
+    }
+    full = {k: drawn.count(n) for k, drawn in lengths.items()}
+    first_look = {k: drawn.count(n // 4) for k, drawn in lengths.items()}
+    assert full == {6: 1587, 12: 0, 24: 0}
+    assert first_look == {6: 2, 12: 981, 24: 2000}
+
+
+def test_bounded_read_at_its_bound_never_stops_early(sensor):
+    # true pressure at the bound: a look stops with probability Phi(-6) ~ 1e-9, so
+    # over 10^4 reads none does, and each equals the unbounded read bit for bit
+    n = 4 * MIN_LOOK_BLOCK
+    bounded, full = PressureSensor(sensor, seed=21), PressureSensor(sensor, seed=21)
+    for i in range(10_000):
+        p_true = 40.0 + 0.01 * i
+        assert bounded.read_avg(p_true, n, p_true) == full.read_avg(p_true, n)
+    assert bounded._rng.bit_generator.state == full._rng.bit_generator.state
+
+
+def test_short_bounded_read_is_the_unbounded_read(sensor):
+    # below four blocks of MIN_LOOK_BLOCK a look would cost more than it saves
+    for n in (1, 5, 512, 4 * MIN_LOOK_BLOCK - 1):
+        bounded, full = PressureSensor(sensor, seed=n), PressureSensor(sensor, seed=n)
+        assert bounded.read_avg(60.0, n, 1e9) == full.read_avg(60.0, n)
+        assert bounded._rng.bit_generator.state == full._rng.bit_generator.state
+    # quantization only: the mean is the quantized value at any length
+    quantized = PressureSensor(SensorModel(noise_frac=0.0, quant_step=0.5))
+    assert quantized.read_avg(1.26, 4 * MIN_LOOK_BLOCK, 10.0) == 1.5

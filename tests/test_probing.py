@@ -9,7 +9,7 @@ import softgrip.probing
 from softgrip.contact import solve_equilibrium
 from softgrip.errors import ConfigError, StateError
 from softgrip.geometry import FingerGeometry
-from softgrip.pneumatics import measurement_sigma
+from softgrip.pneumatics import MIN_LOOK_BLOCK, PressureSensor, measurement_sigma
 from softgrip.probing import (
     GripperSim,
     ProbeConfig,
@@ -262,9 +262,9 @@ def test_probe_solves_each_contact_step_once(geom, ring, sensor, locked_table, m
         solves.append(solve_equilibrium(*args))
         return solves[-1]
 
-    def recorded_close_to(self, opening, settle_reads):
+    def recorded_close_to(self, opening, settle_reads, below=math.inf):
         openings.append(max(0.0, opening))
-        return close_to(self, opening, settle_reads)
+        return close_to(self, opening, settle_reads, below)
 
     monkeypatch.setattr(softgrip.probing, "solve_equilibrium", recorded_solve)
     monkeypatch.setattr(GripperSim, "close_to", recorded_close_to)
@@ -287,6 +287,47 @@ def test_probe_solves_each_contact_step_once(geom, ring, sensor, locked_table, m
     free = sim.true_equilibrium()
     assert len(solves) == count + 1
     assert free.delta == 0.0 and free.force == 0.0
+
+
+def test_only_approach_reads_are_bounded(geom, ring, sensor, locked_table, monkeypatch):
+    # approach steps may stop early under the contact threshold; the lock read
+    # and every probe step read the full settle_reads
+    bounds = []
+    read_avg = PressureSensor.read_avg
+
+    def recorded_read_avg(self, p_true, n, below=math.inf):
+        bounds.append(below)
+        return read_avg(self, p_true, n, below)
+
+    monkeypatch.setattr(PressureSensor, "read_avg", recorded_read_avg)
+    sim = _sim(geom, ring, sensor, 100.0, offset=30.0, seed=5)
+    report = run_probe(sim, locked_table, CFG)
+    assert report.flags == []
+    approach = bounds[1:-CFG.n_probe_steps]
+    assert bounds[0] == math.inf and bounds[-CFG.n_probe_steps:] == [math.inf] * CFG.n_probe_steps
+    assert set(approach) == {sim.lock_reading + CFG.threshold(sensor)}
+    assert len(approach) >= 7  # 45 -> 30 mm in 2 mm steps
+
+
+def test_sequential_approach_finds_contact_with_fewer_readings(geom, ring, sensor, locked_table):
+    # long reads split into blocks: a probe with a 30-step approach draws under
+    # 60% of the readings it asks for, and still finds contact within one step
+    class CountingRng:
+        def __init__(self, rng):
+            self.rng, self.drawn = rng, 0
+
+        def standard_normal(self, size=None, out=None):
+            self.drawn += size if out is None else out.size
+            return self.rng.standard_normal(size, out=out)
+
+    cfg = replace(CFG, settle_reads=8 * MIN_LOOK_BLOCK)
+    for seed in range(10):
+        sim = GripperSim(geom, ring, sensor, 100.0, 40.0, max_open=100.0, seed=seed)
+        sim.stream._rng = CountingRng(sim.stream._rng)
+        report = run_probe(sim, locked_table, cfg)
+        assert report.flags == [] and abs(report.contact_opening - 40.0) < cfg.approach_step
+        requested = (1 + 31 + cfg.n_probe_steps) * cfg.settle_reads  # lock, approach, probe steps
+        assert sim.stream._rng.drawn < 0.6 * requested
 
 
 def test_probe_flags_travel_exhausted(geom, ring, quiet_sensor, locked_table):
