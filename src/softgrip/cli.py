@@ -105,6 +105,18 @@ def _check_p0(table, key: str, values) -> None:
             )
 
 
+def _check_travel(cfg: dict, name: str | None, fixture) -> None:
+    """The gripper must open, and open past the fixture's surface."""
+    max_open = cfg["gripper"]["max_open_mm"]
+    if max_open <= 0:
+        raise ConfigError(f"gripper.max_open_mm must be positive, got {float(max_open)!r}")
+    if fixture is not None and fixture.surface_offset > max_open:
+        raise ConfigError(
+            f"fixtures.{name}.surface_offset_mm {float(fixture.surface_offset)!r} exceeds "
+            f"gripper.max_open_mm {float(max_open)!r}"
+        )
+
+
 def cmd_calibrate(
     cfg: dict, fixture_arg: str | None, noise: bool, dry_run: bool = False
 ) -> tuple[dict, str | None]:
@@ -161,6 +173,7 @@ def cmd_probe(
         raise ConfigError(
             f"fixture '{fixture_name}' has a spatial profile; use the scenario command"
         )
+    _check_travel(cfg, fixture_name, fixture)
     if dry_run:
         return {}, None
     sim = GripperSim(
@@ -194,6 +207,9 @@ def cmd_scenario(
             f"plan.span {plan_cfg['span']!r} probes [0, {plan_cfg['span']!r}], but fixture "
             f"'{plan_cfg['fixture']}' is sampled over [{samples[0][0]!r}, {samples[-1][0]!r}]"
         )
+    if not 0.0 <= plan_cfg["avoid_fraction"] <= 1.0:
+        raise ConfigError(f"plan.avoid_fraction must be in [0, 1], got {float(plan_cfg['avoid_fraction'])!r}")
+    _check_travel(cfg, plan_cfg["fixture"], fixture)
     ring = build_ring(cfg)
     table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
     _check_p0(table, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]])
@@ -227,6 +243,7 @@ def cmd_sensitivity(
     fixture_a, _, fixture_b = (fixture_arg or "").partition(",")
     name_a = fixture_a or sens["fixture_a"]
     name_b = fixture_b or sens["fixture_b"]
+    fa = None  # no pair under a dry run that names none
     if name_a and name_b:
         fa, fb = build_fixture(cfg, name_a), build_fixture(cfg, name_b)
         if fa.profile.kind != "uniform" or fb.profile.kind != "uniform":
@@ -238,6 +255,10 @@ def cmd_sensitivity(
             )
     elif name_a or name_b or not dry_run:
         raise ConfigError("sensitivity needs two fixture names (config or --fixture a,b)")
+    _check_travel(cfg, name_a, fa)  # fb has fa's offset
+    for dc in sens["dc_grid_mm"]:
+        if dc <= 0:
+            raise ConfigError(f"sensitivity.dc_grid_mm entries must be positive, got {float(dc)!r}")
     ring = build_ring(cfg)
     table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
     _check_p0(table, "sensitivity.p0_grid_kpa", sens["p0_grid_kpa"])

@@ -202,8 +202,8 @@ def test_cli_calibrate_golden_csv(tmp_path):
         (
             ["probe", "--config", CUBES, "--fixture", "cube3", "--noise", "on"],
             {
-                "probe_cube3.json": "f40b59bbadb6c7eca44ed67c951d90e1da7c36358b5ef6b5eb713a93d5809b6d",
-                "probe_cube3_trace.csv": "1b965733370701cda845e47cda27de6cdba85519e9626f7bd95e14eeacdc3dbf",
+                "probe_cube3.json": "7f9aa5b5c9c1ef2c935cab626e2ed127cbb91ca4fea431a98652a6c376228eb0",
+                "probe_cube3_trace.csv": "a2af0c2c84607f8e06edcdc91b3915b30d55b911327946399ea4aca64a19ec85",
                 "run_meta.json": "d4157fbc5831700385982788db4935e88d52d4e5b6519705d3b93a3868d03e1e",
             },
         ),
@@ -218,18 +218,18 @@ def test_cli_calibrate_golden_csv(tmp_path):
         (
             ["scenario", "--config", BANANA],
             {
-                "stiffness_map.json": "86ec1948b38327006abf1f11111fd025ed35f037078d43cc5333e61b855562b3",
-                "stiffness_map.csv": "72f6057178e044104a2090872442b8eacbc1df2a2d79930fab8033a7d8c4ae43",
-                "stiffness_map_long.csv": "c16a64e73cb7a87000c43d473807000a2e39843e6b6322085b1b49ef63bdd099",
+                "stiffness_map.json": "2b829a394e761a53ff88bafc7fd8e26cf186d4f4cbd54994c685954be6ef951a",
+                "stiffness_map.csv": "88efddcc3f3d23e3652937be741dc322e0dce78c7676b0317906dce854340f7b",
+                "stiffness_map_long.csv": "e68db4e7f0bfc83f09076f3646a0dbcaa5dff5e0566572537e247f0d51988211",
                 "run_meta.json": "d1bad57c1915b22715e545230a4789c25ca4349652f3e819ac5cfa025e2f6d11",
             },
         ),
         (
             ["scenario", "--config", ORANGE],
             {
-                "stiffness_map.json": "2e5810a4271e3b1b750a8501eec1d4c2f2c61abd4a77c2f04efa2c8b36415472",
-                "stiffness_map.csv": "baec9077451b97eed815e68ea706a9ed130064b037caaeb92bb9a768b8544e1f",
-                "stiffness_map_long.csv": "42c61363066d9a0bcbef42d5e8fc86d8424537f7a113c73781b0954a61bd6af6",
+                "stiffness_map.json": "dd45431e40b5475b584724892be3a4e38a1ab52f02d4b67bcffb998fe6c918d4",
+                "stiffness_map.csv": "023d48330eedcb185c63d7e3570d5dc5e220bf5f039b2642103e1b2dc4b279ac",
+                "stiffness_map_long.csv": "7af06351558cf764745bab336e3a45dbde87280059470467a8a49d3d4d628efa",
                 "run_meta.json": "9fe33d7626d8142e773912165f50b3ba9b54f341c9600bd86bf90eec31f8ce1f",
             },
         ),
@@ -606,6 +606,20 @@ def _dry_run_case(
             command="scenario", config=BANANA, run_flags=(),
         ),
         _dry_run_case(
+            "plan.avoid_fraction", 2.0, "config error: plan.avoid_fraction must be in [0, 1], got 2.0\n",
+            command="scenario", config=BANANA, run_flags=(),
+        ),
+        _dry_run_case(
+            "gripper.max_open_mm", 30.0,
+            "config error: fixtures.cube1.surface_offset_mm 40.0 exceeds gripper.max_open_mm 30.0\n",
+            command="sensitivity", run_flags=(),
+        ),
+        _dry_run_case(
+            "sensitivity.dc_grid_mm", [10, 0],
+            "config error: sensitivity.dc_grid_mm entries must be positive, got 0.0\n",
+            command="sensitivity", run_flags=(),
+        ),
+        _dry_run_case(
             "sensitivity.p0_grid_kpa", [0, 90],
             "config error: sensitivity.p0_grid_kpa 90.0 lies outside calibration.locked.p0_grid_kpa",
             command="sensitivity", run_flags=(),
@@ -627,6 +641,25 @@ def test_cli_dry_run_rejects_bad_values(
     assert main([command, "--config", path, *run_flags, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == dry.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (30.0, "config error: fixtures.cube1.surface_offset_mm 40.0 exceeds gripper.max_open_mm 30.0\n"),
+        (0, "config error: gripper.max_open_mm must be positive, got 0.0\n"),
+    ],
+)
+def test_cli_probe_dry_run_checks_the_travel(tmp_path, capsys, value, message):
+    # a probe's dry run given --fixture checks that fixture against the opening
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, "gripper.max_open_mm", value)
+    path = _write(tmp_path, doc)
+    for extra in (["--dry-run"], ["--out", str(tmp_path / "x")]):
+        assert main(["probe", "--config", path, "--fixture", "cube1", *extra]) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_dry_run_needs_no_names(tmp_path, capsys):

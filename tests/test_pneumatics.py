@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from softgrip import pneumatics
 from softgrip.errors import DomainError, StateError
 from softgrip.pneumatics import (
     MIN_LOOK_BLOCK,
+    SUM_DRAW_MIN_STEPS,
     PressureSensor,
     RingModel,
     RingState,
@@ -259,33 +261,145 @@ def test_model_validation():
         joint_torque(RingModel(), 0.5, -2.0)
 
 
-def test_read_avg_bit_identical_to_normal_draw():
-    # the settle average draws standard normals and scales them in place; numpy
-    # draws normal(0, sigma, n) as 0 + sigma * z, so the values and the stream
-    # must match the direct expression exactly
+def _reference_counts(model, p_true, m, size, seed):
+    """Block sums of m readings drawn one by one, in quantization steps."""
+    rng, q = np.random.default_rng(seed), model.quant_step
+    counts = np.empty(size, dtype=np.int64)
+    rows = max(1, 4096 // m)
+    for i in range(0, size, rows):
+        z = rng.standard_normal((min(rows, size - i), m))
+        counts[i : i + len(z)] = np.floor(p_true / q + 0.5 + model.sigma / q * z).sum(axis=1)
+    return counts
+
+
+def _read_counts(model, p_true, m, size, seed):
+    """Block sums read_avg drew for size reads of m readings, in quantization steps."""
+    stream = PressureSensor(model, seed=seed)
+    reads = np.array([stream.read_avg(p_true, m) for _ in range(size)])
+    counts = np.rint(reads * m / model.quant_step)
+    assert np.all(np.abs(counts - reads * m / model.quant_step) < 1e-6)
+    return counts.astype(np.int64)
+
+
+def _chi_square_passes(a, b, bins=20):
+    """Two-sample chi-square of equal-size integer samples at the 0.1% level.
+
+    Bins are cut between integers at the pooled quantiles; the critical value
+    is the Wilson-Hilferty approximation of the chi-square quantile.
+    """
+    cuts = np.unique(np.quantile(np.concatenate([a, b]), np.linspace(0.0, 1.0, bins + 1))[1:-1].round())
+    hist_a = np.bincount(np.searchsorted(cuts - 0.5, a), minlength=cuts.size + 1)
+    hist_b = np.bincount(np.searchsorted(cuts - 0.5, b), minlength=cuts.size + 1)
+    used = hist_a + hist_b > 0
+    stat = float(np.sum((hist_a - hist_b)[used] ** 2 / (hist_a + hist_b)[used]))
+    dof = int(used.sum()) - 1
+    assert dof >= 1
+    critical = dof * (1.0 - 2.0 / (9 * dof) + 3.0902 * math.sqrt(2.0 / (9 * dof))) ** 3
+    return stat < critical
+
+
+# b = sigma / quant_step: 4.0 exactly (dyadic values) at the guard, and the default sensor's
+AT_GUARD = SensorModel(full_scale=8.0, noise_frac=0.25, quant_step=0.5)
+CASES = [(model, m, frac) for model in (AT_GUARD, SensorModel()) for m in (1, 2, 8, 512) for frac in (0.0, 0.37)]
+
+
+@pytest.mark.parametrize(
+    "model, m, frac", CASES, ids=[f"b{mod.sigma / mod.quant_step:.2f}-m{m}-frac{f}" for mod, m, f in CASES]
+)
+def test_block_sum_matches_per_reading_draws(model, m, frac):
+    # the block sum drawn from one normal and m - 1 uniforms has the law of m
+    # quantized readings drawn one by one, on and off the half-up tie point
+    assert model.sigma / model.quant_step >= SUM_DRAW_MIN_STEPS
+    p_true, size = (88.0 + frac) * model.quant_step, 20_000
+    drawn = _read_counts(model, p_true, m, size, seed=m)
+    assert _chi_square_passes(drawn, _reference_counts(model, p_true, m, size, seed=100 + m))
+
+
+@pytest.mark.parametrize("m", (2, 8))
+@pytest.mark.parametrize("frac", (0.0, 0.37))
+def test_block_sum_guard_is_needed(monkeypatch, m, frac):
+    # at b = 0.3 the one-normal identity is wrong, and the same test sees it;
+    # read_avg itself draws such readings one by one and passes
+    model = SensorModel(full_scale=1.0, noise_frac=0.15, quant_step=0.5)
+    p_true, size = (88.0 + frac) * model.quant_step, 20_000
+    reference = _reference_counts(model, p_true, m, size, seed=100 + m)
+    assert _chi_square_passes(_read_counts(model, p_true, m, size, seed=m), reference)
+    monkeypatch.setattr(pneumatics, "SUM_DRAW_MIN_STEPS", 0.0)
+    assert not _chi_square_passes(_read_counts(model, p_true, m, size, seed=m), reference)
+
+
+def _expected_draws(model, rng, n):
+    """Draw from rng what read_avg draws for an unbounded read of n readings."""
+    if model.sigma == 0:
+        return
+    ends = (n // 4, n // 2, 3 * n // 4, n) if n >= 4 * MIN_LOOK_BLOCK else (n,)
+    start = 0
+    for end in ends:
+        if model.quant_step > 0 and model.sigma < SUM_DRAW_MIN_STEPS * model.quant_step:
+            rng.standard_normal(end - start)
+        else:
+            rng.standard_normal()
+            if model.quant_step > 0:
+                rng.random(end - start - 1)
+        start = end
+
+
+def test_read_avg_draws_one_path_per_sensor():
+    # each sensor draws what its path needs: one normal and m - 1 uniforms per
+    # block at b >= 4, m normals below, one normal unquantized, nothing noiseless
     rng = np.random.default_rng(8)
-    models = [SensorModel(), SensorModel(noise_frac=0.0), SensorModel(quant_step=0.0)]
+    models = [SensorModel(), SensorModel(noise_frac=0.0), SensorModel(quant_step=0.0), AT_GUARD]
     for _ in range(40):
         models.append(
-            SensorModel(noise_frac=float(rng.uniform(0.0, 0.05)), quant_step=float(rng.choice([0.0, 0.68, 0.1])))
+            SensorModel(noise_frac=float(rng.uniform(0.0, 0.05)), quant_step=float(rng.choice([0.0, 0.68, 5.0])))
         )
     for i, model in enumerate(models):
         for n in (1, 512, 4096):
-            p_true = float(rng.uniform(0.0, 150.0))
-            stream = PressureSensor(model, seed=i)
-            ref = np.random.default_rng(i)
-            got = stream.read_avg(p_true, n)
-            if model.noise_frac == 0 and model.quant_step == 0:
-                expect = p_true
-            else:
-                noise = ref.normal(0.0, model.sigma, n) if model.noise_frac > 0 else np.zeros(n)
-                reads = p_true + noise
-                if model.quant_step > 0:
-                    reads = np.floor(reads / model.quant_step + 0.5) * model.quant_step
-                expect = float(reads.mean())
-            assert got == expect
+            stream, ref = PressureSensor(model, seed=i), np.random.default_rng(i)
+            got = stream.read_avg(float(rng.uniform(0.0, 150.0)), n)
+            _expected_draws(model, ref, n)
             assert type(got) is float
             assert stream._rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_unquantized_read_is_one_normal_per_block():
+    # quant_step 0: the block sum is m * p + sigma * sqrt(m) * z, so the mean
+    # has mean p and sd sigma / sqrt(m)
+    model = SensorModel(quant_step=0.0)
+    for n in (1, 512, 4 * MIN_LOOK_BLOCK):
+        got = PressureSensor(model, seed=n).read_avg(60.0, n)
+        ref, total = np.random.default_rng(n), 0.0
+        for m in (n,) if n < 4 * MIN_LOOK_BLOCK else (n // 4,) * 4:
+            total += m * 60.0 + math.sqrt(m) * model.sigma * ref.standard_normal()
+        assert got == total / n
+    stream = PressureSensor(model, seed=3)
+    reads = np.array([stream.read_avg(60.0, 64) for _ in range(4000)])
+    assert abs(reads.mean() - 60.0) < 5 * model.sigma / math.sqrt(64 * 4000)
+    assert reads.std() == pytest.approx(model.sigma / 8, rel=0.05)
+
+
+def test_noise_free_read_is_the_quantized_pressure():
+    model = SensorModel(noise_frac=0.0, quant_step=0.68)
+    stream = PressureSensor(model, seed=4)
+    state = stream._rng.bit_generator.state
+    for p_true in (0.0, 0.34, 59.99, 60.0, 61.37, 149.5):
+        expect = float(quantize(np.array([p_true]), model.quant_step)[0])
+        for n, below in ((1, math.inf), (512, math.inf), (2048, math.inf), (2048, 1e9), (4096, 60.0)):
+            assert stream.read_avg(p_true, n, below) == expect
+    assert stream._rng.bit_generator.state == state
+
+
+def test_reruns_from_one_seed_are_identical():
+    # fast path, per-reading fallback (b ~ 1.2) and unquantized, bounded or not
+    calls = [
+        (60.0, 1, math.inf), (60.0, 512, math.inf), (45.0, 4096, 47.0), (45.0, 4096, math.inf), (70.0, 2048, 75.0)
+    ]
+    for model in (SensorModel(), SensorModel(quant_step=5.0), SensorModel(quant_step=0.0)):
+        runs = []
+        for _ in range(2):
+            stream = PressureSensor(model, seed=12)
+            runs.append([stream.read_avg(*call) for call in calls * 3])
+        assert runs[0] == runs[1]
 
 
 def test_quantize_array_in_place():
@@ -296,12 +410,13 @@ def test_quantize_array_in_place():
 
 
 def _drawn(model, seed, p_true, n, below):
-    """How many readings one bounded read drew, told from its stream's state."""
+    """How many readings one bounded read summed, told from its stream's state."""
     stream = PressureSensor(model, seed=seed)
     stream.read_avg(p_true, n, below)
     ref, done = np.random.default_rng(seed), 0
     for end in (n // 4, n // 2, 3 * n // 4, n):
-        ref.standard_normal(end - done)
+        ref.standard_normal()  # each block's sum: one normal and m - 1 uniforms
+        ref.random(end - done - 1)
         done = end
         if ref.bit_generator.state == stream._rng.bit_generator.state:
             return end
@@ -309,8 +424,8 @@ def _drawn(model, seed, p_true, n, below):
 
 
 def test_unbounded_read_is_unchanged():
-    # below=inf is the plain settle read: these floats predate the bound
-    for seed, p_true, n, expect in ((3, 60.0, 512, 60.35265625), (4, 0.0, 2048, 0.009960937500000017)):
+    # below=inf is the plain settle read: these floats pin the block-sum draw
+    for seed, p_true, n, expect in ((3, 60.0, 512, 60.52796875000001), (4, 0.0, 2048, -0.20154296875000002)):
         assert PressureSensor(SensorModel(), seed=seed).read_avg(p_true, n, math.inf) == expect
         assert PressureSensor(SensorModel(), seed=seed).read_avg(p_true, n) == expect
 
@@ -326,8 +441,8 @@ def test_bounded_read_stops_early_only_far_under_the_bound(sensor):
     }
     full = {k: drawn.count(n) for k, drawn in lengths.items()}
     first_look = {k: drawn.count(n // 4) for k, drawn in lengths.items()}
-    assert full == {6: 1587, 12: 0, 24: 0}
-    assert first_look == {6: 2, 12: 981, 24: 2000}
+    assert full == {6: 1628, 12: 0, 24: 0}
+    assert first_look == {6: 1, 12: 970, 24: 2000}
 
 
 def test_bounded_read_at_its_bound_never_stops_early(sensor):

@@ -310,15 +310,20 @@ def test_only_approach_reads_are_bounded(geom, ring, sensor, locked_table, monke
 
 
 def test_sequential_approach_finds_contact_with_fewer_readings(geom, ring, sensor, locked_table):
-    # long reads split into blocks: a probe with a 30-step approach draws under
-    # 60% of the readings it asks for, and still finds contact within one step
+    # long reads split into blocks: a probe with a 30-step approach draws the
+    # sums of under 60% of the readings it asks for, and still finds contact
+    # within one step. A block of m readings takes one normal and m - 1 uniforms.
     class CountingRng:
         def __init__(self, rng):
             self.rng, self.drawn = rng, 0
 
-        def standard_normal(self, size=None, out=None):
-            self.drawn += size if out is None else out.size
-            return self.rng.standard_normal(size, out=out)
+        def standard_normal(self, size=None):
+            self.drawn += 1 if size is None else size
+            return self.rng.standard_normal(size)
+
+        def random(self, size):
+            self.drawn += size
+            return self.rng.random(size)
 
     cfg = replace(CFG, settle_reads=8 * MIN_LOOK_BLOCK)
     for seed in range(10):
