@@ -49,13 +49,28 @@ class CalibrationTable:
             raise ParseError("dp_surface must be non-decreasing along the alpha axis")
 
 
+# A sweep larger than these is a config error, so that a tiny step fails at once
+# instead of in an allocation that cannot succeed. The benchmark's finest axis
+# has 801 points (0.1 deg over 80 deg), its largest table 19,481 cells.
+MAX_GRID_POINTS = 10_001  # per axis
+MAX_TABLE_CELLS = 1_000_000
+
+
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
     if not (step > 0 and math.isfinite(step)):
         raise ConfigError(f"grid step must be positive and finite, got {step}")
-    n = int(round((stop - start) / step))
+    intervals = (stop - start) / step  # inf when the step is tiny against the span
+    n = int(round(intervals)) if intervals < MAX_GRID_POINTS else MAX_GRID_POINTS
     if n < 1:
         raise ConfigError(f"degenerate grid: start={start}, stop={stop}, step={step}")
+    if n >= MAX_GRID_POINTS:
+        raise ConfigError(f"grid step {step} over [{start}, {stop}] gives more than {MAX_GRID_POINTS} points")
     return start + step * np.arange(n + 1)
+
+
+def _check_cells(n_alpha: int, n_p: int) -> None:
+    if n_alpha * n_p > MAX_TABLE_CELLS:
+        raise ConfigError(f"calibration table of {n_alpha} x {n_p} cells exceeds {MAX_TABLE_CELLS} cells")
 
 
 def generate_regulated_sweep(
@@ -71,6 +86,7 @@ def generate_regulated_sweep(
     """
     alpha_grid = _grid(0.0, alpha_max_deg, alpha_step_deg)
     p_grid = _grid(0.0, p_max_kpa, p_step_kpa)
+    _check_cells(alpha_grid.size, p_grid.size)
     torque = joint_torque(model, np.radians(alpha_grid)[:, None], p_grid)
     meta = {
         "mode": "regulated",
@@ -100,6 +116,7 @@ def generate_locked_sweep(
         raise ConfigError(
             f"locked sweep p0 grid must be non-negative and strictly increasing, got {p0_grid.tolist()}"
         )
+    _check_cells(alpha_grid.size, p0_grid.size)
     alphas = np.radians(alpha_grid)
     p = np.stack(
         [pressure_at_angle(lock(RingState(p_gauge=float(p0)), model), model, alphas) for p0 in p0_grid],

@@ -1,25 +1,21 @@
 """Command-line entry point: reproducible calibrate / probe / scenario /
 sensitivity runs driven by a JSON config file.
 
-Each ``cmd_*`` function checks its settings before it does any work, then
-returns the files it produced (name -> text, in write order) and a
-runtime-flag message or None; it writes nothing. Under ``--dry-run`` it stops
-after the checks (calibrate, whose sweeps are its checks, runs in full), so a
-bad value fails there with the run's own exit code and message; a name the run
-needs but nothing sets (``--fixture`` for probe, ``plan.fixture``, the
-sensitivity pair) is not a dry-run error. ``main`` alone writes, adding
+Each command is resolved, then run. ``resolve_<cmd>`` makes every check and
+builds every model, fixture, plan and table; it returns the run, which makes
+no check and returns the files it produced (name -> text, in write order) and
+a runtime-flag message or None. ``--dry-run`` resolves and prints the config,
+so it exits 2 exactly when the run would, with the same message; only a name
+the run needs but nothing sets (``--fixture`` for probe, ``plan.fixture``, the
+sensitivity pair) is left to the run. ``main`` alone writes, adding
 ``run_meta.json`` last, so one output rule holds for every command:
 
 - exit 0: every file is written;
 - exit 3 with a flag (no_contact, out_of_table, travel_exhausted, saturated,
   no safe grasp, a sensitivity pair left out): every file is written and the
   flag goes to stderr;
-- exit 2 (config error), or exit 3 with ``error:``: nothing is written.
-
-An output directory that exists as a file is a config error, found before the
-command runs. A write that fails (exit 3, ``error: cannot write ...``) removes
-the files this run already put in place and puts back the ones it replaced, so
-a failed rerun leaves the previous run as it was.
+- exit 2 (config error), or exit 3 with ``error:``: nothing is written, and a
+  write that fails puts back the files of the run before.
 """
 
 from __future__ import annotations
@@ -30,6 +26,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from dataclasses import asdict
 
 import numpy as np
@@ -37,13 +34,7 @@ import numpy as np
 from . import __version__
 from .calibration import generate_locked_sweep, generate_regulated_sweep, hysteresis_sweep, write_csv
 from .config import (
-    build_fixture,
-    build_geometry,
-    build_probe_config,
-    build_ring,
-    build_sensor,
-    config_hash,
-    load_config,
+    build_fixture, build_geometry, build_probe_config, build_ring, build_sensor, config_hash, load_config,
 )
 from .contact import stiffness_at
 from .errors import ConfigError, SoftgripError
@@ -53,6 +44,9 @@ from .probing import GripperSim, run_probe, sensitivity_sweep
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME_FLAG = 3
+
+# a command's run: no checks, returns (files, runtime-flag message or None)
+Run = Callable[[], "tuple[dict, str | None]"]
 
 
 def _atomic_write(path: str, text: str) -> str | None:
@@ -95,19 +89,26 @@ def _linear_r2(x: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - float(np.sum(resid**2)) / ss_tot
 
 
-def _check_p0(table, key: str, values) -> None:
-    """A supply pressure outside the locked table's p0 grid is a config error."""
+def _locked_table(cfg: dict, ring, key: str, values):
+    """The locked table; a supply pressure outside its p0 grid is a config error."""
+    table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
     lo, hi = float(table.p0_grid[0]), float(table.p0_grid[-1])
     for p0 in values:
         if not lo <= p0 <= hi:
             raise ConfigError(
                 f"{key} {float(p0)!r} lies outside calibration.locked.p0_grid_kpa [{lo!r}, {hi!r}]"
             )
+    return table
+
+
+# A probe closes from gripper.max_open_mm in probe.approach_step_mm steps, each
+# one settle read; contact_search, the benchmark's longest approach, takes 200.
+MAX_APPROACH_STEPS = 10_000
 
 
 def _check_travel(cfg: dict, name: str | None, fixture) -> None:
-    """The gripper must open, and open past the fixture's surface."""
-    max_open = cfg["gripper"]["max_open_mm"]
+    """The gripper must open, past the fixture's surface, in a bounded number of approach steps."""
+    max_open, step = cfg["gripper"]["max_open_mm"], cfg["probe"]["approach_step_mm"]
     if max_open <= 0:
         raise ConfigError(f"gripper.max_open_mm must be positive, got {float(max_open)!r}")
     if fixture is not None and fixture.surface_offset > max_open:
@@ -115,90 +116,96 @@ def _check_travel(cfg: dict, name: str | None, fixture) -> None:
             f"fixtures.{name}.surface_offset_mm {float(fixture.surface_offset)!r} exceeds "
             f"gripper.max_open_mm {float(max_open)!r}"
         )
+    if max_open / step > MAX_APPROACH_STEPS:
+        raise ConfigError(
+            f"probe.approach_step_mm {float(step)!r} closes gripper.max_open_mm {float(max_open)!r} "
+            f"in {max_open / step:.6g} steps, more than {MAX_APPROACH_STEPS}"
+        )
 
 
-def cmd_calibrate(
-    cfg: dict, fixture_arg: str | None, noise: bool, dry_run: bool = False
-) -> tuple[dict, str | None]:
-    # a dry run runs all of it: the sweeps are the checks, the rest formats
-    # them, and main writes nothing. (Stopping after the checks would move the
-    # hysteresis sweep ahead of write_csv, which raised calibration_dense's
-    # peak RSS by 0.7 MB through the allocation order alone.)
+def _fails(exc: ConfigError) -> Run:
+    """The run of a command that needs a name nothing sets."""
+
+    def run():
+        raise exc
+
+    return run
+
+
+def resolve_calibrate(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
+    if fixture_arg is not None:
+        raise ConfigError("calibrate takes no --fixture")
     ring = build_ring(cfg)
     cal = cfg["calibration"]
     reg = generate_regulated_sweep(ring, **cal["regulated"])
     locked = generate_locked_sweep(ring, **cal["locked"])
-    for table in (reg, locked):
-        table.meta["plant_config_sha256"] = config_hash(cfg["plant"])
-    files = {"regulated.csv": write_csv(reg), "locked.csv": write_csv(locked)}
-
-    # summary: dead-zone extent, dp-alpha linearity, hysteresis gap
-    dead_rows = np.all(reg.torque_surface[:, reg.p0_grid >= 5.0] == 0.0, axis=1)
-    dead = float(np.max(reg.alpha_grid, where=dead_rows, initial=0.0))
-    fit_mask = locked.alpha_grid <= 60.0
-    r2 = min(
-        _linear_r2(locked.alpha_grid[fit_mask], locked.dp_surface[fit_mask, j])
-        for j in range(locked.p0_grid.size)
-    )
+    fit_mask = locked.alpha_grid <= 60.0  # the angles of the dp-alpha linearity fit
+    if np.count_nonzero(fit_mask) < 2:
+        raise ConfigError(
+            f"calibration.locked.alpha_step_deg {float(cal['locked']['alpha_step_deg'])!r} leaves "
+            "fewer than 2 angles in [0, 60] deg for the dp-alpha fit"
+        )
     hp0 = cal["hysteresis"]["p0_kpa"]
-    alphas, fwd, bwd = hysteresis_sweep(
-        ring,
-        p0=hp0,
-        alpha_max_deg=cal["locked"]["alpha_max_deg"],
-        alpha_step_deg=cal["locked"]["alpha_step_deg"],
-        dt_per_step=cal["hysteresis"]["dt_per_step_s"],
+    _, fwd, bwd = hysteresis_sweep(
+        ring, p0=hp0, alpha_max_deg=cal["locked"]["alpha_max_deg"],
+        alpha_step_deg=cal["locked"]["alpha_step_deg"], dt_per_step=cal["hysteresis"]["dt_per_step_s"],
     )
-    files["calibration_summary.json"] = _json_text({
-        "dead_zone_extent_deg": dead,
-        "dp_alpha_fit_r2_min": r2,
-        "hysteresis_gap_kpa_mean": float(np.mean(fwd - bwd)),
-        "hysteresis_p0_kpa": hp0,
-    })
-    return files, None
+
+    def run():
+        for table in (reg, locked):
+            table.meta["plant_config_sha256"] = config_hash(cfg["plant"])
+        files = {"regulated.csv": write_csv(reg), "locked.csv": write_csv(locked)}
+
+        # summary: dead-zone extent, dp-alpha linearity, hysteresis gap
+        dead_rows = np.all(reg.torque_surface[:, reg.p0_grid >= 5.0] == 0.0, axis=1)
+        dead = float(np.max(reg.alpha_grid, where=dead_rows, initial=0.0))
+        r2 = min(
+            _linear_r2(locked.alpha_grid[fit_mask], locked.dp_surface[fit_mask, j])
+            for j in range(locked.p0_grid.size)
+        )
+        files["calibration_summary.json"] = _json_text({
+            "dead_zone_extent_deg": dead,
+            "dp_alpha_fit_r2_min": r2,
+            "hysteresis_gap_kpa_mean": float(np.mean(fwd - bwd)),
+            "hysteresis_p0_kpa": hp0,
+        })
+        return files, None
+
+    return run
 
 
-def cmd_probe(
-    cfg: dict, fixture_name: str | None, noise: bool, dry_run: bool = False
-) -> tuple[dict, str | None]:
-    if not fixture_name and not dry_run:
-        raise ConfigError("probe requires --fixture")
+def resolve_probe(cfg: dict, fixture_name: str | None, noise: bool) -> Run:
     fixture = build_fixture(cfg, fixture_name) if fixture_name else None
-    geom = build_geometry(cfg)
-    ring = build_ring(cfg)
-    sensor = build_sensor(cfg, noise=noise)
-    table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
-    probe_cfg = build_probe_config(cfg)
-    _check_p0(table, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]])
     if fixture is not None and fixture.profile.kind != "uniform":
         raise ConfigError(
             f"fixture '{fixture_name}' has a spatial profile; use the scenario command"
         )
     _check_travel(cfg, fixture_name, fixture)
-    if dry_run:
-        return {}, None
+    ring = build_ring(cfg)
+    table = _locked_table(cfg, ring, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]])
+    if fixture is None:
+        return _fails(ConfigError("probe requires --fixture"))
     sim = GripperSim(
-        geom,
-        ring,
-        sensor,
-        stiffness_at(fixture, 0.0),
-        fixture.surface_offset,
-        max_open=cfg["gripper"]["max_open_mm"],
-        seed=cfg["seed"],
+        build_geometry(cfg), ring, build_sensor(cfg, noise=noise), stiffness_at(fixture, 0.0),
+        fixture.surface_offset, max_open=cfg["gripper"]["max_open_mm"], seed=cfg["seed"],
     )
-    report = run_probe(sim, table, probe_cfg)
-    files = {
-        f"probe_{fixture_name}.json": _json_text({**asdict(report), "fixture": fixture_name, "noise": noise}),
-        f"probe_{fixture_name}_trace.csv": report.trace_csv(),
-    }
-    return files, (f"probe finished with flags: {', '.join(report.flags)}" if report.flags else None)
+    probe_cfg = build_probe_config(cfg)
+
+    def run():
+        report = run_probe(sim, table, probe_cfg)
+        files = {
+            f"probe_{fixture_name}.json": _json_text({**asdict(report), "fixture": fixture_name, "noise": noise}),
+            f"probe_{fixture_name}_trace.csv": report.trace_csv(),
+        }
+        return files, (f"probe finished with flags: {', '.join(report.flags)}" if report.flags else None)
+
+    return run
 
 
-def cmd_scenario(
-    cfg: dict, fixture_arg: str | None, noise: bool, dry_run: bool = False
-) -> tuple[dict, str | None]:
+def resolve_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
+    if fixture_arg is not None:
+        raise ConfigError("scenario takes its fixture from plan.fixture, not --fixture")
     plan_cfg = cfg["plan"]
-    if not plan_cfg["fixture"] and not dry_run:
-        raise ConfigError("plan.fixture must name a fixture")
     fixture = build_fixture(cfg, plan_cfg["fixture"]) if plan_cfg["fixture"] else None
     plan = make_plan(plan_cfg["span"], plan_cfg["n"])
     samples = fixture.profile.samples if fixture else ()  # () for a uniform fixture or none
@@ -211,40 +218,37 @@ def cmd_scenario(
         raise ConfigError(f"plan.avoid_fraction must be in [0, 1], got {float(plan_cfg['avoid_fraction'])!r}")
     _check_travel(cfg, plan_cfg["fixture"], fixture)
     ring = build_ring(cfg)
-    table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
-    _check_p0(table, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]])
-    if dry_run:
-        return {}, None
-    stiffness_map = execute_plan(
-        plan,
-        fixture,
-        build_geometry(cfg),
-        ring,
-        build_sensor(cfg, noise=noise),
-        table,
-        build_probe_config(cfg),
-        seed=cfg["seed"],
-        avoid_fraction=plan_cfg["avoid_fraction"],
-        max_open=cfg["gripper"]["max_open_mm"],
-    )
-    files = {
-        "stiffness_map.json": _json_text(stiffness_map.to_dict()),
-        "stiffness_map.csv": stiffness_map.to_csv(),
-        "stiffness_map_long.csv": stiffness_map.to_long_csv(),
-    }
-    no_grasp = stiffness_map.chosen is None
-    return files, ("no safe grasp location: every probed entry is flagged" if no_grasp else None)
+    table = _locked_table(cfg, ring, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]])
+    if fixture is None:
+        return _fails(ConfigError("plan.fixture must name a fixture"))
+    geom, sensor, probe_cfg = build_geometry(cfg), build_sensor(cfg, noise=noise), build_probe_config(cfg)
+
+    def run():
+        stiffness_map = execute_plan(
+            plan, fixture, geom, ring, sensor, table, probe_cfg, seed=cfg["seed"],
+            avoid_fraction=plan_cfg["avoid_fraction"], max_open=cfg["gripper"]["max_open_mm"],
+        )
+        files = {
+            "stiffness_map.json": _json_text(stiffness_map.to_dict()),
+            "stiffness_map.csv": stiffness_map.to_csv(),
+            "stiffness_map_long.csv": stiffness_map.to_long_csv(),
+        }
+        no_grasp = stiffness_map.chosen is None
+        return files, ("no safe grasp location: every probed entry is flagged" if no_grasp else None)
+
+    return run
 
 
-def cmd_sensitivity(
-    cfg: dict, fixture_arg: str | None, noise: bool, dry_run: bool = False
-) -> tuple[dict, str | None]:
+def resolve_sensitivity(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
     sens = cfg["sensitivity"]
     fixture_a, _, fixture_b = (fixture_arg or "").partition(",")
     name_a = fixture_a or sens["fixture_a"]
     name_b = fixture_b or sens["fixture_b"]
-    fa = None  # no pair under a dry run that names none
-    if name_a and name_b:
+    need_pair = "sensitivity needs two fixture names (config or --fixture a,b)"
+    if bool(name_a) != bool(name_b):
+        raise ConfigError(need_pair)
+    fa = fb = None
+    if name_a:
         fa, fb = build_fixture(cfg, name_a), build_fixture(cfg, name_b)
         if fa.profile.kind != "uniform" or fb.profile.kind != "uniform":
             raise ConfigError("sensitivity sweep expects uniform fixtures")
@@ -253,49 +257,44 @@ def cmd_sensitivity(
                 f"sensitivity probes both fixtures at one surface offset; '{name_a}' has "
                 f"{fa.surface_offset!r} mm and '{name_b}' has {fb.surface_offset!r} mm"
             )
-    elif name_a or name_b or not dry_run:
-        raise ConfigError("sensitivity needs two fixture names (config or --fixture a,b)")
     _check_travel(cfg, name_a, fa)  # fb has fa's offset
     for dc in sens["dc_grid_mm"]:
         if dc <= 0:
             raise ConfigError(f"sensitivity.dc_grid_mm entries must be positive, got {float(dc)!r}")
     ring = build_ring(cfg)
-    table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
-    _check_p0(table, "sensitivity.p0_grid_kpa", sens["p0_grid_kpa"])
-    if dry_run:
-        return {}, None
-    ranked = sensitivity_sweep(
-        build_geometry(cfg),
-        ring,
-        build_sensor(cfg, noise=True),  # sigma taken from the configured sensor
-        table,
-        stiffness_at(fa, 0.0),
-        stiffness_at(fb, 0.0),
-        p0_grid=sens["p0_grid_kpa"],
-        dc_grid=sens["dc_grid_mm"],
-        base_cfg=build_probe_config(cfg),
-        surface_offset=fa.surface_offset,
-        max_open=cfg["gripper"]["max_open_mm"],
-    )
-    lines = ["p0_kpa,dc_mm,separation_kpa,z"]
-    for p0, dc, sep, z in ranked:
-        lines.append(f"{p0!r},{dc!r},{sep!r},{z!r}")
-    files = {"sensitivity.csv": "\n".join(lines) + "\n"}
-    ranked_pairs = {(p0, dc) for p0, dc, _, _ in ranked}
-    dropped = [
-        f"p0={float(p0)!r} kPa d_c={float(dc)!r} mm"
-        for p0 in sens["p0_grid_kpa"]
-        for dc in sens["dc_grid_mm"]
-        if (float(p0), float(dc)) not in ranked_pairs
-    ]
-    return files, (f"sensitivity left out flagged pairs: {'; '.join(dropped)}" if dropped else None)
+    table = _locked_table(cfg, ring, "sensitivity.p0_grid_kpa", sens["p0_grid_kpa"])
+    if fa is None:
+        return _fails(ConfigError(need_pair))
+    geom, probe_cfg = build_geometry(cfg), build_probe_config(cfg)
+    sensor = build_sensor(cfg, noise=True)  # sigma taken from the configured sensor
+
+    def run():
+        ranked = sensitivity_sweep(
+            geom, ring, sensor, table, stiffness_at(fa, 0.0), stiffness_at(fb, 0.0),
+            p0_grid=sens["p0_grid_kpa"], dc_grid=sens["dc_grid_mm"], base_cfg=probe_cfg,
+            surface_offset=fa.surface_offset, max_open=cfg["gripper"]["max_open_mm"],
+        )
+        lines = ["p0_kpa,dc_mm,separation_kpa,z"]
+        for p0, dc, sep, z in ranked:
+            lines.append(f"{p0!r},{dc!r},{sep!r},{z!r}")
+        files = {"sensitivity.csv": "\n".join(lines) + "\n"}
+        ranked_pairs = {(p0, dc) for p0, dc, _, _ in ranked}
+        dropped = [
+            f"p0={float(p0)!r} kPa d_c={float(dc)!r} mm"
+            for p0 in sens["p0_grid_kpa"]
+            for dc in sens["dc_grid_mm"]
+            if (float(p0), float(dc)) not in ranked_pairs
+        ]
+        return files, (f"sensitivity left out flagged pairs: {'; '.join(dropped)}" if dropped else None)
+
+    return run
 
 
 COMMANDS = {
-    "calibrate": cmd_calibrate,
-    "probe": cmd_probe,
-    "scenario": cmd_scenario,
-    "sensitivity": cmd_sensitivity,
+    "calibrate": resolve_calibrate,
+    "probe": resolve_probe,
+    "scenario": resolve_scenario,
+    "sensitivity": resolve_sensitivity,
 }
 
 
@@ -326,17 +325,11 @@ def main(argv=None) -> int:
         if os.path.exists(out_dir) and not os.path.isdir(out_dir):
             raise ConfigError(f"output directory '{out_dir}' exists and is not a directory")
         noise = args.noise == "on"
+        run = COMMANDS[args.command](cfg, args.fixture, noise)
         if args.dry_run:
-            # build every model and fixture, then run the command's own checks,
-            # so a bad value exits 2 here as in a run
-            for build in (build_geometry, build_ring, build_sensor, build_probe_config):
-                build(cfg)
-            for name in cfg["fixtures"]:
-                build_fixture(cfg, name)
-            COMMANDS[args.command](cfg, args.fixture, noise, dry_run=True)
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return EXIT_OK
-        files, problem = COMMANDS[args.command](cfg, args.fixture, noise)
+        files, problem = run()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -160,7 +160,11 @@ def _check_fixture(name, raw):
 
 
 def load_config(path) -> dict:
-    """Load, validate and resolve a scenario config file to a plain dict."""
+    """Load, validate and resolve a scenario config file to a plain dict.
+
+    The finger geometry, the ring, the sensor, the probe settings and every
+    fixture are built once here, so a bad value fails every command alike.
+    """
     try:
         with open(path) as fh:
             user = json.load(fh)
@@ -171,6 +175,10 @@ def load_config(path) -> dict:
     resolved = _merge(DEFAULTS, user)
     if resolved["seed"] < 0:
         raise ConfigError(f"'seed' must be non-negative, got {resolved['seed']}")
+    for build in (build_geometry, build_ring, build_sensor, build_probe_config):
+        build(resolved)
+    for name in resolved["fixtures"]:
+        build_fixture(resolved, name)
     return resolved
 
 

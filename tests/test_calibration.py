@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from softgrip.calibration import (
+    MAX_GRID_POINTS,
+    MAX_TABLE_CELLS,
     CalibrationTable,
     angle_from_dp,
     force_from_dp,
@@ -486,13 +488,19 @@ def test_degenerate_sweep_rejected(ring):
         generate_locked_sweep(ring, p0_grid_kpa=(60.0,))
     with pytest.raises(ConfigError):
         generate_regulated_sweep(ring, alpha_max_deg=0.0)
-    for step in (0.0, -1.0, math.nan, math.inf):
+    for step in (0.0, -1.0, math.nan, math.inf, 80.0 / MAX_GRID_POINTS):  # the last one point past the cap
         with pytest.raises(ConfigError, match="grid step"):
             generate_locked_sweep(ring, alpha_step_deg=step)
         with pytest.raises(ConfigError, match="grid step"):
             generate_regulated_sweep(ring, p_step_kpa=step)
         with pytest.raises(ConfigError, match="grid step"):
             hysteresis_sweep(ring, alpha_step_deg=step)
+    # exactly at the cap: 80 deg and 150 kPa, the default spans, in MAX_GRID_POINTS points
+    at_cap = 80.0 / (MAX_GRID_POINTS - 1)
+    assert generate_locked_sweep(ring, alpha_step_deg=at_cap).alpha_grid.size == MAX_GRID_POINTS
+    assert hysteresis_sweep(ring, alpha_step_deg=at_cap)[0].size == MAX_GRID_POINTS
+    p_at_cap = 150.0 / (MAX_GRID_POINTS - 1)
+    assert generate_regulated_sweep(ring, p_step_kpa=p_at_cap).p0_grid.size == MAX_GRID_POINTS
     for p0_grid in ((20.0, 0.0), (0.0, 20.0, 20.0), (-5.0, 20.0)):
         with pytest.raises(ConfigError, match="p0 grid"):
             generate_locked_sweep(ring, p0_grid_kpa=p0_grid)
@@ -500,3 +508,17 @@ def test_degenerate_sweep_rejected(ring):
         hysteresis_sweep(ring, p0=-5.0)
     with pytest.raises(ConfigError, match="dt_per_step"):
         hysteresis_sweep(ring, dt_per_step=-1.0)
+
+
+def test_table_cells_are_capped(ring):
+    # 1000 x 1000 cells is the cap; one row or one p0 column more is refused
+    assert MAX_TABLE_CELLS == 1000 * 1000
+    table = generate_regulated_sweep(ring, alpha_step_deg=80.0 / 999, p_step_kpa=150.0 / 999)
+    assert table.torque_surface.size == MAX_TABLE_CELLS
+    with pytest.raises(ConfigError, match="1000 x 1001 cells"):
+        generate_regulated_sweep(ring, alpha_step_deg=80.0 / 999, p_step_kpa=150.0 / 1000)
+    p0_grid = [float(p) for p in range(100)]
+    table = generate_locked_sweep(ring, p0_grid_kpa=p0_grid, alpha_step_deg=80.0 / 9999)
+    assert table.dp_surface.size == MAX_TABLE_CELLS
+    with pytest.raises(ConfigError, match="10001 x 100 cells"):
+        generate_locked_sweep(ring, p0_grid_kpa=p0_grid, alpha_step_deg=80.0 / 10000)

@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from softgrip.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, main
+from softgrip.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, main
 from softgrip.config import (
     DEFAULTS,
     build_fixture,
@@ -573,6 +573,11 @@ def _dry_run_case(
             command="calibrate", run_flags=(),
         ),
         _dry_run_case(
+            "calibration.locked.alpha_step_deg", 70.0,
+            "config error: calibration.locked.alpha_step_deg 70.0 leaves fewer than 2 angles in [0, 60] deg",
+            command="calibrate", run_flags=(),
+        ),
+        _dry_run_case(
             "calibration.hysteresis.dt_per_step_s", -1,
             "config error: hysteresis dt_per_step must be non-negative",
             command="calibrate", run_flags=(),
@@ -659,6 +664,43 @@ def test_cli_probe_dry_run_checks_the_travel(tmp_path, capsys, value, message):
     for extra in (["--dry-run"], ["--out", str(tmp_path / "x")]):
         assert main(["probe", "--config", path, "--fixture", "cube1", *extra]) == EXIT_CONFIG
         assert capsys.readouterr().err == message
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("steps", [MAX_APPROACH_STEPS, MAX_APPROACH_STEPS + 1])
+def test_cli_approach_steps_are_capped(tmp_path, capsys, steps):
+    # a probe takes gripper.max_open_mm / probe.approach_step_mm approach steps
+    # at most; a step of 2**-7 mm keeps that ratio exact
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, "gripper.max_open_mm", steps * 2.0**-7)
+    _set(doc, "probe.approach_step_mm", 2.0**-7)
+    path = _write(tmp_path, doc)
+    out = tmp_path / "x"
+    for extra in (["--dry-run"], ["--noise", "off", "--out", str(out)]):
+        code = main(["probe", "--config", path, "--fixture", "cube1", *extra])
+        err = capsys.readouterr().err
+        if steps <= MAX_APPROACH_STEPS:
+            assert (code, err) == (EXIT_OK, "")
+        else:
+            assert code == EXIT_CONFIG
+            assert err == (
+                f"config error: probe.approach_step_mm 0.0078125 closes gripper.max_open_mm "
+                f"{steps * 2.0**-7!r} in {steps} steps, more than {MAX_APPROACH_STEPS}\n"
+            )
+    assert out.exists() == (steps <= MAX_APPROACH_STEPS)
+
+
+def test_cli_calibrate_and_scenario_reject_fixture(tmp_path, capsys):
+    # neither command reads --fixture, so one given is an error, not ignored
+    for command, config, message in (
+        ("calibrate", CUBES, "calibrate takes no --fixture"),
+        ("scenario", BANANA, "scenario takes its fixture from plan.fixture, not --fixture"),
+    ):
+        for name in ("nope", "banana"):
+            for extra in (["--dry-run"], ["--out", str(tmp_path / "x")]):
+                assert main([command, "--config", config, "--fixture", name, *extra]) == EXIT_CONFIG
+                assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert not (tmp_path / "x").exists()
 
 
