@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ParseError, RangeError, SaturationError
 from .geometry import FingerGeometry
-from .pneumatics import RingModel, RingState, joint_torque, leak_path, lock, pressure_at_angle
+from .pneumatics import (
+    JOINT_RANGE_DEG, RingModel, RingState, joint_torque, leak_path, lock, pressure_at_angle,
+)
 
 
 @dataclass
@@ -57,15 +59,25 @@ MAX_TABLE_CELLS = 1_000_000
 
 
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... up to the last node at or below stop (within 1e-9 of a step)."""
     if not (step > 0 and math.isfinite(step)):
         raise ConfigError(f"grid step must be positive and finite, got {step}")
     intervals = (stop - start) / step  # inf when the step is tiny against the span
-    n = int(round(intervals)) if intervals < MAX_GRID_POINTS else MAX_GRID_POINTS
+    n = math.floor(intervals + 1e-9) if intervals < MAX_GRID_POINTS else MAX_GRID_POINTS
     if n < 1:
         raise ConfigError(f"degenerate grid: start={start}, stop={stop}, step={step}")
     if n >= MAX_GRID_POINTS:
         raise ConfigError(f"grid step {step} over [{start}, {stop}] gives more than {MAX_GRID_POINTS} points")
     return start + step * np.arange(n + 1)
+
+
+def _alpha_grid(sweep: str, alpha_max_deg: float, alpha_step_deg: float) -> np.ndarray:
+    """A sweep's angles, inside the joint range over which the ring model is valid."""
+    if alpha_max_deg > JOINT_RANGE_DEG:
+        raise ConfigError(
+            f"{sweep} sweep alpha_max_deg {alpha_max_deg!r} exceeds the {JOINT_RANGE_DEG!r} deg joint range"
+        )
+    return _grid(0.0, alpha_max_deg, alpha_step_deg)
 
 
 def _check_cells(n_alpha: int, n_p: int) -> None:
@@ -84,7 +96,7 @@ def generate_regulated_sweep(
 
     dp_surface is zeroed; it is meaningless in this mode.
     """
-    alpha_grid = _grid(0.0, alpha_max_deg, alpha_step_deg)
+    alpha_grid = _alpha_grid("regulated", alpha_max_deg, alpha_step_deg)
     p_grid = _grid(0.0, p_max_kpa, p_step_kpa)
     _check_cells(alpha_grid.size, p_grid.size)
     torque = joint_torque(model, np.radians(alpha_grid)[:, None], p_grid)
@@ -108,7 +120,7 @@ def generate_locked_sweep(
     trapped-gas pressure. The sweep is treated as instantaneous (no leakage);
     use hysteresis_sweep for the timed forward/backward comparison.
     """
-    alpha_grid = _grid(0.0, alpha_max_deg, alpha_step_deg)
+    alpha_grid = _alpha_grid("locked", alpha_max_deg, alpha_step_deg)
     p0_grid = np.asarray(p0_grid_kpa, dtype=float)
     if p0_grid.size < 2:
         raise ConfigError("locked sweep needs at least 2 initial pressures")
@@ -144,7 +156,7 @@ def hysteresis_sweep(
         raise ConfigError(f"hysteresis p0 must be non-negative, got {p0}")
     if dt_per_step < 0:
         raise ConfigError(f"hysteresis dt_per_step must be non-negative, got {dt_per_step}")
-    alpha_grid = _grid(0.0, alpha_max_deg, alpha_step_deg)
+    alpha_grid = _alpha_grid("hysteresis", alpha_max_deg, alpha_step_deg)
     path = np.radians(np.concatenate((alpha_grid, alpha_grid[::-1])))
     state = leak_path(lock(RingState(p_gauge=float(p0)), model), model, path, dt_per_step)
     p = pressure_at_angle(state, model, path)

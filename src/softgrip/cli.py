@@ -89,25 +89,20 @@ def _linear_r2(x: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - float(np.sum(resid**2)) / ss_tot
 
 
-def _locked_table(cfg: dict, ring, key: str, values):
-    """The locked table; a supply pressure outside its p0 grid is a config error."""
-    table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
-    lo, hi = float(table.p0_grid[0]), float(table.p0_grid[-1])
-    for p0 in values:
-        if not lo <= p0 <= hi:
-            raise ConfigError(
-                f"{key} {float(p0)!r} lies outside calibration.locked.p0_grid_kpa [{lo!r}, {hi!r}]"
-            )
-    return table
-
-
 # A probe closes from gripper.max_open_mm in probe.approach_step_mm steps, each
 # one settle read; contact_search, the benchmark's longest approach, takes 200.
 MAX_APPROACH_STEPS = 10_000
+# A settle read's draws grow with probe.settle_reads; the benchmark reads at most 6,144.
+MAX_SETTLE_READS = 1_000_000
+MAX_PLAN_PROBES = 10_000  # plan.n; the bundled plans probe at most 10 locations
 
 
-def _check_travel(cfg: dict, name: str | None, fixture) -> None:
-    """The gripper must open, past the fixture's surface, in a bounded number of approach steps."""
+def _rig(cfg: dict, name: str | None, fixture, noise: bool, key: str, p0s):
+    """(geometry, ring, sensor, locked table, probe settings) of a probing command.
+
+    The gripper must open past the fixture's surface in bounded approach steps and
+    reads, and each supply pressure in p0s (the values of key) lie in the table's p0 grid.
+    """
     max_open, step = cfg["gripper"]["max_open_mm"], cfg["probe"]["approach_step_mm"]
     if max_open <= 0:
         raise ConfigError(f"gripper.max_open_mm must be positive, got {float(max_open)!r}")
@@ -121,6 +116,17 @@ def _check_travel(cfg: dict, name: str | None, fixture) -> None:
             f"probe.approach_step_mm {float(step)!r} closes gripper.max_open_mm {float(max_open)!r} "
             f"in {max_open / step:.6g} steps, more than {MAX_APPROACH_STEPS}"
         )
+    if cfg["probe"]["settle_reads"] > MAX_SETTLE_READS:
+        raise ConfigError(f"probe.settle_reads {cfg['probe']['settle_reads']} exceeds {MAX_SETTLE_READS}")
+    ring = build_ring(cfg)
+    table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
+    lo, hi = float(table.p0_grid[0]), float(table.p0_grid[-1])
+    for p0 in p0s:
+        if not lo <= p0 <= hi:
+            raise ConfigError(
+                f"{key} {float(p0)!r} lies outside calibration.locked.p0_grid_kpa [{lo!r}, {hi!r}]"
+            )
+    return build_geometry(cfg), ring, build_sensor(cfg, noise=noise), table, build_probe_config(cfg)
 
 
 def _fails(exc: ConfigError) -> Run:
@@ -180,16 +186,15 @@ def resolve_probe(cfg: dict, fixture_name: str | None, noise: bool) -> Run:
         raise ConfigError(
             f"fixture '{fixture_name}' has a spatial profile; use the scenario command"
         )
-    _check_travel(cfg, fixture_name, fixture)
-    ring = build_ring(cfg)
-    table = _locked_table(cfg, ring, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]])
+    geom, ring, sensor, table, probe_cfg = _rig(
+        cfg, fixture_name, fixture, noise, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]]
+    )
     if fixture is None:
         return _fails(ConfigError("probe requires --fixture"))
     sim = GripperSim(
-        build_geometry(cfg), ring, build_sensor(cfg, noise=noise), stiffness_at(fixture, 0.0),
-        fixture.surface_offset, max_open=cfg["gripper"]["max_open_mm"], seed=cfg["seed"],
+        geom, ring, sensor, stiffness_at(fixture, 0.0), fixture.surface_offset,
+        max_open=cfg["gripper"]["max_open_mm"], seed=cfg["seed"],
     )
-    probe_cfg = build_probe_config(cfg)
 
     def run():
         report = run_probe(sim, table, probe_cfg)
@@ -207,6 +212,8 @@ def resolve_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
         raise ConfigError("scenario takes its fixture from plan.fixture, not --fixture")
     plan_cfg = cfg["plan"]
     fixture = build_fixture(cfg, plan_cfg["fixture"]) if plan_cfg["fixture"] else None
+    if plan_cfg["n"] > MAX_PLAN_PROBES:
+        raise ConfigError(f"plan.n {plan_cfg['n']} exceeds {MAX_PLAN_PROBES}")
     plan = make_plan(plan_cfg["span"], plan_cfg["n"])
     samples = fixture.profile.samples if fixture else ()  # () for a uniform fixture or none
     if samples and not (samples[0][0] <= 0.0 and plan_cfg["span"] <= samples[-1][0]):
@@ -216,12 +223,11 @@ def resolve_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
         )
     if not 0.0 <= plan_cfg["avoid_fraction"] <= 1.0:
         raise ConfigError(f"plan.avoid_fraction must be in [0, 1], got {float(plan_cfg['avoid_fraction'])!r}")
-    _check_travel(cfg, plan_cfg["fixture"], fixture)
-    ring = build_ring(cfg)
-    table = _locked_table(cfg, ring, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]])
+    geom, ring, sensor, table, probe_cfg = _rig(
+        cfg, plan_cfg["fixture"], fixture, noise, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]]
+    )
     if fixture is None:
         return _fails(ConfigError("plan.fixture must name a fixture"))
-    geom, sensor, probe_cfg = build_geometry(cfg), build_sensor(cfg, noise=noise), build_probe_config(cfg)
 
     def run():
         stiffness_map = execute_plan(
@@ -257,16 +263,15 @@ def resolve_sensitivity(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
                 f"sensitivity probes both fixtures at one surface offset; '{name_a}' has "
                 f"{fa.surface_offset!r} mm and '{name_b}' has {fb.surface_offset!r} mm"
             )
-    _check_travel(cfg, name_a, fa)  # fb has fa's offset
     for dc in sens["dc_grid_mm"]:
         if dc <= 0:
             raise ConfigError(f"sensitivity.dc_grid_mm entries must be positive, got {float(dc)!r}")
-    ring = build_ring(cfg)
-    table = _locked_table(cfg, ring, "sensitivity.p0_grid_kpa", sens["p0_grid_kpa"])
+    # fb has fa's offset; the noisy sensor gives the sigma the sweep ranks by
+    geom, ring, sensor, table, probe_cfg = _rig(
+        cfg, name_a, fa, True, "sensitivity.p0_grid_kpa", sens["p0_grid_kpa"]
+    )
     if fa is None:
         return _fails(ConfigError(need_pair))
-    geom, probe_cfg = build_geometry(cfg), build_probe_config(cfg)
-    sensor = build_sensor(cfg, noise=True)  # sigma taken from the configured sensor
 
     def run():
         ranked = sensitivity_sweep(

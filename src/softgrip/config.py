@@ -91,27 +91,27 @@ _FIXTURE_FIELDS = {
 }
 
 
-def _merge(defaults, user, path=""):
-    """Deep-merge user config over the defaults in one walk: reject unknown keys and
-    check each value against its default's type. Fixtures are kept as written."""
+def _merge(out, user, path=""):
+    """Merge freshly parsed user config into out, a copy of the defaults, in one
+    walk: reject unknown keys and check each value against its default's type.
+    Fixtures are kept as written."""
     if not isinstance(user, dict):
         raise ConfigError(f"config section '{path or '<root>'}' must be an object")
-    out = deepcopy(defaults)
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
-        if key not in defaults:
+        if key not in out:
             raise ConfigError(f"unknown config key '{here}'")
         if here == "fixtures":
             if not isinstance(value, dict):
                 raise ConfigError("config section 'fixtures' must be an object")
             for name, raw in value.items():
                 _check_fixture(name, raw)
-        elif isinstance(defaults[key], dict):
-            value = _merge(defaults[key], value, here)
+            out[key] = value
+        elif isinstance(out[key], dict):
+            _merge(out[key], value, here)
         else:
-            _check_leaf(here, defaults[key], value)
-        out[key] = deepcopy(value)
-    return out
+            _check_leaf(here, out[key], value)
+            out[key] = value
 
 
 def _is_number(value) -> bool:
@@ -172,7 +172,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    resolved = _merge(DEFAULTS, user)
+    resolved = deepcopy(DEFAULTS)
+    _merge(resolved, user)
     if resolved["seed"] < 0:
         raise ConfigError(f"'seed' must be non-negative, got {resolved['seed']}")
     for build in (build_geometry, build_ring, build_sensor, build_probe_config):

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DomainError, StateError
 
+JOINT_RANGE_DEG = 80.0  # the ring's cavity must not empty over [0, JOINT_RANGE_DEG]
+
 
 @dataclass(frozen=True)
 class RingModel:
@@ -36,7 +38,7 @@ class RingModel:
     def __post_init__(self):
         if self.v0 <= 0:
             raise DomainError(f"v0 must be positive, got {self.v0}")
-        if not 0.0 <= self.kappa * math.radians(80.0) < 1.0:
+        if not 0.0 <= self.kappa * math.radians(JOINT_RANGE_DEG) < 1.0:
             raise DomainError(f"kappa={self.kappa} empties the cavity within the joint range")
         if not 0.0 <= self.alpha_slack <= math.radians(30.0):
             raise DomainError(f"alpha_slack must be in [0, 30 deg], got {self.alpha_slack} rad")

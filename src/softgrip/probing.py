@@ -215,8 +215,11 @@ def probe(
         return report
 
     report.est_force = force
-    report.k_r = report.est_force / cfg.d_c
-    delta_hat = object_deformation(sim.geom, cfg.d_c, alpha)
+    # a last command below zero is clipped at the fully-shut stop: divide by the
+    # closing applied from the estimated contact opening, not the one commanded
+    applied = min(contact_opening, cfg.d_c)
+    report.k_r = report.est_force / applied
+    delta_hat = object_deformation(sim.geom, applied, alpha)
     report.est_delta = delta_hat
     if delta_hat > 1e-9:
         report.k_o_est = report.est_force / delta_hat

@@ -8,6 +8,7 @@ from softgrip.calibration import (
     MAX_GRID_POINTS,
     MAX_TABLE_CELLS,
     CalibrationTable,
+    _grid,
     angle_from_dp,
     force_from_dp,
     generate_locked_sweep,
@@ -522,3 +523,25 @@ def test_table_cells_are_capped(ring):
     assert table.dp_surface.size == MAX_TABLE_CELLS
     with pytest.raises(ConfigError, match="10001 x 100 cells"):
         generate_locked_sweep(ring, p0_grid_kpa=p0_grid, alpha_step_deg=80.0 / 10000)
+
+
+def test_grid_ends_at_its_last_node_at_or_below_stop():
+    # the interval count is floored, so a step that does not divide the span stops short
+    assert _grid(0.0, 80.0, 45.0).tolist() == [0.0, 45.0]
+    assert _grid(0.0, 150.0, 100.0).tolist() == [0.0, 100.0]
+    assert _grid(0.0, 80.0, 35.0).tolist() == [0.0, 35.0, 70.0]
+    grid = _grid(0.0, 80.0, 0.3)
+    assert grid.size == 267 and grid[-1] == pytest.approx(79.8) and grid[-1] <= 80.0
+    # a step that divides the span, within rounding, ends at stop
+    for step, size in ((0.1, 801), (80.0 / 999, 1000), (1.0, 81), (5.0, 17)):
+        grid = _grid(0.0, 80.0, step)
+        assert grid.size == size and grid[-1] == 80.0
+        assert np.array_equal(grid, step * np.arange(size))
+
+
+def test_sweeps_stay_inside_the_joint_range(ring):
+    for alpha_max in (80.0 + 1e-9, 200.0, 300.0):
+        for sweep in (generate_locked_sweep, generate_regulated_sweep, hysteresis_sweep):
+            with pytest.raises(ConfigError, match="exceeds the 80.0 deg joint range"):
+                sweep(ring, alpha_max_deg=alpha_max)
+    assert generate_locked_sweep(ring, alpha_max_deg=80.0).alpha_grid[-1] == 80.0

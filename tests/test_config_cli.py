@@ -8,7 +8,9 @@ import pytest
 
 import numpy as np
 
-from softgrip.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, main
+from softgrip.cli import (
+    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, MAX_PLAN_PROBES, MAX_SETTLE_READS, main,
+)
 from softgrip.config import (
     DEFAULTS,
     build_fixture,
@@ -797,3 +799,66 @@ def test_cli_failed_rerun_keeps_previous_run(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"error: cannot write {out / 'locked.csv'}: No space left on device\n"
     assert failed
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_cli_calibration_grid_ends_inside_the_joint_range(tmp_path, capsys):
+    # a 0.3 deg step does not divide 80 deg; the sweep ends at 79.8 deg, short of
+    # the 80.1 deg where a ring with kappa 0.716 rad^-1 has emptied its cavity
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, "plant.ring.kappa_per_rad", 0.716)
+    _set(doc, "calibration.locked.alpha_step_deg", 0.3)
+    path = _write(tmp_path, doc)
+    assert main(["probe", "--config", path, "--fixture", "cube1", "--dry-run"]) == EXIT_OK
+    out = tmp_path / "x"
+    assert main(["calibrate", "--config", path, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    last_alpha = float((out / "locked.csv").read_text().splitlines()[-1].split(",")[0])
+    assert last_alpha == pytest.approx(79.8) and last_alpha <= 80.0
+
+
+@pytest.mark.parametrize(
+    "key, value, sweep",
+    [
+        ("calibration.locked.alpha_max_deg", 200.0, "locked"),
+        ("calibration.locked.alpha_max_deg", 300.0, "locked"),
+        ("calibration.regulated.alpha_max_deg", 300.0, "regulated"),
+    ],
+)
+def test_cli_sweep_past_the_joint_range_exits_config(tmp_path, capsys, key, value, sweep):
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, key, value)
+    path = _write(tmp_path, doc)
+    out = tmp_path / "x"
+    for extra in (["--dry-run"], ["--out", str(out)]):
+        assert main(["calibrate", "--config", path, *extra]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {sweep} sweep alpha_max_deg {value!r} exceeds the 80.0 deg joint range\n"
+        )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key, cap",
+    [
+        # every probing command sets up one rig, so one check caps its reads
+        (["probe", "--config", CUBES, "--fixture", "cube1"], "probe.settle_reads", MAX_SETTLE_READS),
+        (["scenario", "--config", BANANA], "probe.settle_reads", MAX_SETTLE_READS),
+        (["sensitivity", "--config", CUBES], "probe.settle_reads", MAX_SETTLE_READS),
+        (["scenario", "--config", BANANA], "plan.n", MAX_PLAN_PROBES),
+    ],
+)
+def test_cli_work_in_proportion_to_a_value_is_capped(tmp_path, capsys, argv, key, cap):
+    with open(argv[2]) as fh:
+        doc = json.load(fh)
+    _set(doc, key, cap)
+    command = [argv[0], "--config", _write(tmp_path, doc), *argv[3:]]
+    assert main([*command, "--dry-run"]) == EXIT_OK
+    capsys.readouterr()
+    _set(doc, key, cap + 1)
+    command[2] = _write(tmp_path, doc)
+    out = tmp_path / "x"
+    assert main([*command, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {key} {cap + 1} exceeds {cap}\n"
+    assert not out.exists()

@@ -345,3 +345,17 @@ def test_probe_flags_travel_exhausted(geom, ring, quiet_sensor, locked_table):
     shallow = replace(CFG, probe_step=(40.0 + 0.9 * CFG.approach_step) / CFG.n_probe_steps)
     report = run_probe(_sim(geom, ring, quiet_sensor, 100.0), locked_table, shallow)
     assert report.flags == [] and report.k_r is not None
+
+
+def test_clipped_closing_leaves_no_mean_bias(geom, ring, sensor, quiet_sensor, locked_table):
+    # d_c 40 mm equals cube1's surface offset, so a noisy contact estimate below
+    # 40 mm clips the last command at the fully-shut stop; k_o must divide by
+    # the closing applied, or its mean over seeds falls several SE low
+    cfg = replace(CFG, p0=80.0, probe_step=8.0)
+    quiet = run_probe(_sim(geom, ring, quiet_sensor, 50.83), locked_table, cfg).k_o_est
+    reports = [run_probe(_sim(geom, ring, sensor, 50.83, seed=seed), locked_table, cfg) for seed in range(300)]
+    assert all(rep.flags == [] for rep in reports)
+    assert sum(rep.contact_opening < cfg.d_c for rep in reports) > 100  # the clipped case is common
+    k_o = np.array([rep.k_o_est for rep in reports])
+    se = k_o.std(ddof=1) / math.sqrt(k_o.size)
+    assert abs(k_o.mean() - quiet) < 3.0 * se
