@@ -146,19 +146,16 @@ def hysteresis_sweep(
     p0: float = 60.0,
     alpha_max_deg: float = 80.0,
     alpha_step_deg: float = 1.0,
-    dt_per_step: float = 1.0,
 ):
-    """Timed forward then backward locked sweep; leakage separates the two phases.
+    """Forward then backward locked sweep, one step a second; leakage separates the two phases.
 
     Returns (alpha_deg, p_forward, p_backward) with pressures in gauge kPa.
     """
     if p0 < 0:
         raise ConfigError(f"hysteresis p0 must be non-negative, got {p0}")
-    if dt_per_step < 0:
-        raise ConfigError(f"hysteresis dt_per_step must be non-negative, got {dt_per_step}")
     alpha_grid = _alpha_grid("hysteresis", alpha_max_deg, alpha_step_deg)
     path = np.radians(np.concatenate((alpha_grid, alpha_grid[::-1])))
-    state = leak_path(lock(RingState(p_gauge=float(p0)), model), model, path, dt_per_step)
+    state = leak_path(lock(RingState(p_gauge=float(p0)), model), model, path)
     p = pressure_at_angle(state, model, path)
     n = alpha_grid.size
     return alpha_grid, p[:n], p[n:][::-1]

@@ -97,11 +97,11 @@ MAX_SETTLE_READS = 1_000_000
 MAX_PLAN_PROBES = 10_000  # plan.n; the bundled plans probe at most 10 locations
 
 
-def _rig(cfg: dict, name: str | None, fixture, noise: bool, key: str, p0s):
+def _rig(cfg: dict, name: str | None, fixture, noise: bool):
     """(geometry, ring, sensor, locked table, probe settings) of a probing command.
 
     The gripper must open past the fixture's surface in bounded approach steps and
-    reads, and each supply pressure in p0s (the values of key) lie in the table's p0 grid.
+    reads, and probe.p0_kpa lie in the table's p0 grid.
     """
     max_open, step = cfg["gripper"]["max_open_mm"], cfg["probe"]["approach_step_mm"]
     if max_open <= 0:
@@ -120,12 +120,11 @@ def _rig(cfg: dict, name: str | None, fixture, noise: bool, key: str, p0s):
         raise ConfigError(f"probe.settle_reads {cfg['probe']['settle_reads']} exceeds {MAX_SETTLE_READS}")
     ring = build_ring(cfg)
     table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
-    lo, hi = float(table.p0_grid[0]), float(table.p0_grid[-1])
-    for p0 in p0s:
-        if not lo <= p0 <= hi:
-            raise ConfigError(
-                f"{key} {float(p0)!r} lies outside calibration.locked.p0_grid_kpa [{lo!r}, {hi!r}]"
-            )
+    lo, hi, p0 = float(table.p0_grid[0]), float(table.p0_grid[-1]), cfg["probe"]["p0_kpa"]
+    if not lo <= p0 <= hi:
+        raise ConfigError(
+            f"probe.p0_kpa {float(p0)!r} lies outside calibration.locked.p0_grid_kpa [{lo!r}, {hi!r}]"
+        )
     return build_geometry(cfg), ring, build_sensor(cfg, noise=noise), table, build_probe_config(cfg)
 
 
@@ -151,10 +150,9 @@ def resolve_calibrate(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
             f"calibration.locked.alpha_step_deg {float(cal['locked']['alpha_step_deg'])!r} leaves "
             "fewer than 2 angles in [0, 60] deg for the dp-alpha fit"
         )
-    hp0 = cal["hysteresis"]["p0_kpa"]
+    hp0 = cfg["probe"]["p0_kpa"]  # the leak gap at the pressure the probes lock
     _, fwd, bwd = hysteresis_sweep(
-        ring, p0=hp0, alpha_max_deg=cal["locked"]["alpha_max_deg"],
-        alpha_step_deg=cal["locked"]["alpha_step_deg"], dt_per_step=cal["hysteresis"]["dt_per_step_s"],
+        ring, p0=hp0, alpha_max_deg=cal["locked"]["alpha_max_deg"], alpha_step_deg=cal["locked"]["alpha_step_deg"],
     )
 
     def run():
@@ -186,9 +184,7 @@ def resolve_probe(cfg: dict, fixture_name: str | None, noise: bool) -> Run:
         raise ConfigError(
             f"fixture '{fixture_name}' has a spatial profile; use the scenario command"
         )
-    geom, ring, sensor, table, probe_cfg = _rig(
-        cfg, fixture_name, fixture, noise, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]]
-    )
+    geom, ring, sensor, table, probe_cfg = _rig(cfg, fixture_name, fixture, noise)
     if fixture is None:
         return _fails(ConfigError("probe requires --fixture"))
     sim = GripperSim(
@@ -223,9 +219,7 @@ def resolve_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
         )
     if not 0.0 <= plan_cfg["avoid_fraction"] <= 1.0:
         raise ConfigError(f"plan.avoid_fraction must be in [0, 1], got {float(plan_cfg['avoid_fraction'])!r}")
-    geom, ring, sensor, table, probe_cfg = _rig(
-        cfg, plan_cfg["fixture"], fixture, noise, "probe.p0_kpa", [cfg["probe"]["p0_kpa"]]
-    )
+    geom, ring, sensor, table, probe_cfg = _rig(cfg, plan_cfg["fixture"], fixture, noise)
     if fixture is None:
         return _fails(ConfigError("plan.fixture must name a fixture"))
 
@@ -267,16 +261,14 @@ def resolve_sensitivity(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
         if dc <= 0:
             raise ConfigError(f"sensitivity.dc_grid_mm entries must be positive, got {float(dc)!r}")
     # fb has fa's offset; the noisy sensor gives the sigma the sweep ranks by
-    geom, ring, sensor, table, probe_cfg = _rig(
-        cfg, name_a, fa, True, "sensitivity.p0_grid_kpa", sens["p0_grid_kpa"]
-    )
+    geom, ring, sensor, table, probe_cfg = _rig(cfg, name_a, fa, True)
     if fa is None:
         return _fails(ConfigError(need_pair))
 
     def run():
         ranked = sensitivity_sweep(
             geom, ring, sensor, table, stiffness_at(fa, 0.0), stiffness_at(fb, 0.0),
-            p0_grid=sens["p0_grid_kpa"], dc_grid=sens["dc_grid_mm"], base_cfg=probe_cfg,
+            p0_grid=table.p0_grid, dc_grid=sens["dc_grid_mm"], base_cfg=probe_cfg,
             surface_offset=fa.surface_offset, max_open=cfg["gripper"]["max_open_mm"],
         )
         lines = ["p0_kpa,dc_mm,separation_kpa,z"]
@@ -286,7 +278,7 @@ def resolve_sensitivity(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
         ranked_pairs = {(p0, dc) for p0, dc, _, _ in ranked}
         dropped = [
             f"p0={float(p0)!r} kPa d_c={float(dc)!r} mm"
-            for p0 in sens["p0_grid_kpa"]
+            for p0 in table.p0_grid
             for dc in sens["dc_grid_mm"]
             if (float(p0), float(dc)) not in ranked_pairs
         ]

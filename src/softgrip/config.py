@@ -56,7 +56,6 @@ DEFAULTS = {
             "alpha_step_deg": 1.0,
             "p0_grid_kpa": [0.0, 20.0, 40.0, 60.0, 80.0],
         },
-        "hysteresis": {"p0_kpa": 60.0, "dt_per_step_s": 1.0},
     },
     "probe": {
         "p0_kpa": 60.0,
@@ -75,7 +74,6 @@ DEFAULTS = {
     "sensitivity": {
         "fixture_a": "",
         "fixture_b": "",
-        "p0_grid_kpa": [0.0, 20.0, 40.0, 60.0, 80.0],
         "dc_grid_mm": [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0],
     },
 }

@@ -116,19 +116,17 @@ def joint_torque(model: RingModel, alpha, p_gauge):
     return (model.c1 + model.c2 * p_gauge) * _clip_negative(alpha - model.alpha_slack)
 
 
-def leak_path(state: RingState, model: RingModel, alphas: np.ndarray, dt: float) -> RingState:
-    """Locked ring state after a timed path through the angles alphas (rad).
+def leak_path(state: RingState, model: RingModel, alphas: np.ndarray) -> RingState:
+    """Locked ring state after a path through the angles alphas (rad), one second a step.
 
     Each step moves to the next angle and leaks the trapped gas quantity by
-    leak_rate * dt, floored at atmospheric pressure at that angle. The result
+    leak_rate, floored at atmospheric pressure at that angle. The result
     holds the path in alpha and the gas quantity after each step in nv_const,
     both arrays, ready for pressure_at_angle.
     """
-    if dt < 0:
-        raise DomainError(f"dt must be non-negative, got {dt}")
     if not state.locked:
         raise StateError("leak_path requires a locked ring")
-    keep = 1.0 - model.leak_rate * dt
+    keep = 1.0 - model.leak_rate
     nv = state.nv_const
     path = []
     for floor in (model.p_atm * volume_at_angle(model, alphas)).tolist():

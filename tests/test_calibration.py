@@ -145,14 +145,14 @@ def test_hysteresis_vanishes_without_leak():
     assert np.max(np.abs(fwd - bwd)) <= 1e-9
 
 
-def _stepwise_hysteresis(model, p0, alpha_grid, dt):
+def _stepwise_hysteresis(model, p0, alpha_grid):
     """Reference: the timed sweep as a loop of scalar leak steps, one RingState per step."""
 
     def step(state, a_deg):
         state = replace(state, alpha=math.radians(a_deg))
-        if model.leak_rate != 0.0 and dt != 0.0:
+        if model.leak_rate != 0.0:
             floor = model.p_atm * volume_at_angle(model, state.alpha)
-            state = replace(state, nv_const=max(state.nv_const * (1.0 - model.leak_rate * dt), floor))
+            state = replace(state, nv_const=max(state.nv_const * (1.0 - model.leak_rate), floor))
         return state, pressure_at_angle(state, model, state.alpha)
 
     state = lock(RingState(p_gauge=p0, alpha=0.0), model)
@@ -167,7 +167,7 @@ def _stepwise_hysteresis(model, p0, alpha_grid, dt):
 
 
 @pytest.mark.parametrize(
-    "model, p0, step, dt",
+    "model, p0, step, seconds",
     [
         (RingModel(), 60.0, 1.0, 1.0),
         (RingModel(kappa=0.1, leak_rate=3e-4), 35.5, 0.1, 2.5),
@@ -176,12 +176,14 @@ def _stepwise_hysteresis(model, p0, alpha_grid, dt):
         (RingModel(leak_rate=0.05), 80.0, 1.0, 10.0),  # reaches the atmospheric floor
     ],
 )
-def test_hysteresis_equals_stepwise_leak_loop(model, p0, step, dt):
-    alphas, fwd, bwd = hysteresis_sweep(model, p0=p0, alpha_step_deg=step, dt_per_step=dt)
-    ref_fwd, ref_bwd = _stepwise_hysteresis(model, p0, alphas, dt)
+def test_hysteresis_equals_stepwise_leak_loop(model, p0, step, seconds):
+    # the sweep takes 1 s a step; steps of `seconds` are a ring leaking `seconds` times as fast
+    model = replace(model, leak_rate=model.leak_rate * seconds)
+    alphas, fwd, bwd = hysteresis_sweep(model, p0=p0, alpha_step_deg=step)
+    ref_fwd, ref_bwd = _stepwise_hysteresis(model, p0, alphas)
     assert np.array_equal(fwd, ref_fwd)
     assert np.array_equal(bwd, ref_bwd)
-    if model.leak_rate == 0.05:
+    if model.leak_rate == 0.5:
         assert np.any(bwd == 0.0)
 
 
@@ -507,8 +509,6 @@ def test_degenerate_sweep_rejected(ring):
             generate_locked_sweep(ring, p0_grid_kpa=p0_grid)
     with pytest.raises(ConfigError, match="p0"):
         hysteresis_sweep(ring, p0=-5.0)
-    with pytest.raises(ConfigError, match="dt_per_step"):
-        hysteresis_sweep(ring, dt_per_step=-1.0)
 
 
 def test_table_cells_are_capped(ring):

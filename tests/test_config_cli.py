@@ -21,7 +21,7 @@ from softgrip.config import (
     config_hash,
     load_config,
 )
-from softgrip.errors import ConfigError
+from softgrip.errors import ConfigError, RangeError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 CUBES = os.path.join(CONFIG_DIR, "cubes.json")
@@ -142,7 +142,7 @@ def _set(doc, dotted, value):
     "key, value",
     [
         ("calibration.locked.alpha_step_deg", 0),
-        ("calibration.hysteresis.dt_per_step_s", -1),
+        ("calibration.hysteresis.dt_per_step_s", -1),  # a removed key, as are the other hysteresis ones
         ("calibration.hysteresis.p0_kpa", -5),
         ("calibration.locked.p0_grid_kpa", [20, 0]),
         ("plant.ring.kappa_per_rad", "0.2"),
@@ -159,7 +159,7 @@ def _set(doc, dotted, value):
         ("fixtures", []),
         ("plant.ring.p_atm_kpa", 0),
         ("plant.ring.p_atm_kpa", -1),
-        ("calibration.hysteresis.p0_kpa", -1),  # rejected after both sweeps are built
+        ("calibration.hysteresis.p0_kpa", -1),
     ],
 )
 def test_cli_bad_value_exits_config(tmp_path, capsys, key, value):
@@ -206,7 +206,7 @@ def test_cli_calibrate_golden_csv(tmp_path):
             {
                 "probe_cube3.json": "7f9aa5b5c9c1ef2c935cab626e2ed127cbb91ca4fea431a98652a6c376228eb0",
                 "probe_cube3_trace.csv": "a2af0c2c84607f8e06edcdc91b3915b30d55b911327946399ea4aca64a19ec85",
-                "run_meta.json": "d4157fbc5831700385982788db4935e88d52d4e5b6519705d3b93a3868d03e1e",
+                "run_meta.json": "cc6c26f4fdf48ebecfd4c45703ff27b70af2850a8bdaac657664320d41ad9c6d",
             },
         ),
         (
@@ -214,7 +214,7 @@ def test_cli_calibrate_golden_csv(tmp_path):
             {
                 "probe_cube3.json": "dc4bf34d3d40fa541a1b09c10a86eee9255a3b71ea26c364d1129513c24d4785",
                 "probe_cube3_trace.csv": "ad5226e93aab1b99ab03a81f54203ae1fe683263c0b2ab28daba4cb22bda20e7",
-                "run_meta.json": "2bf42700181a4b0db90aebe46f6aa6a6b2dcee36282c540c3b89a37169a3ef55",
+                "run_meta.json": "567de04556f45d4a56abc0985b9eb8922c435e61bb049e74262bcaac0c40813c",
             },
         ),
         (
@@ -223,7 +223,7 @@ def test_cli_calibrate_golden_csv(tmp_path):
                 "stiffness_map.json": "2b829a394e761a53ff88bafc7fd8e26cf186d4f4cbd54994c685954be6ef951a",
                 "stiffness_map.csv": "88efddcc3f3d23e3652937be741dc322e0dce78c7676b0317906dce854340f7b",
                 "stiffness_map_long.csv": "e68db4e7f0bfc83f09076f3646a0dbcaa5dff5e0566572537e247f0d51988211",
-                "run_meta.json": "d1bad57c1915b22715e545230a4789c25ca4349652f3e819ac5cfa025e2f6d11",
+                "run_meta.json": "5f8db29864c1764c7a92d1fd1ceb1df04a37e9536690061342a337e0c9f23049",
             },
         ),
         (
@@ -232,14 +232,14 @@ def test_cli_calibrate_golden_csv(tmp_path):
                 "stiffness_map.json": "dd45431e40b5475b584724892be3a4e38a1ab52f02d4b67bcffb998fe6c918d4",
                 "stiffness_map.csv": "023d48330eedcb185c63d7e3570d5dc5e220bf5f039b2642103e1b2dc4b279ac",
                 "stiffness_map_long.csv": "7af06351558cf764745bab336e3a45dbde87280059470467a8a49d3d4d628efa",
-                "run_meta.json": "9fe33d7626d8142e773912165f50b3ba9b54f341c9600bd86bf90eec31f8ce1f",
+                "run_meta.json": "36b778d2215bc37e938150718fcc8f70cb69fd15815cb92dee2a57a8237d2274",
             },
         ),
         (
             ["sensitivity", "--config", CUBES],
             {
                 "sensitivity.csv": "254c6db1805ba56b3663b91d2dd8f56462e9b9b544821a5b20105edaf867928c",
-                "run_meta.json": "d9b277c38f4e5eff7ecfcbf8b0e7bdac94ea6e9b56f3edc4d1099d01b47c426f",
+                "run_meta.json": "aa3fb7d861838af65cee141192bc186629a60c7f9e9d7be0e7e1c1e73aad0944",
             },
         ),
     ],
@@ -259,15 +259,20 @@ def test_cli_golden_digests(tmp_path, argv, digests):
         ("probe.contact_threshold_kpa", 3.0),  # derived from the sensor model
         ("plan.shape", "elongated"),  # the fixture's profile kind gives the unit
         ("plant.geometry.total_length_mm", 55.0),  # never read
+        ("sensitivity.p0_grid_kpa", [0.0, 20.0, 40.0, 60.0, 80.0]),  # calibration.locked.p0_grid_kpa
+        ("calibration.hysteresis.p0_kpa", 60.0),  # probe.p0_kpa
+        ("calibration.hysteresis.dt_per_step_s", 1.0),  # 1 s a step: plant.ring.leak_rate_per_s is the leak a step
     ],
 )
 def test_cli_removed_key_exits_config(tmp_path, capsys, key, value):
     with open(CUBES) as fh:
         doc = json.load(fh)
     _set(doc, key, value)
-    code = main(["calibrate", "--config", _write(tmp_path, doc), "--out", str(tmp_path / "x")])
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: unknown config key '{key}'\n"
+    path = _write(tmp_path, doc)
+    unknown = "calibration.hysteresis" if key.startswith("calibration.hysteresis.") else key  # a removed section
+    for extra in (["--dry-run"], ["--out", str(tmp_path / "x")]):
+        assert main(["calibrate", "--config", path, *extra]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: unknown config key '{unknown}'\n")
     assert not (tmp_path / "x").exists()
 
 
@@ -382,6 +387,32 @@ def test_cli_probe_saturated(tmp_path, capsys):
     assert main(["probe", "--config", path, "--fixture", "cube1", "--out", str(tmp_path / "soft")]) == EXIT_OK
 
 
+@pytest.mark.parametrize("fixture, alpha_max", [("cube1", 30.0), ("cube3", 20.0)])
+def test_cli_probe_out_of_table(tmp_path, capsys, fixture, alpha_max):
+    # a table that stops at alpha_max cannot invert the last reading of a deeper bend
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, "calibration.locked.alpha_max_deg", alpha_max)
+    out = tmp_path / "x"
+    argv = ["probe", "--config", _write(tmp_path, doc), "--fixture", fixture, "--noise", "off", "--out", str(out)]
+    assert main(argv) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == "probe finished with flags: out_of_table\n"
+    report = json.loads((out / f"probe_{fixture}.json").read_text())
+    assert report["flags"] == ["out_of_table"]
+    assert report["est_force"] is None and report["k_r"] is None and report["k_o_est"] is None
+
+
+def test_cli_runtime_error_writes_nothing(tmp_path, capsys, monkeypatch):
+    def fail(sim, table, cfg):
+        raise RangeError("dp=99.0 outside calibrated hull [0.0, 40.0]")
+
+    monkeypatch.setattr("softgrip.cli.run_probe", fail)
+    out = tmp_path / "x"
+    assert main(["probe", "--config", CUBES, "--fixture", "cube1", "--out", str(out)]) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == "error: dp=99.0 outside calibrated hull [0.0, 40.0]\n"
+    assert not out.exists()
+
+
 def test_cli_probe_spatial_fixture_rejected(tmp_path):
     code = main(
         ["probe", "--config", BANANA, "--fixture", "banana", "--noise", "off",
@@ -465,15 +496,17 @@ def test_cli_sensitivity_drops_flagged_pairs(tmp_path, capsys):
     with open(CUBES) as fh:
         doc = json.load(fh)
     _set(doc, "sensitivity.dc_grid_mm", [30, 60, 90])
-    _set(doc, "sensitivity.p0_grid_kpa", [60])
+    _set(doc, "calibration.locked.p0_grid_kpa", [60, 80])  # the pressures sensitivity ranks
     out = tmp_path / "sens"
     assert main(["sensitivity", "--config", _write(tmp_path, doc), "--out", str(out)]) == EXIT_RUNTIME_FLAG
     err = capsys.readouterr().err
-    assert "p0=60.0 kPa d_c=60.0 mm" in err and "p0=60.0 kPa d_c=90.0 mm" in err
-    assert "d_c=30.0" not in err
+    assert err == (
+        "sensitivity left out flagged pairs: p0=60.0 kPa d_c=60.0 mm; p0=60.0 kPa d_c=90.0 mm; "
+        "p0=80.0 kPa d_c=60.0 mm; p0=80.0 kPa d_c=90.0 mm\n"
+    )
     lines = (out / "sensitivity.csv").read_text().splitlines()
     assert lines[0] == "p0_kpa,dc_mm,separation_kpa,z"
-    assert [ln.split(",")[:2] for ln in lines[1:]] == [["60.0", "30.0"]]
+    assert sorted(ln.split(",")[:2] for ln in lines[1:]) == [["60.0", "30.0"], ["80.0", "30.0"]]
 
 
 def test_cli_sensitivity_rejects_unequal_surface_offsets(tmp_path, capsys):
@@ -570,8 +603,8 @@ def _dry_run_case(
             "config error: grid step must be positive and finite, got 0\n",
             command="calibrate", run_flags=(),
         ),
-        _dry_run_case(
-            "calibration.hysteresis.p0_kpa", -1, "config error: hysteresis p0 must be non-negative",
+        _dry_run_case(  # a removed key
+            "calibration.hysteresis.p0_kpa", -1, "config error: unknown config key 'calibration.hysteresis'\n",
             command="calibrate", run_flags=(),
         ),
         _dry_run_case(
@@ -579,9 +612,9 @@ def _dry_run_case(
             "config error: calibration.locked.alpha_step_deg 70.0 leaves fewer than 2 angles in [0, 60] deg",
             command="calibrate", run_flags=(),
         ),
-        _dry_run_case(
+        _dry_run_case(  # a removed key
             "calibration.hysteresis.dt_per_step_s", -1,
-            "config error: hysteresis dt_per_step must be non-negative",
+            "config error: unknown config key 'calibration.hysteresis'\n",
             command="calibrate", run_flags=(),
         ),
         _dry_run_case(
@@ -626,10 +659,23 @@ def _dry_run_case(
             "config error: sensitivity.dc_grid_mm entries must be positive, got 0.0\n",
             command="sensitivity", run_flags=(),
         ),
-        _dry_run_case(
-            "sensitivity.p0_grid_kpa", [0, 90],
-            "config error: sensitivity.p0_grid_kpa 90.0 lies outside calibration.locked.p0_grid_kpa",
+        _dry_run_case(  # a removed key
+            "sensitivity.p0_grid_kpa", [0, 90], "config error: unknown config key 'sensitivity.p0_grid_kpa'\n",
             command="sensitivity", run_flags=(),
+        ),
+        # faults of the config's shape, found while it loads
+        _dry_run_case("plant", 3, "config error: config section 'plant' must be an object\n"),
+        _dry_run_case(
+            "fixtures", {"x": []}, "config error: fixture 'x' must be an object\n", id="probe-fixtures-not-an-object",
+        ),
+        _dry_run_case(
+            "probe.p0_kpa", 10**400, f"config error: 'probe.p0_kpa' must be a finite number, got {10**400}\n",
+            id="probe-probe.p0_kpa-int-past-the-float-range",
+        ),
+        _dry_run_case(
+            "sensitivity", {"fixture_a": "banana", "fixture_b": "banana"},
+            "config error: sensitivity sweep expects uniform fixtures\n",
+            command="sensitivity", config=BANANA, run_flags=(), id="sensitivity-spatial-pair",
         ),
     ],
 )
@@ -731,9 +777,9 @@ def test_cli_dry_run_needs_no_names(tmp_path, capsys):
         ),
         (
             ["sensitivity", "--config", CUBES],
-            "calibration.locked.p0_grid_kpa",
-            [0, 20],
-            "sensitivity.p0_grid_kpa 40.0 lies outside calibration.locked.p0_grid_kpa [0.0, 20.0]",
+            "probe.p0_kpa",
+            90,
+            "probe.p0_kpa 90.0 lies outside calibration.locked.p0_grid_kpa [0.0, 80.0]",
         ),
     ],
     ids=["probe", "scenario", "sensitivity"],
