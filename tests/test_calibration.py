@@ -1,4 +1,6 @@
+import hashlib
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +27,7 @@ from softgrip.errors import (
     ParseError,
     RangeError,
     SaturationError,
+    SoftgripError,
 )
 from softgrip.pneumatics import RingModel, RingState, joint_torque, lock, pressure_at_angle, volume_at_angle
 
@@ -545,3 +548,40 @@ def test_sweeps_stay_inside_the_joint_range(ring):
             with pytest.raises(ConfigError, match="exceeds the 80.0 deg joint range"):
                 sweep(ring, alpha_max_deg=alpha_max)
     assert generate_locked_sweep(ring, alpha_max_deg=80.0).alpha_grid[-1] == 80.0
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or of the package error it raises."""
+    try:
+        return repr(fn(*args))
+    except SoftgripError as exc:
+        return repr(exc)
+
+
+# sha256 over the repr of the table inversions' outcomes on the cases below,
+# pinned from the inversions as first written: a faster lookup must keep every
+# result, and every error message, bit for bit
+INVERSION_DIGEST = "2b070fa2d6817c9888efc76de470e4c9792defdc43107073431597bd75a49ce6"
+
+
+def test_inversion_outcomes_are_bit_identical(geom, locked_table):
+    alpha = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    col = np.array([0.0, 2.0, 2.0 - 5e-10, 2.0, 3.0])  # a flat stretch with a tolerated dip
+    torque = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 7.0], [9.0, 11.0], [12.0, 15.0]])  # a dead zone
+    flat = CalibrationTable(alpha, np.array([0.0, 10.0]), np.c_[col, 1.5 * col], torque)
+    rng = np.random.default_rng(1618)
+    outcomes = []
+    for table in (locked_table, flat):
+        p_lo, p_hi = float(table.p0_grid[0]), float(table.p0_grid[-1])
+        a_hi = float(table.alpha_grid[-1])
+        pressures = [*table.p0_grid.tolist(), *rng.uniform(p_lo - 5.0, p_hi + 5.0, 300).tolist()]
+        for p0 in pressures:
+            top = interp_dp(table, a_hi, min(max(p0, p_lo), p_hi))
+            dead = interp_dp(table, float(rng.uniform(0.0, 0.25 * a_hi)), min(max(p0, p_lo), p_hi))
+            for dp in (0.0, -0.5, dead, 2.0, 2.0 - 2.5e-10, top, top + 1e-13, top + 1.0, float(rng.uniform(0.0, top))):
+                outcomes.append(_outcome(angle_from_dp, table, dp, p0))
+                outcomes.append(_outcome(force_from_dp, table, geom, dp, p0))
+            outcomes.append(_outcome(interp_torque, table, float(rng.uniform(-2.0, a_hi + 2.0)), p0))
+    kinds = Counter(o.split("(")[0] for o in outcomes)
+    assert min(kinds[kind] for kind in ("RangeError", "SaturationError", "DomainError")) > 50
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == INVERSION_DIGEST
