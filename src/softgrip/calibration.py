@@ -8,7 +8,9 @@ Table grids are stored in external units: degrees, kPa, N*mm.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,21 +21,27 @@ from .pneumatics import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationTable:
-    """Gridded dp(alpha, p0) and torque(alpha, p0) surfaces with provenance metadata."""
+    """Gridded dp(alpha, p0) and torque(alpha, p0) surfaces with provenance metadata.
+
+    The grids and surfaces are read-only copies, so what the lookups derive
+    from them (list forms, the dp column blended at a p0) is derived once.
+    """
 
     alpha_grid: np.ndarray  # deg, strictly increasing
     p0_grid: np.ndarray  # kPa, strictly increasing
     dp_surface: np.ndarray  # kPa, shape (n_alpha, n_p0)
     torque_surface: np.ndarray  # N*mm, shape (n_alpha, n_p0)
     meta: dict = field(default_factory=dict)
+    # p0 -> (dp column blended at p0, its running maximum), as lists; see angle_from_dp
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.alpha_grid = np.asarray(self.alpha_grid, dtype=float)
-        self.p0_grid = np.asarray(self.p0_grid, dtype=float)
-        self.dp_surface = np.asarray(self.dp_surface, dtype=float)
-        self.torque_surface = np.asarray(self.torque_surface, dtype=float)
+        for name in ("alpha_grid", "p0_grid", "dp_surface", "torque_surface"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if self.alpha_grid.size < 2 or self.p0_grid.size < 2:
             raise ConfigError("calibration grids need at least 2 points per axis")
         for name, grid in (("alpha_grid", self.alpha_grid), ("p0_grid", self.p0_grid)):
@@ -50,6 +58,25 @@ class CalibrationTable:
         if np.any(np.diff(self.dp_surface, axis=0) < -1e-9):
             raise ParseError("dp_surface must be non-decreasing along the alpha axis")
 
+    # list forms for the scalar lookups: indexing and bisecting a list is
+    # several times cheaper than indexing an array from Python
+
+    @cached_property
+    def _alphas(self) -> list:
+        return self.alpha_grid.tolist()
+
+    @cached_property
+    def _p0s(self) -> list:
+        return self.p0_grid.tolist()
+
+    @cached_property
+    def _dp_rows(self) -> list:
+        return self.dp_surface.tolist()
+
+    @cached_property
+    def _torque_rows(self) -> list:
+        return self.torque_surface.tolist()
+
 
 # A sweep larger than these is a config error, so that a tiny step fails at once
 # instead of in an allocation that cannot succeed. The benchmark's finest axis
@@ -61,7 +88,7 @@ MAX_TABLE_CELLS = 1_000_000
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... up to the last node at or below stop (within 1e-9 of a step)."""
     if not (step > 0 and math.isfinite(step)):
-        raise ConfigError(f"grid step must be positive and finite, got {step}")
+        raise ConfigError(f"grid step must be positive and finite, got {step:g}")
     intervals = (stop - start) / step  # inf when the step is tiny against the span
     n = math.floor(intervals + 1e-9) if intervals < MAX_GRID_POINTS else MAX_GRID_POINTS
     if n < 1:
@@ -161,35 +188,47 @@ def hysteresis_sweep(
     return alpha_grid, p[:n], p[n:][::-1]
 
 
-def _cell(grid: np.ndarray, value: float, label: str) -> tuple[int, float]:
+def _cell(grid: list, value: float, label: str) -> tuple[int, float]:
     if not grid[0] - 1e-9 <= value <= grid[-1] + 1e-9:
         raise RangeError(f"{label}={value} outside calibrated hull [{grid[0]}, {grid[-1]}]")
-    i = int(np.searchsorted(grid, value, side="right")) - 1
-    i = min(max(i, 0), grid.size - 2)
+    i = bisect_right(grid, value) - 1
+    i = min(max(i, 0), len(grid) - 2)
     t = (value - grid[i]) / (grid[i + 1] - grid[i])
     return i, min(max(t, 0.0), 1.0)
 
 
-def _bilinear(table_surface: np.ndarray, table: CalibrationTable, alpha_deg: float, p0: float) -> float:
-    i, ta = _cell(table.alpha_grid, alpha_deg, "alpha_deg")
-    j, tp = _cell(table.p0_grid, p0, "p0_kpa")
-    s = table_surface
+def _bilinear(rows: list, table: CalibrationTable, alpha_deg: float, p0: float) -> float:
+    i, ta = _cell(table._alphas, alpha_deg, "alpha_deg")
+    j, tp = _cell(table._p0s, p0, "p0_kpa")
     return float(
-        (1 - ta) * (1 - tp) * s[i, j]
-        + ta * (1 - tp) * s[i + 1, j]
-        + (1 - ta) * tp * s[i, j + 1]
-        + ta * tp * s[i + 1, j + 1]
+        (1 - ta) * (1 - tp) * rows[i][j]
+        + ta * (1 - tp) * rows[i + 1][j]
+        + (1 - ta) * tp * rows[i][j + 1]
+        + ta * tp * rows[i + 1][j + 1]
     )
 
 
 def interp_dp(table: CalibrationTable, alpha_deg: float, p0: float) -> float:
     """Bilinear dp lookup (kPa); exact at grid nodes, no extrapolation."""
-    return _bilinear(table.dp_surface, table, alpha_deg, p0)
+    return _bilinear(table._dp_rows, table, alpha_deg, p0)
 
 
 def interp_torque(table: CalibrationTable, alpha_deg: float, p0: float) -> float:
     """Bilinear torque lookup (N*mm); exact at grid nodes, no extrapolation."""
-    return _bilinear(table.torque_surface, table, alpha_deg, p0)
+    return _bilinear(table._torque_rows, table, alpha_deg, p0)
+
+
+def _dp_column(table: CalibrationTable, p0: float) -> tuple[list, list]:
+    """The table's dp column blended at p0 and its running maximum, as lists.
+
+    Kept on the table per p0: a probe inverts all its readings at one p0.
+    """
+    column = table._columns.get(p0)
+    if column is None:
+        j, tp = _cell(table._p0s, p0, "p0_kpa")
+        col = (1 - tp) * table.dp_surface[:, j] + tp * table.dp_surface[:, j + 1]
+        column = table._columns[p0] = (col.tolist(), np.maximum.accumulate(col).tolist())
+    return column
 
 
 def angle_from_dp(table: CalibrationTable, dp: float, p0: float) -> float:
@@ -202,17 +241,15 @@ def angle_from_dp(table: CalibrationTable, dp: float, p0: float) -> float:
     """
     if dp < 0:
         raise DomainError(f"dp must be non-negative, got {dp}")
-    j, tp = _cell(table.p0_grid, p0, "p0_kpa")
-    col = (1 - tp) * table.dp_surface[:, j] + tp * table.dp_surface[:, j + 1]
-    reach = np.maximum.accumulate(col)
+    col, reach = _dp_column(table, p0)
     if dp > reach[-1] + 1e-12:
         raise SaturationError(f"dp={dp} kPa above the table maximum {reach[-1]} kPa at p0={p0}")
-    grid = table.alpha_grid
+    grid = table._alphas
     if dp <= col[0]:
-        return float(grid[0])
+        return grid[0]
     # cap dp within the 1e-12 saturation slack; then col[k - 1] < dp <= col[k]
     dp = min(dp, reach[-1])
-    k = int(np.searchsorted(reach, dp, side="left"))
+    k = bisect_left(reach, dp)
     t = (dp - col[k - 1]) / (col[k] - col[k - 1])
     return float(grid[k - 1] + t * (grid[k] - grid[k - 1]))
 

@@ -105,15 +105,15 @@ def _rig(cfg: dict, name: str | None, fixture, noise: bool):
     """
     max_open, step = cfg["gripper"]["max_open_mm"], cfg["probe"]["approach_step_mm"]
     if max_open <= 0:
-        raise ConfigError(f"gripper.max_open_mm must be positive, got {float(max_open)!r}")
+        raise ConfigError(f"gripper.max_open_mm must be positive, got {max_open!r}")
     if fixture is not None and fixture.surface_offset > max_open:
         raise ConfigError(
-            f"fixtures.{name}.surface_offset_mm {float(fixture.surface_offset)!r} exceeds "
-            f"gripper.max_open_mm {float(max_open)!r}"
+            f"fixtures.{name}.surface_offset_mm {fixture.surface_offset!r} exceeds "
+            f"gripper.max_open_mm {max_open!r}"
         )
     if max_open / step > MAX_APPROACH_STEPS:
         raise ConfigError(
-            f"probe.approach_step_mm {float(step)!r} closes gripper.max_open_mm {float(max_open)!r} "
+            f"probe.approach_step_mm {step!r} closes gripper.max_open_mm {max_open!r} "
             f"in {max_open / step:.6g} steps, more than {MAX_APPROACH_STEPS}"
         )
     if cfg["probe"]["settle_reads"] > MAX_SETTLE_READS:
@@ -123,7 +123,7 @@ def _rig(cfg: dict, name: str | None, fixture, noise: bool):
     lo, hi, p0 = float(table.p0_grid[0]), float(table.p0_grid[-1]), cfg["probe"]["p0_kpa"]
     if not lo <= p0 <= hi:
         raise ConfigError(
-            f"probe.p0_kpa {float(p0)!r} lies outside calibration.locked.p0_grid_kpa [{lo!r}, {hi!r}]"
+            f"probe.p0_kpa {p0!r} lies outside calibration.locked.p0_grid_kpa [{lo!r}, {hi!r}]"
         )
     return build_geometry(cfg), ring, build_sensor(cfg, noise=noise), table, build_probe_config(cfg)
 
@@ -147,7 +147,7 @@ def resolve_calibrate(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
     fit_mask = locked.alpha_grid <= 60.0  # the angles of the dp-alpha linearity fit
     if np.count_nonzero(fit_mask) < 2:
         raise ConfigError(
-            f"calibration.locked.alpha_step_deg {float(cal['locked']['alpha_step_deg'])!r} leaves "
+            f"calibration.locked.alpha_step_deg {cal['locked']['alpha_step_deg']!r} leaves "
             "fewer than 2 angles in [0, 60] deg for the dp-alpha fit"
         )
     hp0 = cfg["probe"]["p0_kpa"]  # the leak gap at the pressure the probes lock
@@ -218,7 +218,7 @@ def resolve_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
             f"'{plan_cfg['fixture']}' is sampled over [{samples[0][0]!r}, {samples[-1][0]!r}]"
         )
     if not 0.0 <= plan_cfg["avoid_fraction"] <= 1.0:
-        raise ConfigError(f"plan.avoid_fraction must be in [0, 1], got {float(plan_cfg['avoid_fraction'])!r}")
+        raise ConfigError(f"plan.avoid_fraction must be in [0, 1], got {plan_cfg['avoid_fraction']!r}")
     geom, ring, sensor, table, probe_cfg = _rig(cfg, plan_cfg["fixture"], fixture, noise)
     if fixture is None:
         return _fails(ConfigError("plan.fixture must name a fixture"))
@@ -259,7 +259,7 @@ def resolve_sensitivity(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
             )
     for dc in sens["dc_grid_mm"]:
         if dc <= 0:
-            raise ConfigError(f"sensitivity.dc_grid_mm entries must be positive, got {float(dc)!r}")
+            raise ConfigError(f"sensitivity.dc_grid_mm entries must be positive, got {dc!r}")
     # fb has fa's offset; the noisy sensor gives the sigma the sweep ranks by
     geom, ring, sensor, table, probe_cfg = _rig(cfg, name_a, fa, True)
     if fa is None:
@@ -277,10 +277,10 @@ def resolve_sensitivity(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
         files = {"sensitivity.csv": "\n".join(lines) + "\n"}
         ranked_pairs = {(p0, dc) for p0, dc, _, _ in ranked}
         dropped = [
-            f"p0={float(p0)!r} kPa d_c={float(dc)!r} mm"
+            f"p0={float(p0)!r} kPa d_c={dc!r} mm"
             for p0 in table.p0_grid
             for dc in sens["dc_grid_mm"]
-            if (float(p0), float(dc)) not in ranked_pairs
+            if (float(p0), dc) not in ranked_pairs
         ]
         return files, (f"sensitivity left out flagged pairs: {'; '.join(dropped)}" if dropped else None)
 
@@ -295,23 +295,21 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="softgrip",
-        description="Pneumatic self-sensing gripper simulator and probing pipeline",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="path to the JSON scenario config")
-    parser.add_argument("--fixture", default=None, help="fixture name (probe) or 'a,b' pair (sensitivity)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--noise", choices=["on", "off"], default="on")
-    parser.add_argument("--dry-run", action="store_true", help="validate and print the resolved config")
-    parser.add_argument("--out", default=None, help="override the config output_dir")
-    return parser
+PARSER = argparse.ArgumentParser(
+    prog="softgrip",
+    description="Pneumatic self-sensing gripper simulator and probing pipeline",
+)
+PARSER.add_argument("command", choices=COMMANDS)
+PARSER.add_argument("--config", required=True, help="path to the JSON scenario config")
+PARSER.add_argument("--fixture", default=None, help="fixture name (probe) or 'a,b' pair (sensitivity)")
+PARSER.add_argument("--seed", type=int, default=None, help="override the config seed")
+PARSER.add_argument("--noise", choices=["on", "off"], default="on")
+PARSER.add_argument("--dry-run", action="store_true", help="validate and print the resolved config")
+PARSER.add_argument("--out", default=None, help="override the config output_dir")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

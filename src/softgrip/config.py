@@ -91,8 +91,7 @@ _FIXTURE_FIELDS = {
 
 def _merge(out, user, path=""):
     """Merge freshly parsed user config into out, a copy of the defaults, in one
-    walk: reject unknown keys and check each value against its default's type.
-    Fixtures are kept as written."""
+    walk: reject unknown keys and check each value against its default's type."""
     if not isinstance(user, dict):
         raise ConfigError(f"config section '{path or '<root>'}' must be an object")
     for key, value in user.items():
@@ -102,14 +101,11 @@ def _merge(out, user, path=""):
         if here == "fixtures":
             if not isinstance(value, dict):
                 raise ConfigError("config section 'fixtures' must be an object")
-            for name, raw in value.items():
-                _check_fixture(name, raw)
-            out[key] = value
+            out[key] = {name: _check_fixture(name, raw) for name, raw in value.items()}
         elif isinstance(out[key], dict):
             _merge(out[key], value, here)
         else:
-            _check_leaf(here, out[key], value)
-            out[key] = value
+            out[key] = _check_leaf(here, out[key], value)
 
 
 def _is_number(value) -> bool:
@@ -122,8 +118,11 @@ def _is_number(value) -> bool:
         return False
 
 
-def _check_leaf(here: str, default, value) -> None:
-    """Reject a value whose type differs from the type of its default."""
+def _check_leaf(here: str, default, value):
+    """Reject a value whose type differs from the type of its default, and
+    return it as stored: a number where the default is a float (or null), and
+    each entry of a number list, as a float, so that 60 and 60.0 resolve, and
+    hash, alike."""
     if isinstance(default, str):
         ok, expected = isinstance(value, str), "a string"
     elif isinstance(default, int):
@@ -137,24 +136,34 @@ def _check_leaf(here: str, default, value) -> None:
         ok, expected = _is_number(value), "a finite number"
     if not ok:
         raise ConfigError(f"'{here}' must be {expected}, got {json.dumps(value)}")
+    if isinstance(default, list):
+        return [float(x) for x in value]
+    if isinstance(default, float) or (default is None and value is not None):
+        return float(value)
+    return value
 
 
-def _check_fixture(name, raw):
+def _check_fixture(name, raw) -> dict:
+    """Check one fixture's fields and return them as stored (see _check_leaf)."""
     if not isinstance(raw, dict):
         raise ConfigError(f"fixture '{name}' must be an object")
+    fixture = {}
     for key, value in raw.items():
         here = f"fixtures.{name}.{key}"
         if key not in _FIXTURE_FIELDS:
             raise ConfigError(f"unknown config key '{here}'")
         if key != "samples":
-            _check_leaf(here, _FIXTURE_FIELDS[key], value)
+            fixture[key] = _check_leaf(here, _FIXTURE_FIELDS[key], value)
         elif not isinstance(value, list) or not all(
             isinstance(pair, list) and len(pair) == 2 and all(_is_number(x) for x in pair)
             for pair in value
         ):
             raise ConfigError(f"'{here}' must be a list of [coordinate, stiffness] number pairs")
+        else:
+            fixture[key] = [[float(c), float(k)] for c, k in value]
     if "surface_offset_mm" not in raw:
         raise ConfigError(f"fixture '{name}' is missing 'surface_offset_mm'")
+    return fixture
 
 
 def load_config(path) -> dict:
@@ -251,7 +260,7 @@ def build_fixture(cfg: dict, name: str) -> ObjectModel:
         available = ", ".join(sorted(fixtures)) or "<none>"
         raise ConfigError(f"unknown fixture '{name}'; available: {available}")
     raw = {**_FIXTURE_FIELDS, **fixtures[name]}
-    samples = () if raw["kind"] == "uniform" else tuple((float(c), float(k)) for c, k in raw["samples"])
+    samples = () if raw["kind"] == "uniform" else tuple(map(tuple, raw["samples"]))
     return ObjectModel(
         profile=StiffnessProfile(kind=raw["kind"], base_k=raw["base_k_n_per_mm"], samples=samples),
         surface_offset=raw["surface_offset_mm"],

@@ -3,10 +3,17 @@ equilibrium between the pressurized joint and a linear-spring object, plus the
 brute-force grid oracle used in verification.
 
 Both the solver and the oracle evaluate the torque balance through the plant
-formulas in `pneumatics` and `geometry`. Past the fabric dead zone the balance
-is strictly increasing in the bending angle, so the solver brackets it once on
-[alpha_slack, alpha_max] and narrows the bracket with Illinois (modified
-regula falsi) steps.
+formulas in `pneumatics` and `geometry`. The oracle calls the checked public
+functions on arrays. The solver calls their unchecked cores on floats, and
+only on [alpha_slack, alpha_max]: past the fabric dead zone the balance is
+strictly increasing in the bending angle, so the solver brackets it once on
+that interval and narrows the bracket with Illinois (modified regula falsi)
+steps. An angle in that interval is non-negative and at most alpha_max, so it
+keeps the cavity open (RingModel keeps it open over the joint range, which
+holds alpha_max) and lies in the fingertip extent's domain; it is past the
+slack, so the torque needs no clip at zero. The public functions' checks
+could never fire there; only the gas pressure's clip at zero, which rounding
+can reach, stays.
 """
 
 from __future__ import annotations
@@ -17,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError, StateError
-from .geometry import FingerGeometry, tip_extent, tip_extent_inverse
-from .pneumatics import RingModel, RingState, joint_torque, pressure_at_angle
+from .geometry import FingerGeometry, _extent, tip_extent, tip_extent_inverse
+from .pneumatics import (
+    RingModel, RingState, _gas_pressure, _torque, _volume, joint_torque, pressure_at_angle,
+)
 
 # Contact torques below this are treated as no resistance at all: the finger
 # does not move. Keeps the zero-stiffness limit well defined.
@@ -96,11 +105,16 @@ class EquilibriumResult:
     saturated: bool = False
 
 
+def _pressure(model, state, alpha):
+    """Gauge pressure of the locked ring at a float alpha in [0, alpha_max], unchecked."""
+    return max(_gas_pressure(model, state.nv_const, _volume(model, alpha)), 0.0)
+
+
 def _residual(geom, model, state, k_o, d_c, alpha):
-    """Joint torque minus contact-force torque at alpha (float or array)."""
-    p = pressure_at_angle(state, model, alpha)
-    delta = d_c - tip_extent(geom, alpha)
-    return joint_torque(model, alpha, p) - k_o * delta * geom.tip_arm
+    """Joint torque minus contact-force torque at a float alpha in
+    [alpha_slack, alpha_max], unchecked."""
+    torque = _torque(model, alpha - model.alpha_slack, _pressure(model, state, alpha))
+    return torque - k_o * (d_c - _extent(geom, math.sin, alpha)) * geom.tip_arm
 
 
 def solve_equilibrium(
@@ -118,30 +132,33 @@ def solve_equilibrium(
     torque and the fingertip extent strictly increase with alpha, so the torque
     balance has at most one root on [slack, alpha_max]: it is negative at slack,
     and if it is still negative at alpha_max the object is too stiff for the
-    finger to yield (saturated). Otherwise the bracket narrows to ALPHA_TOL and
-    its midpoint is returned. Each step evaluates the balance at the regula
-    falsi point of the bracket, held at least ALPHA_TOL / 2 inside it, and
-    halves the value kept at an end that survives two steps in a row
-    (Illinois). The midpoint replaces that point when it falls outside the
-    open bracket, or when the bracket has not halved over the last three steps.
+    finger to yield (saturated). So is a closing past the extent at alpha_max
+    when the dead zone spans the whole joint range. Otherwise the bracket
+    narrows to ALPHA_TOL and its midpoint is returned. Each step evaluates the
+    balance at the regula falsi point of the bracket, held at least
+    ALPHA_TOL / 2 inside it, and halves the value kept at an end that survives
+    two steps in a row (Illinois). The midpoint replaces that point when it
+    falls outside the open bracket, or when the bracket has not halved over the
+    last three steps.
     """
     if not state.locked:
         raise StateError("solve_equilibrium requires a locked ring")
     if d_c < 0:
         raise DomainError(f"closing distance must be non-negative, got {d_c}")
-    p0 = pressure_at_angle(state, model, 0.0)
 
     if k_o * geom.tip_arm * d_c <= TORQUE_FLOOR:
         # object offers no measurable resistance; nothing bends
         return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0)
 
     slack = min(model.alpha_slack, geom.alpha_max)
-    e_slack = tip_extent(geom, slack)
+    e_slack = _extent(geom, math.sin, slack)
     if d_c <= e_slack:
         # free bend: zero-torque yield until the deformation is absorbed
         alpha = tip_extent_inverse(geom, d_c)
-        dp = pressure_at_angle(state, model, alpha) - p0
-        return EquilibriumResult(alpha, 0.0, 0.0, dp)
+        return EquilibriumResult(alpha, 0.0, 0.0, _pressure(model, state, alpha) - _pressure(model, state, 0.0))
+    if slack < model.alpha_slack:
+        # the dead zone spans the joint range: no torque resists the spring
+        return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, saturated=True)
 
     # the balance is negative at lo and non-negative at hi throughout
     lo, hi = slack, geom.alpha_max
@@ -172,8 +189,8 @@ def solve_equilibrium(
                 f_lo *= 0.5
             kept = -1
     alpha = 0.5 * (lo + hi)
-    delta = d_c - tip_extent(geom, alpha)
-    dp = pressure_at_angle(state, model, alpha) - p0
+    delta = d_c - _extent(geom, math.sin, alpha)
+    dp = _pressure(model, state, alpha) - _pressure(model, state, 0.0)
     return EquilibriumResult(alpha, k_o * delta, delta, dp)
 
 
@@ -199,7 +216,8 @@ def solve_equilibrium_bruteforce(
         return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0)
 
     alphas = np.arange(0.0, geom.alpha_max + 1e-12, math.radians(step_deg))
-    signs = np.signbit(_residual(geom, model, state, k_o, d_c, alphas))
+    torque = joint_torque(model, alphas, pressure_at_angle(state, model, alphas))
+    signs = np.signbit(torque - k_o * (d_c - tip_extent(geom, alphas)) * geom.tip_arm)
     crossings = np.nonzero(signs[:-1] & ~signs[1:])[0]
     if crossings.size == 0:
         return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, saturated=True)

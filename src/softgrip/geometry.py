@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,15 +44,21 @@ class FingerGeometry:
         if self.tip_arm <= 0:
             raise DomainError(f"tip_arm must be positive, got {self.tip_arm}")
 
-    @property
+    @cached_property
     def beta(self) -> float:
         """Design angle (rad), atan(a/b): the fingertip extent is zero at rest."""
         return math.atan2(self.a, self.b)
 
-    @property
+    @cached_property
     def radius(self) -> float:
         """Distance from joint axis to fingertip contact point (mm)."""
         return math.hypot(self.a, self.b)
+
+
+def _extent(geom: FingerGeometry, sin, alpha):
+    """The fingertip extent at alpha, unchecked; sin is math.sin for a float
+    and np.sin for an array."""
+    return geom.a + geom.radius * sin(alpha - geom.beta)
 
 
 def tip_extent(geom: FingerGeometry, alpha):
@@ -65,14 +72,13 @@ def tip_extent(geom: FingerGeometry, alpha):
     lo, hi = (alpha.min(), alpha.max()) if array else (alpha, alpha)
     if not (0.0 <= lo and hi <= geom.alpha_max + 1e-12):
         raise DomainError(f"bending angle {lo if lo < 0.0 else hi} rad outside [0, {geom.alpha_max}] rad")
-    sin = np.sin if array else math.sin
-    return geom.a + geom.radius * sin(alpha - geom.beta)
+    return _extent(geom, np.sin if array else math.sin, alpha)
 
 
 def tip_extent_inverse(geom: FingerGeometry, extent: float) -> float:
     """Bending angle whose fingertip extent equals `extent` (mm)."""
-    lo = tip_extent(geom, 0.0)
-    hi = tip_extent(geom, geom.alpha_max)
+    lo = _extent(geom, math.sin, 0.0)
+    hi = _extent(geom, math.sin, geom.alpha_max)
     if not lo - 1e-9 <= extent <= hi + 1e-9:
         raise DomainError(f"extent {extent} mm outside reachable [{lo}, {hi}] mm")
     s = (extent - geom.a) / geom.radius

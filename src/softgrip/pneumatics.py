@@ -64,9 +64,12 @@ class RingState:
             raise DomainError(f"gauge pressure must be non-negative, got {self.p_gauge}")
 
 
-# The plant formulas below take a float or a numpy array for each state
-# argument and give a float for floats; the isinstance dispatch keeps scalar
-# calls, which the equilibrium solver makes, in pure Python.
+# Each plant formula below has an unchecked core (_volume, _gas_pressure,
+# _torque; geometry has _extent) and a public function that checks its domain
+# and then calls the core. The public functions take a float or a numpy array
+# for each state argument and give a float for floats. The equilibrium solver
+# calls the cores on floats inside the interval where it has proven the checks
+# redundant (see contact); everything else goes through the checked functions.
 
 
 def _lowest(x):
@@ -79,14 +82,30 @@ def _clip_negative(x):
     return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
 
 
+def _volume(model: RingModel, alpha):
+    """Ring cavity volume v0 * (1 - kappa * alpha) (mm^3), unchecked."""
+    return model.v0 * (1.0 - model.kappa * alpha)
+
+
+def _gas_pressure(model: RingModel, nv, volume):
+    """Gauge pressure (kPa) of the gas quantity nv = p_abs * V trapped in volume,
+    unchecked; rounding can take it a hair below zero."""
+    return nv / volume - model.p_atm
+
+
+def _torque(model: RingModel, past, p_gauge):
+    """Joint torque (N*mm) at an angle past >= 0 beyond the slack, unchecked."""
+    return (model.c1 + model.c2 * p_gauge) * past
+
+
 def volume_at_angle(model: RingModel, alpha):
     """Ring cavity volume at bending angle alpha (mm^3); strictly decreasing."""
     if _lowest(alpha) < 0:
         raise DomainError(f"alpha must be non-negative, got {_lowest(alpha)}")
-    frac = 1.0 - model.kappa * alpha
-    if _lowest(frac) <= 0:
+    volume = _volume(model, alpha)
+    if _lowest(volume) <= 0:
         raise DomainError(f"alpha={alpha} rad collapses the cavity")
-    return model.v0 * frac
+    return volume
 
 
 def lock(state: RingState, model: RingModel) -> RingState:
@@ -101,7 +120,7 @@ def pressure_at_angle(state: RingState, model: RingModel, alpha):
     """Gauge pressure of the trapped air at bending angle alpha."""
     if not state.locked:
         raise StateError("pressure_at_angle requires a locked ring")
-    return _clip_negative(state.nv_const / volume_at_angle(model, alpha) - model.p_atm)
+    return _clip_negative(_gas_pressure(model, state.nv_const, volume_at_angle(model, alpha)))
 
 
 def joint_torque(model: RingModel, alpha, p_gauge):
@@ -113,7 +132,7 @@ def joint_torque(model: RingModel, alpha, p_gauge):
         raise DomainError(f"alpha must be non-negative, got {_lowest(alpha)}")
     if _lowest(p_gauge) < 0:
         raise DomainError(f"p_gauge must be non-negative, got {_lowest(p_gauge)}")
-    return (model.c1 + model.c2 * p_gauge) * _clip_negative(alpha - model.alpha_slack)
+    return _torque(model, _clip_negative(alpha - model.alpha_slack), p_gauge)
 
 
 def leak_path(state: RingState, model: RingModel, alphas: np.ndarray) -> RingState:

@@ -112,22 +112,23 @@ class GripperSim:
         self.stream = PressureSensor(sensor, seed=seed)
         self.opening = max_open
         self.state: RingState | None = None
+        self.rest_pressure: float | None = None  # true gauge pressure at alpha 0 once locked
         self.lock_reading: float | None = None
 
     def pressurize_and_lock(self, p0: float, settle_reads: int) -> None:
         """Open fully, regulate to p0 at rest, close the valve, record the baseline."""
         self.opening = self.max_open
         self.state = lock(RingState(p_gauge=p0, alpha=0.0), self.ring)
+        self.rest_pressure = pressure_at_angle(self.state, self.ring, 0.0)
         self.lock_reading = self.stream.read_avg(p0, settle_reads)
 
     def _plant_pressure(self) -> float:
-        p0 = pressure_at_angle(self.state, self.ring, 0.0)
         pen = 0.0
         if self.surface_offset is not None:
             pen = max(0.0, self.surface_offset - self.opening)
         if pen <= 0.0 or self.k_object is None:
-            return p0
-        return p0 + solve_equilibrium(self.geom, self.ring, self.state, self.k_object, pen).dp
+            return self.rest_pressure
+        return self.rest_pressure + solve_equilibrium(self.geom, self.ring, self.state, self.k_object, pen).dp
 
     def close_to(self, opening: float, settle_reads: int, below: float = math.inf) -> float:
         """Command an opening width and return the measured dp from the lock baseline.

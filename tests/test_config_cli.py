@@ -548,6 +548,40 @@ def test_run_meta_records_provenance(tmp_path):
     assert len(meta["config_sha256"]) == 64
 
 
+def _int_spelled(node):
+    """A parsed config with every integral float written as an int."""
+    if isinstance(node, dict):
+        return {key: _int_spelled(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_int_spelled(value) for value in node]
+    return int(node) if isinstance(node, float) and node.is_integer() else node
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        (CUBES, ["calibrate"]),
+        (CUBES, ["probe", "--fixture", "cube1", "--noise", "off"]),
+        (CUBES, ["sensitivity"]),
+        (BANANA, ["scenario"]),
+    ],
+    ids=["calibrate", "probe", "sensitivity", "scenario"],
+)
+def test_cli_outputs_do_not_depend_on_number_spelling(tmp_path, config, argv):
+    # 60 and 60.0 are one value: every file, run_meta.json's config hash included, is the same
+    resolved = load_config(config)  # every key, with its value as a float where that is its type
+    spellings = {"float": json.dumps(resolved), "int": json.dumps(_int_spelled(resolved))}
+    assert '"p0_kpa": 60,' in spellings["int"] and '"p0_kpa": 60.0,' in spellings["float"]
+    outputs = {}
+    for spelling, text in spellings.items():
+        path = tmp_path / f"{spelling}.json"
+        path.write_text(text)
+        out = tmp_path / spelling
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == EXIT_OK
+        outputs[spelling] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outputs["int"] == outputs["float"]
+
+
 def test_build_fixture_fills_field_defaults(tmp_path):
     spelled = {"kind": "uniform", "base_k_n_per_mm": 5.0, "surface_offset_mm": 40.0, "damage_threshold_n": None}
     fixtures = {
