@@ -155,7 +155,8 @@ def solve_equilibrium(
     if d_c <= e_slack:
         # free bend: zero-torque yield until the deformation is absorbed
         alpha = tip_extent_inverse(geom, d_c)
-        return EquilibriumResult(alpha, 0.0, 0.0, _pressure(model, state, alpha) - _pressure(model, state, 0.0))
+        dp = _pressure(model, state, alpha) - _pressure(model, state, 0.0)
+        return EquilibriumResult(alpha, 0.0, 0.0, dp)
     if slack < model.alpha_slack:
         # the dead zone spans the joint range: no torque resists the spring
         return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, saturated=True)
