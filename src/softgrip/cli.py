@@ -11,9 +11,9 @@ sensitivity pair) is left to the run. ``main`` alone writes, adding
 ``run_meta.json`` last, so one output rule holds for every command:
 
 - exit 0: every file is written;
-- exit 3 with a flag (no_contact, out_of_table, travel_exhausted, saturated,
-  no safe grasp, a sensitivity pair left out): every file is written and the
-  flag goes to stderr;
+- exit 3 with a flag (no_contact, contact_overshoot, out_of_table,
+  travel_exhausted, saturated, no safe grasp, a sensitivity pair left out):
+  every file is written and the flag goes to stderr;
 - exit 2 (config error), or exit 3 with ``error:``: nothing is written, and a
   write that fails puts back the files of the run before.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -94,14 +95,18 @@ def _linear_r2(x: np.ndarray, y: np.ndarray) -> float:
 MAX_APPROACH_STEPS = 10_000
 # A settle read's draws grow with probe.settle_reads; the benchmark reads at most 6,144.
 MAX_SETTLE_READS = 1_000_000
+MAX_PROBE_STEPS = 10_000  # probe.n_probe_steps; the bundled configs take 5
+# A probe takes one settle read to lock, one an approach step and one a probe
+# step; contact_search's largest probe requests 6,144 x (1 + 200 + 5) readings.
+MAX_PROBE_READINGS = 100_000_000
 MAX_PLAN_PROBES = 10_000  # plan.n; the bundled plans probe at most 10 locations
 
 
 def _rig(cfg: dict, name: str | None, fixture, noise: bool):
     """(geometry, ring, sensor, locked table, probe settings) of a probing command.
 
-    The gripper must open past the fixture's surface in bounded approach steps and
-    reads, and probe.p0_kpa lie in the table's p0 grid.
+    The gripper must open past the fixture's surface in bounded approach steps, a
+    probe take bounded steps and readings, and probe.p0_kpa lie in the table's p0 grid.
     """
     max_open, step = cfg["gripper"]["max_open_mm"], cfg["probe"]["approach_step_mm"]
     if max_open <= 0:
@@ -116,8 +121,18 @@ def _rig(cfg: dict, name: str | None, fixture, noise: bool):
             f"probe.approach_step_mm {step!r} closes gripper.max_open_mm {max_open!r} "
             f"in {max_open / step:.6g} steps, more than {MAX_APPROACH_STEPS}"
         )
-    if cfg["probe"]["settle_reads"] > MAX_SETTLE_READS:
-        raise ConfigError(f"probe.settle_reads {cfg['probe']['settle_reads']} exceeds {MAX_SETTLE_READS}")
+    reads, probe_steps = cfg["probe"]["settle_reads"], cfg["probe"]["n_probe_steps"]
+    if reads > MAX_SETTLE_READS:
+        raise ConfigError(f"probe.settle_reads {reads} exceeds {MAX_SETTLE_READS}")
+    if probe_steps > MAX_PROBE_STEPS:
+        raise ConfigError(f"probe.n_probe_steps {probe_steps} exceeds {MAX_PROBE_STEPS}")
+    approach_steps = math.ceil(max_open / step)
+    readings = reads * (1 + approach_steps + probe_steps)
+    if readings > MAX_PROBE_READINGS:
+        raise ConfigError(
+            f"probe.settle_reads {reads} in 1 + {approach_steps} approach + {probe_steps} probe steps "
+            f"requests {readings} readings, more than {MAX_PROBE_READINGS}"
+        )
     ring = build_ring(cfg)
     table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
     lo, hi, p0 = float(table.p0_grid[0]), float(table.p0_grid[-1]), cfg["probe"]["p0_kpa"]

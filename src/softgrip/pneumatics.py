@@ -206,7 +206,9 @@ SURE_SIGMAS = 6.0
 # as much as drawing the sums of 1,400 readings (some 4 us against 3 ns a
 # reading, numpy 2.4 on a 2-core Xeon). A contact-free approach step mostly
 # stops at its first look and saves 3n/4 readings, so a bounded read looks
-# only when each of its four blocks holds at least this many.
+# only when each of its four blocks holds at least this many. A batched read
+# (PressureSensor.read_avg_batch) cuts each of its reads into the same blocks,
+# so it keeps that law, and one look after a block serves all of its reads.
 MIN_LOOK_BLOCK = 512
 
 # A block's sum is drawn in one piece (see PressureSensor.read_avg) once the
@@ -215,6 +217,43 @@ MIN_LOOK_BLOCK = 512
 # 2 * m * exp(-pi^2 * b^2 / 2) per value, below 1e-34 * m; a coarser grid
 # draws its readings one by one.
 SUM_DRAW_MIN_STEPS = 4.0
+
+# The most values one draw from a sensor stream holds, so a batched read's
+# memory stays bounded for any number of reads of any length.
+MAX_DRAW = 1 << 16
+
+
+def _look_ends(n: int) -> tuple:
+    """Reading counts at which a read of n readings ends its blocks."""
+    return (n // 4, n // 2, 3 * n // 4, n) if n >= 4 * MIN_LOOK_BLOCK else (n,)
+
+
+def _row_sums(draw, m: int, k: int | None):
+    """Sums of k rows of m values from draw(size), or of one row for k None.
+
+    The rows are one flat draw; a row longer than MAX_DRAW (k is then 1 or
+    None) is drawn and summed in pieces of at most MAX_DRAW.
+    """
+    if m <= MAX_DRAW:
+        return draw(m).sum() if k is None else draw(k * m).reshape(k, m).sum(axis=1)
+    total = sum(draw(min(MAX_DRAW, m - i)).sum() for i in range(0, m, MAX_DRAW))
+    return total if k is None else np.array([total])
+
+
+def _block_sums(rng, x: float, b: float, quantized: bool, m: int, k: int | None = None):
+    """Sums of blocks of m readings of true value x with noise b, in grid steps
+    (in kPa when not quantized): one sum for k None, else an array of k.
+
+    The law of a block sum is written here alone; see PressureSensor.read_avg.
+    """
+    if not quantized:
+        return m * x + math.sqrt(m) * b * rng.standard_normal(k)
+    if b >= SUM_DRAW_MIN_STEPS:
+        spread = rng.standard_normal(k) * (math.sqrt(m) * b)
+        spread -= _row_sums(rng.random, m - 1, k)
+        spread += m * (x + 0.5)
+        return math.floor(spread) if k is None else np.floor(spread, out=spread)
+    return _row_sums(lambda size: quantize(b * rng.standard_normal(size) + x, 1.0), m, k)
 
 
 class PressureSensor:
@@ -227,6 +266,20 @@ class PressureSensor:
     def __init__(self, model: SensorModel, seed=0):
         self.model = model
         self._rng = np.random.default_rng(seed)
+        # the ADC grid step and the reading noise in steps (kPa and sigma unquantized)
+        q = model.quant_step
+        self._quantized = q > 0
+        self._step, self._b = (q, model.sigma / q) if q > 0 else (1.0, model.sigma)
+
+    def _quiet(self, p_true: float) -> float:
+        """The mean of a noise-free read, which draws nothing: the quantized p_true."""
+        q = self.model.quant_step
+        return math.floor(p_true / q + 0.5) * q if q > 0 else p_true
+
+    def _sure_under(self, mean, end: int, below: float):
+        """Whether a running mean over end readings lies SURE_SIGMAS measurement
+        sigmas of its own length under the bound (elementwise for an array)."""
+        return mean + SURE_SIGMAS * measurement_sigma(self.model, end) < below
 
     def read_avg(self, p_true: float, n: int, below: float = math.inf) -> float:
         """Settle-averaged measurement over n consecutive readings.
@@ -249,34 +302,61 @@ class PressureSensor:
         blocks (Wald's sequential test) and returns that mean once it lies
         SURE_SIGMAS measurement sigmas of its own length under the bound. A
         read that never stops early draws and returns exactly what the
-        unbounded read does.
+        unbounded read does. read_avg_batch draws many reads of one pressure
+        with this law at once.
         """
         if n < 1:
             raise DomainError(f"settle read count must be >= 1, got {n}")
-        sigma, q = self.model.sigma, self.model.quant_step
-        if sigma == 0:
-            return math.floor(p_true / q + 0.5) * q if q > 0 else p_true
-        rng = self._rng
-        # count sums the readings so far and x is p_true, both in grid steps
-        # (in kPa without quantization)
-        step, x, b = (q, p_true / q, sigma / q) if q > 0 else (1.0, p_true, sigma)
-        ends = (n // 4, n // 2, 3 * n // 4, n) if n >= 4 * MIN_LOOK_BLOCK else (n,)
-        start, count = 0, 0
-        for end in ends:
-            m = end - start
-            if q == 0:
-                count += m * x + math.sqrt(m) * b * rng.standard_normal()
-            elif b >= SUM_DRAW_MIN_STEPS:
-                spread = math.sqrt(m) * b * rng.standard_normal() - rng.random(m - 1).sum()
-                count += math.floor(m * (x + 0.5) + spread)
-            else:
-                block = rng.standard_normal(m)
-                block *= b
-                block += x
-                count += int(quantize(block, 1.0).sum())
+        step, b = self._step, self._b
+        if b == 0:
+            return self._quiet(p_true)
+        x, start, count = p_true / step, 0, 0
+        for end in _look_ends(n):
+            # count sums the readings so far in grid steps (kPa without quantization)
+            count += _block_sums(self._rng, x, b, self._quantized, end - start)
             mean = count * step / end
-            if end < n and below < math.inf:
-                if mean + SURE_SIGMAS * measurement_sigma(self.model, end) < below:
-                    return mean
+            if end < n and below < math.inf and self._sure_under(mean, end, below):
+                break
             start = end
-        return mean
+        return float(mean)
+
+    def read_avg_batch(self, p_true: float, k: int, n: int, below: float = math.inf) -> list:
+        """k settle-averaged measurements of one true pressure, as a list.
+
+        Each has exactly the law of read_avg(p_true, n, below): the same
+        blocks, looks and draws per block. The reads are drawn together,
+        block by block, as many at a time as keep each draw within MAX_DRAW
+        values; a read that stops at a look draws no further block. Only the
+        order in which the stream's numbers go to the reads differs from k
+        read_avg calls.
+        """
+        if n < 1:
+            raise DomainError(f"settle read count must be >= 1, got {n}")
+        step, b = self._step, self._b
+        if b == 0:
+            return [self._quiet(p_true)] * k
+        x, ends = p_true / step, _look_ends(n)
+        rows = max(1, MAX_DRAW // (ends[0] + 1))  # no block holds more than ends[0] + 1 readings
+        means = []
+        for first in range(0, k, rows):
+            size = min(rows, k - first)
+            if len(ends) == 1:  # one block, no look
+                counts = _block_sums(self._rng, x, b, self._quantized, n, size)
+                means += [count * step / n for count in counts.tolist()]
+                continue
+            out, live = np.empty(size), np.arange(size)  # live: the reads still drawing
+            start, count = 0, 0
+            for end in ends:
+                count = count + _block_sums(self._rng, x, b, self._quantized, end - start, live.size)
+                mean = count * step / end
+                if end < n and below < math.inf:
+                    sure = self._sure_under(mean, end, below)
+                    out[live[sure]] = mean[sure]
+                    live, count = live[~sure], count[~sure]
+                    if not live.size:
+                        break
+                start = end
+            else:
+                out[live] = mean
+            means += out.tolist()
+        return means

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .calibration import CalibrationTable, angle_from_dp, force_from_dp
+from .calibration import CalibrationTable, angle_from_dp, force_from_dp, interp_torque
 from .contact import EquilibriumResult, solve_equilibrium
 from .errors import ConfigError, RangeError, StateError
 from .geometry import FingerGeometry, object_deformation, tip_extent
@@ -85,9 +85,12 @@ class GripperSim:
     The handle owns its seeded noise stream; concurrent sessions need distinct
     handles. The gripper closes by commanded opening width; each commanded
     opening yields one quasi-static equilibrium of the plant, which close_to
-    reports only as a sensor reading. The handle holds no estimator state:
-    detect_contact returns the contact opening and baseline and probe takes
-    them. The ground-truth equilibrium is for tests; the estimator never asks.
+    reports only as a sensor reading. approach closes in steps and yields
+    those readings one by one; the steps before the finger can touch the
+    object all read the rest pressure, so it draws them in one batched read.
+    The handle holds no estimator state: detect_contact returns the contact
+    opening and baseline and probe takes them. The ground-truth equilibrium
+    is for tests; the estimator never asks.
     """
 
     def __init__(
@@ -143,6 +146,31 @@ class GripperSim:
         reading = self.stream.read_avg(self._plant_pressure(), settle_reads, self.lock_reading + below)
         return reading - self.lock_reading
 
+    def approach(self, step: float, settle_reads: int, below: float = math.inf):
+        """Close in step increments down to the fully-shut stop, yielding the
+        measured dp after each step, as close_to would measure it.
+
+        The plant knows the steps before the finger reaches the object's
+        surface (all of them with no object): they read the rest pressure, so
+        one read_avg_batch draws them all. The steps after go through
+        close_to. The opening is set before each yield; the caller sees only
+        the dp values, and may stop at any one.
+        """
+        if self.state is None:
+            raise StateError("gripper must be pressurized and locked first")
+        free, opening = [], self.opening
+        while opening > 0.0:
+            opening = max(0.0, opening - step)
+            if self.k_object is not None and self.surface_offset is not None and opening < self.surface_offset:
+                break
+            free.append(opening)
+        readings = self.stream.read_avg_batch(self.rest_pressure, len(free), settle_reads, self.lock_reading + below)
+        for opening, reading in zip(free, readings):
+            self.opening = opening
+            yield reading - self.lock_reading
+        while self.opening > 0.0:
+            yield self.close_to(self.opening - step, settle_reads, below)
+
     def true_equilibrium(self) -> EquilibriumResult:
         """Ground-truth equilibrium at the current opening, solved afresh (tests only)."""
         pen = max(0.0, (self.surface_offset or 0.0) - self.opening)
@@ -155,7 +183,11 @@ def detect_contact(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig):
 
     Returns (contact_opening, contact_dp, flags), contact_dp being the
     lock-referenced dp at the step that crossed the threshold. Travel
-    exhaustion yields (None, None, ['no_contact']).
+    exhaustion yields (None, None, ['no_contact']). A crossing reading that
+    inverts to an angle where the table's torque is already nonzero (or past
+    the table) shows a step that closed beyond the dead zone, where the
+    free-bend inversion no longer gives the contact opening: that yields
+    (None, None, ['contact_overshoot']).
 
     An approach step's read is bounded by the threshold, so a long read of a
     surely contact-free step stops early (see PressureSensor.read_avg); a step
@@ -164,11 +196,16 @@ def detect_contact(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig):
     """
     sim.pressurize_and_lock(cfg.p0, cfg.settle_reads)
     threshold = cfg.threshold(sim.stream.model)
-    while sim.opening > 0.0:
-        dp = sim.close_to(sim.opening - cfg.approach_step, cfg.settle_reads, below=threshold)
+    for dp in sim.approach(cfg.approach_step, cfg.settle_reads, below=threshold):
         if dp > threshold:
             # invert the dead-zone free bend to estimate the true contact opening
-            alpha_deg = angle_from_dp(table, dp, cfg.p0)
+            try:
+                alpha_deg = angle_from_dp(table, dp, cfg.p0)
+                overshoot = interp_torque(table, alpha_deg, cfg.p0) > 0.0
+            except RangeError:  # a reading past the table is past the dead zone too
+                overshoot = True
+            if overshoot:
+                return None, None, ["contact_overshoot"]
             pen_hat = tip_extent(sim.geom, math.radians(alpha_deg))
             return sim.opening + pen_hat, dp, []
     return None, None, ["no_contact"]
@@ -234,7 +271,8 @@ def probe(
 
 
 def run_probe(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig) -> ProbeReport:
-    """Full session: detect contact, then probe. no_contact yields an empty report."""
+    """Full session: detect contact, then probe. no_contact and contact_overshoot
+    yield an empty report."""
     opening, dp, flags = detect_contact(sim, table, cfg)
     if opening is None:
         return ProbeReport(flags=flags, p0=cfg.p0, d_c=cfg.d_c)

@@ -9,7 +9,8 @@ import pytest
 import numpy as np
 
 from softgrip.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, MAX_PLAN_PROBES, MAX_SETTLE_READS, main,
+    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, MAX_PLAN_PROBES, MAX_PROBE_READINGS, MAX_PROBE_STEPS,
+    MAX_SETTLE_READS, main,
 )
 from softgrip.config import (
     DEFAULTS,
@@ -942,3 +943,37 @@ def test_cli_work_in_proportion_to_a_value_is_capped(tmp_path, capsys, argv, key
     assert main([*command, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {key} {cap + 1} exceeds {cap}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--config", CUBES, "--fixture", "cube1"],
+    ["scenario", "--config", BANANA],
+    ["sensitivity", "--config", CUBES],
+], ids=["probe", "scenario", "sensitivity"])
+def test_cli_probe_steps_and_readings_are_capped(tmp_path, capsys, argv):
+    # every probing command caps probe.n_probe_steps, and the readings one probe
+    # may request: settle_reads for the lock read, each approach and each probe step
+    with open(argv[2]) as fh:
+        doc = json.load(fh)
+    approach = math.ceil(doc.get("gripper", {}).get("max_open_mm", DEFAULTS["gripper"]["max_open_mm"]) / 2.0)
+    reads = MAX_PROBE_READINGS // 10_000  # 10,000 reads a probe request the cap
+    at_readings_cap = 10_000 - 1 - approach
+    for settle_reads, steps, message in (
+        (1, MAX_PROBE_STEPS, f"probe.n_probe_steps {MAX_PROBE_STEPS + 1} exceeds {MAX_PROBE_STEPS}"),
+        (reads, at_readings_cap, (
+            f"probe.settle_reads {reads} in 1 + {approach} approach + {at_readings_cap + 1} probe steps "
+            f"requests {MAX_PROBE_READINGS + reads} readings, more than {MAX_PROBE_READINGS}"
+        )),
+    ):
+        _set(doc, "probe.settle_reads", settle_reads)
+        _set(doc, "probe.n_probe_steps", steps)
+        command = [argv[0], "--config", _write(tmp_path, doc), *argv[3:]]
+        assert main([*command, "--dry-run"]) == EXIT_OK
+        capsys.readouterr()
+        _set(doc, "probe.n_probe_steps", steps + 1)
+        command[2] = _write(tmp_path, doc)
+        out = tmp_path / "x"
+        for extra in (["--dry-run"], ["--out", str(out)]):
+            assert main([*command, *extra]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()

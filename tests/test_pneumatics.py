@@ -6,6 +6,7 @@ import pytest
 from softgrip import pneumatics
 from softgrip.errors import DomainError, StateError
 from softgrip.pneumatics import (
+    MAX_DRAW,
     MIN_LOOK_BLOCK,
     SUM_DRAW_MIN_STEPS,
     PressureSensor,
@@ -461,3 +462,137 @@ def test_short_bounded_read_is_the_unbounded_read(sensor):
     # quantization only: the mean is the quantized value at any length
     quantized = PressureSensor(SensorModel(noise_frac=0.0, quant_step=0.5))
     assert quantized.read_avg(1.26, 4 * MIN_LOOK_BLOCK, 10.0) == 1.5
+
+
+class RecordingRng:
+    """A Generator that records the size of every draw taken from it."""
+
+    def __init__(self, rng):
+        self.rng, self.normals, self.uniforms = rng, [], []
+
+    def standard_normal(self, size=None):
+        self.normals.append(size)
+        return self.rng.standard_normal(size)
+
+    def random(self, size):
+        self.uniforms.append(size)
+        return self.rng.random(size)
+
+
+# the four sensor paths: block sums (b >= 4), readings one by one (b ~ 1.2),
+# one normal a block unquantized, and no draw noise-free
+BLOCK_SUM, PER_READING = SensorModel(), SensorModel(quant_step=5.0)
+UNQUANTIZED, NOISE_FREE = SensorModel(quant_step=0.0), SensorModel(noise_frac=0.0)
+NOISY, NOISY_IDS = (BLOCK_SUM, PER_READING, UNQUANTIZED), ("block-sum", "per-reading", "unquantized")
+
+
+def _keys(model, means, n):
+    """Integer keys of settle means for the chi-square test: the count of grid
+    steps times 3n / end, an integer for each block end of a read of n; a
+    twentieth of the full read's sigma unquantized."""
+    if model.quant_step > 0:
+        keys = np.asarray(means) * (3 * n) / model.quant_step
+        assert np.all(np.abs(keys - np.rint(keys)) < 1e-6)
+        return np.rint(keys).astype(np.int64)
+    return np.floor(np.asarray(means) / (measurement_sigma(model, n) / 20)).astype(np.int64)
+
+
+def _blocks_per_read(normals, model, n, k):
+    """Blocks each of k batched reads drew, from the sizes of its normal draws
+    (one draw a block for all reads still drawing, k of them in one chunk)."""
+    per_read = n // 4 if n >= 4 * MIN_LOOK_BLOCK else n
+    live = [size // per_read if model is PER_READING else size for size in normals]
+    assert live[0] == k and all(a >= b for a, b in zip(live, live[1:]))
+    return np.repeat(np.arange(1, len(live) + 1), np.diff([*live, 0]) * -1)
+
+
+@pytest.mark.parametrize("bounded", (False, True), ids=("unbounded", "bounded"))
+@pytest.mark.parametrize("n", (512, 4 * MIN_LOOK_BLOCK))
+@pytest.mark.parametrize("model", NOISY, ids=NOISY_IDS)
+def test_batched_reads_have_the_law_of_scalar_reads(model, n, bounded):
+    # the same law of each mean, and the same number of blocks drawn before a
+    # look stops the read; the bound sits 9 full-read sigmas above the true
+    # pressure, so the bounded long reads stop at each of their looks
+    p_true, size = 60.0, 6000
+    below = p_true + 9 * measurement_sigma(model, n) if bounded else math.inf
+    stream = PressureSensor(model, seed=1)
+    stream._rng = RecordingRng(stream._rng)
+    scalar, scalar_blocks = [], []
+    for _ in range(size):
+        before = len(stream._rng.normals)
+        scalar.append(stream.read_avg(p_true, n, below))
+        scalar_blocks.append(len(stream._rng.normals) - before)
+    rows = MAX_DRAW // (n // 4 + 1 if n >= 4 * MIN_LOOK_BLOCK else n + 1)
+    batch, batch_blocks = [], []
+    batched = PressureSensor(model, seed=2)
+    rng = batched._rng
+    for _ in range(size // rows):  # one chunk a batch, so its normal draws tell the blocks drawn
+        batched._rng = RecordingRng(rng)
+        batch += batched.read_avg_batch(p_true, rows, n, below)
+        batch_blocks += _blocks_per_read(batched._rng.normals, model, n, rows).tolist()
+    scalar, scalar_blocks = scalar[: len(batch)], scalar_blocks[: len(batch)]
+    assert _chi_square_passes(_keys(model, batch, n), _keys(model, scalar, n))
+    if bounded and n >= 4 * MIN_LOOK_BLOCK:
+        assert set(batch_blocks) == set(scalar_blocks) == {1, 2, 3, 4}
+        assert _chi_square_passes(np.array(batch_blocks), np.array(scalar_blocks))
+    else:  # no look: every read draws all its blocks
+        assert set(batch_blocks) == set(scalar_blocks) == {1 if n < 4 * MIN_LOOK_BLOCK else 4}
+
+
+def test_noise_free_batch_is_the_quantized_pressure():
+    for model in (NOISE_FREE, SensorModel(noise_frac=0.0, quant_step=0.0)):
+        stream = PressureSensor(model, seed=4)
+        state = stream._rng.bit_generator.state
+        for n, below in ((1, math.inf), (512, math.inf), (4096, 60.0)):
+            assert stream.read_avg_batch(61.37, 3, n, below) == [stream.read_avg(61.37, n, below)] * 3
+        assert stream._rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("model", NOISY, ids=NOISY_IDS)
+def test_batch_spanning_chunks_keeps_draws_bounded(model):
+    # 300 reads of 4096 take five chunks of at most 64 reads; no draw holds more
+    # than MAX_DRAW values, and the means keep the law of scalar reads
+    n, k = 4096, 300
+    below = 60.0 + 9 * measurement_sigma(model, n)
+    stream = PressureSensor(model, seed=6)
+    stream._rng = RecordingRng(stream._rng)
+    batch = []
+    for _ in range(20):
+        batch += stream.read_avg_batch(60.0, k, n, below)
+    sizes = [size for size in stream._rng.normals + stream._rng.uniforms if size is not None]
+    assert max(sizes) <= MAX_DRAW
+    assert len(stream._rng.normals) >= 20 * 5  # each batch drew its first block in five chunks
+    scalar = PressureSensor(model, seed=7)
+    reference = [scalar.read_avg(60.0, n, below) for _ in range(len(batch))]
+    assert _chi_square_passes(_keys(model, batch, n), _keys(model, reference, n))
+
+
+@pytest.mark.parametrize("model", (BLOCK_SUM, PER_READING), ids=("block-sum", "per-reading"))
+def test_reads_longer_than_a_draw_are_drawn_in_pieces(monkeypatch, model):
+    # with a 100-value cap a 512-reading block is drawn in six pieces, in a
+    # batch and in a scalar read, and keeps the law of readings drawn one by one
+    monkeypatch.setattr(pneumatics, "MAX_DRAW", 100)
+    m, size = 512, 4000
+    p_true = 88.37 * model.quant_step
+    for batched in (False, True):
+        stream = PressureSensor(model, seed=9)
+        stream._rng = RecordingRng(stream._rng)
+        if batched:
+            means = stream.read_avg_batch(p_true, size, m)
+        else:
+            means = [stream.read_avg(p_true, m) for _ in range(size)]
+        sizes = [s for s in stream._rng.normals + stream._rng.uniforms if s is not None]
+        assert max(sizes) <= 100
+        counts = np.rint(np.array(means) * m / model.quant_step).astype(np.int64)
+        assert _chi_square_passes(counts, _reference_counts(model, p_true, m, size, seed=10))
+
+
+def test_batched_reruns_from_one_seed_are_identical():
+    calls = [(60.0, 2, 512, math.inf), (45.0, 150, 4096, 47.0), (45.0, 70, 2048, math.inf), (70.0, 3, 4096, 75.0)]
+    for model in (BLOCK_SUM, PER_READING, UNQUANTIZED):
+        runs = []
+        for _ in range(2):
+            stream = PressureSensor(model, seed=12)
+            runs.append([stream.read_avg_batch(*call) for call in calls] + [stream.read_avg(60.0, 4096, 61.0)])
+        assert runs[0] == runs[1]
+        assert all(type(mean) is float and len(run) == call[1] for run, call in zip(runs[0], calls) for mean in run)

@@ -7,7 +7,7 @@ import pytest
 import softgrip.calibration
 import softgrip.probing
 from softgrip.contact import solve_equilibrium
-from softgrip.errors import ConfigError, StateError
+from softgrip.errors import ConfigError, SaturationError, StateError
 from softgrip.geometry import FingerGeometry
 from softgrip.pneumatics import MIN_LOOK_BLOCK, PressureSensor, measurement_sigma
 from softgrip.probing import (
@@ -291,15 +291,21 @@ def test_probe_solves_each_contact_step_once(geom, ring, sensor, locked_table, m
 
 def test_only_approach_reads_are_bounded(geom, ring, sensor, locked_table, monkeypatch):
     # approach steps may stop early under the contact threshold; the lock read
-    # and every probe step read the full settle_reads
+    # and every probe step read the full settle_reads. The contact-free
+    # approach steps are one batched read, recorded once per step.
     bounds = []
-    read_avg = PressureSensor.read_avg
+    read_avg, read_avg_batch = PressureSensor.read_avg, PressureSensor.read_avg_batch
 
     def recorded_read_avg(self, p_true, n, below=math.inf):
         bounds.append(below)
         return read_avg(self, p_true, n, below)
 
+    def recorded_read_avg_batch(self, p_true, k, n, below=math.inf):
+        bounds.extend([below] * k)
+        return read_avg_batch(self, p_true, k, n, below)
+
     monkeypatch.setattr(PressureSensor, "read_avg", recorded_read_avg)
+    monkeypatch.setattr(PressureSensor, "read_avg_batch", recorded_read_avg_batch)
     sim = _sim(geom, ring, sensor, 100.0, offset=30.0, seed=5)
     report = run_probe(sim, locked_table, CFG)
     assert report.flags == []
@@ -359,3 +365,86 @@ def test_clipped_closing_leaves_no_mean_bias(geom, ring, sensor, quiet_sensor, l
     k_o = np.array([rep.k_o_est for rep in reports])
     se = k_o.std(ddof=1) / math.sqrt(k_o.size)
     assert abs(k_o.mean() - quiet) < 3.0 * se
+
+
+@pytest.mark.parametrize("noise", (False, True), ids=("quiet", "noisy"))
+@pytest.mark.parametrize("step", range(2, 31, 2))
+def test_coarse_approach_step_flags_contact_overshoot(geom, ring, sensor, quiet_sensor, locked_table, step, noise):
+    # a step that closes past the dead zone before its reading crosses the
+    # threshold cannot locate contact by the free-bend inversion: the probe is
+    # flagged and reports nothing. Every unflagged probe keeps criterion 5's
+    # tolerances without noise; with noise k_o stays within 40%, above the 26%
+    # noise alone gives here and below the 79-219% an unflagged 30 mm step gave.
+    cfg = replace(CFG, approach_step=float(step))
+    for k in (50.83, 202.39):
+        for seed in range(5 if noise else 1):
+            sim = _sim(geom, ring, sensor if noise else quiet_sensor, k, seed=seed)
+            report = run_probe(sim, locked_table, cfg)
+            if report.flags:
+                assert report.flags == ["contact_overshoot"]
+                assert report.contact_opening is None and report.dp_trace == []
+                assert report.est_force is None and report.k_r is None and report.k_o_est is None
+                continue
+            assert step <= 20  # at 22 mm and more every step overshoots
+            truth = sim.true_equilibrium()
+            if noise:
+                assert report.k_o_est == pytest.approx(k, rel=0.40)
+            else:
+                assert report.k_o_est == pytest.approx(k, rel=0.10)
+                assert report.est_force == pytest.approx(truth.force, rel=0.05)
+
+
+def test_crossing_reading_past_the_table_is_contact_overshoot(geom, ring, quiet_sensor, locked_table, monkeypatch):
+    # a crossing reading the table cannot invert closed past its last angle,
+    # so past the dead zone too: flagged, not an error
+    def saturated(table, dp, p0):
+        raise SaturationError(f"dp={dp} kPa above the table maximum")
+
+    monkeypatch.setattr(softgrip.probing, "angle_from_dp", saturated)
+    report = run_probe(_sim(geom, ring, quiet_sensor, 100.0), locked_table, CFG)
+    assert report.flags == ["contact_overshoot"]
+    assert report.contact_opening is None and report.k_o_est is None
+
+
+def test_approach_draws_the_contact_free_stretch_in_one_batch(geom, ring, sensor, quiet_sensor, monkeypatch):
+    # 45 -> 40 mm in 2 mm steps: 43 and 41 mm are surely free and drawn as one
+    # batch of 2; 39 mm and on go through close_to. The openings and noise-free
+    # dps are those of close_to step by step.
+    batches, closes = [], []
+    read_avg_batch, close_to = PressureSensor.read_avg_batch, GripperSim.close_to
+
+    def recorded_batch(self, p_true, k, n, below=math.inf):
+        batches.append(k)
+        return read_avg_batch(self, p_true, k, n, below)
+
+    def recorded_close_to(self, opening, settle_reads, below=math.inf):
+        closes.append(opening)
+        return close_to(self, opening, settle_reads, below)
+
+    monkeypatch.setattr(PressureSensor, "read_avg_batch", recorded_batch)
+    monkeypatch.setattr(GripperSim, "close_to", recorded_close_to)
+    sim = _sim(geom, ring, quiet_sensor, 100.0)
+    sim.pressurize_and_lock(CFG.p0, CFG.settle_reads)
+    stepped = []
+    for dp in sim.approach(CFG.approach_step, CFG.settle_reads):
+        stepped.append((sim.opening, dp))
+    assert batches == [2] and closes[0] == 41.0 - CFG.approach_step and len(closes) == 21  # 39, 37, ..., 1, 0 mm
+    monkeypatch.undo()
+    ref = _sim(geom, ring, quiet_sensor, 100.0)
+    ref.pressurize_and_lock(CFG.p0, CFG.settle_reads)
+    expect = []
+    while ref.opening > 0.0:
+        dp = ref.close_to(ref.opening - CFG.approach_step, CFG.settle_reads)
+        expect.append((ref.opening, dp))
+    assert stepped == expect
+    assert [o for o, _ in stepped][:3] == [43.0, 41.0, 39.0] and stepped[-1][0] == 0.0
+
+    # no object: the whole approach is one batch, ending at the shut stop
+    empty = GripperSim(geom, ring, sensor, None, None, max_open=45.0, seed=3)
+    empty.pressurize_and_lock(CFG.p0, CFG.settle_reads)
+    dps = list(empty.approach(CFG.approach_step, CFG.settle_reads))
+    assert len(dps) == 23 and empty.opening == 0.0
+    assert all(abs(dp) < CFG.threshold(sensor) for dp in dps)
+
+    with pytest.raises(StateError):
+        next(_sim(geom, ring, sensor, 100.0).approach(2.0, 8))
