@@ -113,11 +113,7 @@ def _check_cells(n_alpha: int, n_p: int) -> None:
 
 
 def generate_regulated_sweep(
-    model: RingModel,
-    alpha_max_deg: float = 80.0,
-    alpha_step_deg: float = 5.0,
-    p_max_kpa: float = 150.0,
-    p_step_kpa: float = 5.0,
+    model: RingModel, *, alpha_max_deg: float, alpha_step_deg: float, p_max_kpa: float, p_step_kpa: float
 ) -> CalibrationTable:
     """Torque surface with the regulator holding each pressure (no volume coupling).
 
@@ -136,10 +132,7 @@ def generate_regulated_sweep(
 
 
 def generate_locked_sweep(
-    model: RingModel,
-    p0_grid_kpa=(0.0, 20.0, 40.0, 60.0, 80.0),
-    alpha_max_deg: float = 80.0,
-    alpha_step_deg: float = 1.0,
+    model: RingModel, *, p0_grid_kpa, alpha_max_deg: float, alpha_step_deg: float
 ) -> CalibrationTable:
     """Locked-air-volume sweep: pressurize at alpha=0, lock, sweep alpha upward.
 
@@ -157,10 +150,7 @@ def generate_locked_sweep(
         )
     _check_cells(alpha_grid.size, p0_grid.size)
     alphas = np.radians(alpha_grid)
-    p = np.stack(
-        [pressure_at_angle(lock(RingState(p_gauge=float(p0)), model), model, alphas) for p0 in p0_grid],
-        axis=1,
-    )
+    p = pressure_at_angle(lock(RingState(p_gauge=p0_grid), model), model, alphas[:, None])
     dp = p - p0_grid
     dp[0] = 0.0  # the baseline row is zero by definition; drop float residue
     torque = joint_torque(model, alphas[:, None], p)
@@ -168,12 +158,7 @@ def generate_locked_sweep(
     return CalibrationTable(alpha_grid, p0_grid, dp, torque, meta)
 
 
-def hysteresis_sweep(
-    model: RingModel,
-    p0: float = 60.0,
-    alpha_max_deg: float = 80.0,
-    alpha_step_deg: float = 1.0,
-):
+def hysteresis_sweep(model: RingModel, *, p0: float, alpha_max_deg: float, alpha_step_deg: float):
     """Forward then backward locked sweep, one step a second; leakage separates the two phases.
 
     Returns (alpha_deg, p_forward, p_backward) with pressures in gauge kPa.

@@ -1,14 +1,16 @@
 """Command-line entry point: reproducible calibrate / probe / scenario /
 sensitivity runs driven by a JSON config file.
 
-Each command is resolved, then run. ``resolve_<cmd>`` makes every check and
-builds every model, fixture, plan and table; it returns the run, which makes
-no check and returns the files it produced (name -> text, in write order) and
-a runtime-flag message or None. ``--dry-run`` resolves and prints the config,
-so it exits 2 exactly when the run would, with the same message; only a name
-the run needs but nothing sets (``--fixture`` for probe, ``plan.fixture``, the
-sensitivity pair) is left to the run. ``main`` alone writes, adding
-``run_meta.json`` last, so one output rule holds for every command:
+Each command is resolved, then run. ``main`` alone builds the models: each
+model and fixture once, so a bad value fails every command alike.
+``resolve_<cmd>`` takes them, makes every other check, builds the plan and
+tables and returns the run, which makes no check and returns the files it
+produced (name -> text, in write order) and a runtime-flag message or None.
+``--dry-run`` resolves and prints the config, so it exits 2 exactly when the
+run would, with the same message; only a name the run needs but nothing sets
+(``--fixture`` for probe, ``plan.fixture``, the sensitivity pair) is left to
+the run. ``main`` alone writes, adding ``run_meta.json`` last, so one output
+rule holds for every command:
 
 - exit 0: every file is written;
 - exit 3 with a flag (no_contact, contact_overshoot, out_of_table,
@@ -35,7 +37,8 @@ import numpy as np
 from . import __version__
 from .calibration import generate_locked_sweep, generate_regulated_sweep, hysteresis_sweep, write_csv
 from .config import (
-    build_fixture, build_geometry, build_probe_config, build_ring, build_sensor, config_hash, load_config,
+    build_fixture, build_geometry, build_probe_config, build_ring, build_sensor, config_hash, fixture_named,
+    load_config,
 )
 from .contact import stiffness_at
 from .errors import ConfigError, SoftgripError
@@ -102,8 +105,8 @@ MAX_PROBE_READINGS = 100_000_000
 MAX_PLAN_PROBES = 10_000  # plan.n; the bundled plans probe at most 10 locations
 
 
-def _rig(cfg: dict, name: str | None, fixture, noise: bool):
-    """(geometry, ring, sensor, locked table, probe settings) of a probing command.
+def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
+    """(locked table, sensor) of a probing command; the sensor is quiet without noise.
 
     The gripper must open past the fixture's surface in bounded approach steps, a
     probe take bounded steps and readings, and probe.p0_kpa lie in the table's p0 grid.
@@ -133,14 +136,13 @@ def _rig(cfg: dict, name: str | None, fixture, noise: bool):
             f"probe.settle_reads {reads} in 1 + {approach_steps} approach + {probe_steps} probe steps "
             f"requests {readings} readings, more than {MAX_PROBE_READINGS}"
         )
-    ring = build_ring(cfg)
     table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
     lo, hi, p0 = float(table.p0_grid[0]), float(table.p0_grid[-1]), cfg["probe"]["p0_kpa"]
     if not lo <= p0 <= hi:
         raise ConfigError(
             f"probe.p0_kpa {p0!r} lies outside calibration.locked.p0_grid_kpa [{lo!r}, {hi!r}]"
         )
-    return build_geometry(cfg), ring, build_sensor(cfg, noise=noise), table, build_probe_config(cfg)
+    return table, (sensor if noise else sensor.noiseless())
 
 
 def _fails(exc: ConfigError) -> Run:
@@ -152,10 +154,11 @@ def _fails(exc: ConfigError) -> Run:
     return run
 
 
-def resolve_calibrate(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
+def resolve_calibrate(
+    cfg: dict, fixture_arg: str | None, noise: bool, geom, ring, sensor, probe_cfg, fixtures
+) -> Run:
     if fixture_arg is not None:
         raise ConfigError("calibrate takes no --fixture")
-    ring = build_ring(cfg)
     cal = cfg["calibration"]
     reg = generate_regulated_sweep(ring, **cal["regulated"])
     locked = generate_locked_sweep(ring, **cal["locked"])
@@ -193,13 +196,15 @@ def resolve_calibrate(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
     return run
 
 
-def resolve_probe(cfg: dict, fixture_name: str | None, noise: bool) -> Run:
-    fixture = build_fixture(cfg, fixture_name) if fixture_name else None
+def resolve_probe(
+    cfg: dict, fixture_name: str | None, noise: bool, geom, ring, sensor, probe_cfg, fixtures
+) -> Run:
+    fixture = fixture_named(fixtures, fixture_name) if fixture_name else None
     if fixture is not None and fixture.profile.kind != "uniform":
         raise ConfigError(
             f"fixture '{fixture_name}' has a spatial profile; use the scenario command"
         )
-    geom, ring, sensor, table, probe_cfg = _rig(cfg, fixture_name, fixture, noise)
+    table, sensor = _rig(cfg, fixture_name, fixture, ring, sensor, noise)
     if fixture is None:
         return _fails(ConfigError("probe requires --fixture"))
     sim = GripperSim(
@@ -218,11 +223,13 @@ def resolve_probe(cfg: dict, fixture_name: str | None, noise: bool) -> Run:
     return run
 
 
-def resolve_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
+def resolve_scenario(
+    cfg: dict, fixture_arg: str | None, noise: bool, geom, ring, sensor, probe_cfg, fixtures
+) -> Run:
     if fixture_arg is not None:
         raise ConfigError("scenario takes its fixture from plan.fixture, not --fixture")
     plan_cfg = cfg["plan"]
-    fixture = build_fixture(cfg, plan_cfg["fixture"]) if plan_cfg["fixture"] else None
+    fixture = fixture_named(fixtures, plan_cfg["fixture"]) if plan_cfg["fixture"] else None
     if plan_cfg["n"] > MAX_PLAN_PROBES:
         raise ConfigError(f"plan.n {plan_cfg['n']} exceeds {MAX_PLAN_PROBES}")
     plan = make_plan(plan_cfg["span"], plan_cfg["n"])
@@ -234,7 +241,7 @@ def resolve_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
         )
     if not 0.0 <= plan_cfg["avoid_fraction"] <= 1.0:
         raise ConfigError(f"plan.avoid_fraction must be in [0, 1], got {plan_cfg['avoid_fraction']!r}")
-    geom, ring, sensor, table, probe_cfg = _rig(cfg, plan_cfg["fixture"], fixture, noise)
+    table, sensor = _rig(cfg, plan_cfg["fixture"], fixture, ring, sensor, noise)
     if fixture is None:
         return _fails(ConfigError("plan.fixture must name a fixture"))
 
@@ -254,7 +261,9 @@ def resolve_scenario(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
     return run
 
 
-def resolve_sensitivity(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
+def resolve_sensitivity(
+    cfg: dict, fixture_arg: str | None, noise: bool, geom, ring, sensor, probe_cfg, fixtures
+) -> Run:
     sens = cfg["sensitivity"]
     fixture_a, _, fixture_b = (fixture_arg or "").partition(",")
     name_a = fixture_a or sens["fixture_a"]
@@ -264,7 +273,7 @@ def resolve_sensitivity(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
         raise ConfigError(need_pair)
     fa = fb = None
     if name_a:
-        fa, fb = build_fixture(cfg, name_a), build_fixture(cfg, name_b)
+        fa, fb = fixture_named(fixtures, name_a), fixture_named(fixtures, name_b)
         if fa.profile.kind != "uniform" or fb.profile.kind != "uniform":
             raise ConfigError("sensitivity sweep expects uniform fixtures")
         if fa.surface_offset != fb.surface_offset:
@@ -276,7 +285,7 @@ def resolve_sensitivity(cfg: dict, fixture_arg: str | None, noise: bool) -> Run:
         if dc <= 0:
             raise ConfigError(f"sensitivity.dc_grid_mm entries must be positive, got {dc!r}")
     # fb has fa's offset; the noisy sensor gives the sigma the sweep ranks by
-    geom, ring, sensor, table, probe_cfg = _rig(cfg, name_a, fa, True)
+    table, sensor = _rig(cfg, name_a, fa, ring, sensor, True)
     if fa is None:
         return _fails(ConfigError(need_pair))
 
@@ -327,15 +336,21 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        # each model is built once, here, before any command's own checks
+        geom, ring, sensor = build_geometry(cfg), build_ring(cfg), build_sensor(cfg)
+        probe_cfg = build_probe_config(cfg)
+        fixtures = {name: build_fixture(cfg, name) for name in cfg["fixtures"]}
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             cfg["seed"] = args.seed
         out_dir = args.out or cfg["output_dir"]
+        if "\0" in out_dir:
+            raise ConfigError(f"--out must not contain NUL, got {json.dumps(out_dir)}")
         if os.path.exists(out_dir) and not os.path.isdir(out_dir):
             raise ConfigError(f"output directory '{out_dir}' exists and is not a directory")
         noise = args.noise == "on"
-        run = COMMANDS[args.command](cfg, args.fixture, noise)
+        run = COMMANDS[args.command](cfg, args.fixture, noise, geom, ring, sensor, probe_cfg, fixtures)
         if args.dry_run:
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return EXIT_OK

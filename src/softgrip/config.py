@@ -1,8 +1,9 @@
-"""Scenario configuration: JSON file with strict validation, embedded physical
+"""Scenario configuration: JSON file with strict validation, the physical
 defaults, and builders for the plant / probe / fixture objects.
 
-Config units are external: mm, degrees, kPa, N/mm. Unknown keys are rejected,
-and every value must have the type of its default.
+Config units are external: mm, degrees, kPa, N/mm. Unknown and repeated keys
+are rejected, and every value must have the type of its default. DEFAULTS is
+the one home of each config-valued default; the CLI builds the models once.
 """
 
 from __future__ import annotations
@@ -89,6 +90,16 @@ _FIXTURE_FIELDS = {
 }
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a repeated key would silently win, so it is an error."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"repeated key '{key}'")
+        out[key] = value
+    return out
+
+
 def _merge(out, user, path=""):
     """Merge freshly parsed user config into out, a copy of the defaults, in one
     walk: reject unknown keys and check each value against its default's type."""
@@ -145,6 +156,8 @@ def _check_leaf(here: str, default, value):
 
 def _check_fixture(name, raw) -> dict:
     """Check one fixture's fields and return them as stored (see _check_leaf)."""
+    if any(c in name for c in "/\\\0"):  # the name is part of probe's output file names
+        raise ConfigError(f"fixture name {json.dumps(name)} must not contain '/', '\\' or NUL")
     if not isinstance(raw, dict):
         raise ConfigError(f"fixture '{name}' must be an object")
     fixture = {}
@@ -167,26 +180,24 @@ def _check_fixture(name, raw) -> dict:
 
 
 def load_config(path) -> dict:
-    """Load, validate and resolve a scenario config file to a plain dict.
+    """Load, validate and resolve a UTF-8 scenario config file to a plain dict.
 
-    The finger geometry, the ring, the sensor, the probe settings and every
-    fixture are built once here, so a bad value fails every command alike.
+    Parses, merges into a copy of DEFAULTS and type-checks; it builds no
+    model. The CLI builds each model and fixture from the dict once.
     """
     try:
-        with open(path) as fh:
-            user = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            user = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or a repeated key
         raise ConfigError(f"{path}: {exc}") from None
     resolved = deepcopy(DEFAULTS)
     _merge(resolved, user)
     if resolved["seed"] < 0:
         raise ConfigError(f"'seed' must be non-negative, got {resolved['seed']}")
-    for build in (build_geometry, build_ring, build_sensor, build_probe_config):
-        build(resolved)
-    for name in resolved["fixtures"]:
-        build_fixture(resolved, name)
+    if "\0" in resolved["output_dir"]:
+        raise ConfigError(f"'output_dir' must not contain NUL, got {json.dumps(resolved['output_dir'])}")
     return resolved
 
 
@@ -231,16 +242,15 @@ def build_ring(cfg: dict) -> RingModel:
     )
 
 
-def build_sensor(cfg: dict, noise: bool = True) -> SensorModel:
+def build_sensor(cfg: dict) -> SensorModel:
     s = cfg["plant"]["sensor"]
-    model = _plant_model(
+    return _plant_model(
         "sensor",
         SensorModel,
         full_scale=s["full_scale_kpa"],
         noise_frac=s["noise_frac"],
         quant_step=s["quant_step_kpa"],
     )
-    return model if noise else model.noiseless()
 
 
 def build_probe_config(cfg: dict) -> ProbeConfig:
@@ -254,12 +264,16 @@ def build_probe_config(cfg: dict) -> ProbeConfig:
     )
 
 
-def build_fixture(cfg: dict, name: str) -> ObjectModel:
-    fixtures = cfg["fixtures"]
+def fixture_named(fixtures: dict, name: str):
+    """The fixture of that name, config fields or built model; an unknown name is a config error."""
     if name not in fixtures:
         available = ", ".join(sorted(fixtures)) or "<none>"
         raise ConfigError(f"unknown fixture '{name}'; available: {available}")
-    raw = {**_FIXTURE_FIELDS, **fixtures[name]}
+    return fixtures[name]
+
+
+def build_fixture(cfg: dict, name: str) -> ObjectModel:
+    raw = {**_FIXTURE_FIELDS, **fixture_named(cfg["fixtures"], name)}
     samples = () if raw["kind"] == "uniform" else tuple(map(tuple, raw["samples"]))
     return ObjectModel(
         profile=StiffnessProfile(kind=raw["kind"], base_k=raw["base_k_n_per_mm"], samples=samples),

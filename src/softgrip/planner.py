@@ -15,9 +15,6 @@ from .geometry import FingerGeometry
 from .pneumatics import RingModel, SensorModel
 from .probing import GripperSim, ProbeConfig, run_probe
 
-DEFAULT_AVOID_FRACTION = 0.6  # entries below this fraction of the map maximum are avoided
-
-
 @dataclass(frozen=True)
 class ProbePlan:
     """Ordered probing locations: mm along the body (linear) or degrees (angular)."""
@@ -85,9 +82,10 @@ def execute_plan(
     sensor: SensorModel,
     table: CalibrationTable,
     cfg: ProbeConfig,
-    seed: int = 0,
-    avoid_fraction: float = DEFAULT_AVOID_FRACTION,
-    max_open: float = 45.0,
+    *,
+    seed: int,
+    avoid_fraction: float,
+    max_open: float,
 ) -> StiffnessMap:
     """Probe every planned location against the fixture's local stiffness.
 

@@ -52,7 +52,7 @@ class RingModel:
 
 @dataclass(frozen=True)
 class RingState:
-    """Instantaneous ring state; nv_const is the conserved (p_abs * V) when locked."""
+    """Ring state, or states as arrays; nv_const is the conserved (p_abs * V) when locked."""
 
     p_gauge: float = 0.0
     alpha: float = 0.0
@@ -60,8 +60,8 @@ class RingState:
     nv_const: float = 0.0
 
     def __post_init__(self):
-        if self.p_gauge < 0:
-            raise DomainError(f"gauge pressure must be non-negative, got {self.p_gauge}")
+        if _lowest(self.p_gauge) < 0:
+            raise DomainError(f"gauge pressure must be non-negative, got {_lowest(self.p_gauge)}")
 
 
 # Each plant formula below has an unchecked core (_volume, _gas_pressure,

@@ -100,7 +100,8 @@ class GripperSim:
         sensor: SensorModel,
         k_object: float | None,
         surface_offset: float | None,
-        max_open: float = 45.0,
+        *,
+        max_open: float,
         seed=0,
     ):
         if max_open <= 0:
@@ -286,11 +287,12 @@ def sensitivity_sweep(
     table: CalibrationTable,
     k_a: float,
     k_b: float,
-    p0_grid=(0.0, 20.0, 40.0, 60.0, 80.0),
-    dc_grid=(10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
-    base_cfg: ProbeConfig = ProbeConfig(),
-    surface_offset: float = 40.0,
-    max_open: float = 45.0,
+    *,
+    p0_grid,
+    dc_grid,
+    base_cfg: ProbeConfig,
+    surface_offset: float,
+    max_open: float,
 ):
     """Rank (p0, d_c) pairs by noise-free dp separation over the measurement sigma.
 

@@ -1,6 +1,7 @@
 import pytest
 
 from softgrip.calibration import generate_locked_sweep, generate_regulated_sweep
+from softgrip.config import DEFAULTS
 from softgrip.geometry import FingerGeometry
 from softgrip.pneumatics import RingModel, SensorModel
 
@@ -27,9 +28,9 @@ def quiet_sensor(sensor):
 
 @pytest.fixture(scope="session")
 def locked_table(ring):
-    return generate_locked_sweep(ring)
+    return generate_locked_sweep(ring, **DEFAULTS["calibration"]["locked"])
 
 
 @pytest.fixture(scope="session")
 def regulated_table(ring):
-    return generate_regulated_sweep(ring)
+    return generate_regulated_sweep(ring, **DEFAULTS["calibration"]["regulated"])

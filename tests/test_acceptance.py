@@ -11,6 +11,7 @@ import pytest
 
 from softgrip.calibration import hysteresis_sweep, read_csv, write_csv
 from softgrip.cli import EXIT_OK, main
+from softgrip.config import DEFAULTS
 from softgrip.contact import solve_equilibrium, solve_equilibrium_bruteforce
 from softgrip.pneumatics import RingModel, RingState, lock
 from softgrip.probing import GripperSim, ProbeConfig, detect_contact, run_probe, sensitivity_sweep
@@ -18,6 +19,7 @@ from softgrip.probing import GripperSim, ProbeConfig, detect_contact, run_probe,
 CUBES = {"cube1": 50.83, "cube2": 54.87, "cube3": 202.39}
 OFFSET = 40.0
 MAX_OPEN = 45.0
+LOCKED = DEFAULTS["calibration"]["locked"]
 
 
 def _report(label: str, ok: bool):
@@ -49,6 +51,7 @@ def test_criterion_1_cube_ordering(geom, ring, sensor, quiet_sensor, locked_tabl
     # noisy runs at the sensitivity-optimal operating point
     ranked = sensitivity_sweep(
         geom, ring, sensor, locked_table, CUBES["cube1"], CUBES["cube2"],
+        p0_grid=LOCKED["p0_grid_kpa"], dc_grid=DEFAULTS["sensitivity"]["dc_grid_mm"], base_cfg=ProbeConfig(),
         surface_offset=OFFSET, max_open=MAX_OPEN,
     )
     p0_opt, dc_opt = ranked[0][0], ranked[0][1]
@@ -197,10 +200,14 @@ def test_criterion_7_fruit_scenarios():
 
 
 def test_criterion_8_hysteresis_direction(ring):
-    alphas, fwd, bwd = hysteresis_sweep(ring, p0=60.0)
+    alphas, fwd, bwd = hysteresis_sweep(
+        ring, p0=60.0, alpha_max_deg=LOCKED["alpha_max_deg"], alpha_step_deg=LOCKED["alpha_step_deg"]
+    )
     leaky_ok = bool(np.all(bwd[1:-1] < fwd[1:-1]))
     sealed = RingModel(leak_rate=0.0)
-    _, fwd0, bwd0 = hysteresis_sweep(sealed, p0=60.0)
+    _, fwd0, bwd0 = hysteresis_sweep(
+        sealed, p0=60.0, alpha_max_deg=LOCKED["alpha_max_deg"], alpha_step_deg=LOCKED["alpha_step_deg"]
+    )
     sealed_ok = float(np.max(np.abs(fwd0 - bwd0))) <= 1e-9
     _report("criterion 8: leak-driven hysteresis direction", leaky_ok and sealed_ok)
 

@@ -21,6 +21,7 @@ from softgrip.calibration import (
     read_csv,
     write_csv,
 )
+from softgrip.config import DEFAULTS
 from softgrip.errors import (
     ConfigError,
     DomainError,
@@ -30,6 +31,25 @@ from softgrip.errors import (
     SoftgripError,
 )
 from softgrip.pneumatics import RingModel, RingState, joint_torque, lock, pressure_at_angle, volume_at_angle
+
+LOCKED = DEFAULTS["calibration"]["locked"]
+
+
+def _locked(model, **given):
+    """generate_locked_sweep with the config default of each setting not given."""
+    return generate_locked_sweep(model, **{**LOCKED, **given})
+
+
+def _regulated(model, **given):
+    """generate_regulated_sweep with the config default of each setting not given."""
+    return generate_regulated_sweep(model, **{**DEFAULTS["calibration"]["regulated"], **given})
+
+
+def _hysteresis(model, **given):
+    """hysteresis_sweep with the config's defaults: the locked sweep's angles at probe.p0_kpa."""
+    defaults = {"p0": DEFAULTS["probe"]["p0_kpa"], "alpha_max_deg": LOCKED["alpha_max_deg"],
+                "alpha_step_deg": LOCKED["alpha_step_deg"]}
+    return hysteresis_sweep(model, **{**defaults, **given})
 
 
 def test_regulated_sweep_grid_shape(regulated_table):
@@ -62,7 +82,7 @@ def test_regulated_sweep_dead_zone_and_growth(regulated_table):
 
 def test_zero_coefficients_zero_surface():
     model = RingModel(c1=0.0, c2=0.0)
-    table = generate_regulated_sweep(model)
+    table = _regulated(model)
     assert np.all(table.torque_surface == 0.0)
 
 
@@ -128,23 +148,57 @@ def test_sweeps_equal_scalar_loops():
         )
         step = float(rng.choice([0.5, 1.0, 2.5]))
         p0_grid = np.sort(rng.uniform(0.0, 120.0, 4))
-        locked = generate_locked_sweep(model, p0_grid_kpa=p0_grid, alpha_step_deg=step)
+        locked = _locked(model, p0_grid_kpa=p0_grid, alpha_step_deg=step)
         dp, torque = _scalar_locked_sweep(model, locked.p0_grid, locked.alpha_grid)
         assert np.array_equal(locked.dp_surface, dp)
         assert np.array_equal(locked.torque_surface, torque)
-        reg = generate_regulated_sweep(model, alpha_step_deg=step, p_step_kpa=7.5)
+        reg = _regulated(model, alpha_step_deg=step, p_step_kpa=7.5)
         assert np.array_equal(reg.torque_surface, _scalar_regulated_sweep(model, reg.alpha_grid, reg.p0_grid))
 
 
+def _per_p0_locked_sweep(model, p0_grid, alpha_grid):
+    """Reference: the locked sweep locked and swept once per p0, one array call each."""
+    alphas = np.radians(alpha_grid)
+    p = np.stack(
+        [pressure_at_angle(lock(RingState(p_gauge=float(p0)), model), model, alphas) for p0 in p0_grid], axis=1
+    )
+    dp = p - p0_grid
+    dp[0] = 0.0
+    return dp, joint_torque(model, alphas[:, None], p)
+
+
+def test_broadcast_locked_sweep_equals_per_p0_loop():
+    # one broadcast lock and sweep over the p0 grid gives the per-p0 loop's surfaces bit for bit
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        model = RingModel(
+            v0=float(rng.uniform(1000.0, 10000.0)),
+            kappa=float(rng.uniform(0.0, 0.7)),
+            alpha_slack=math.radians(float(rng.uniform(0.0, 30.0))),
+            c1=float(rng.uniform(0.0, 60000.0)),
+            c2=float(rng.uniform(0.0, 1200.0)),
+            p_atm=float(rng.uniform(50.0, 150.0)),
+            leak_rate=float(rng.uniform(0.0, 1e-2)),
+        )
+        p0_grid = np.unique(rng.uniform(0.0, 200.0, int(rng.integers(2, 9))))
+        if rng.random() < 0.3:
+            p0_grid[0] = 0.0
+        step = float(rng.choice([0.25, 1.0, 2.5, 7.0]))
+        table = _locked(model, p0_grid_kpa=p0_grid, alpha_max_deg=float(rng.uniform(10.0, 80.0)), alpha_step_deg=step)
+        dp, torque = _per_p0_locked_sweep(model, table.p0_grid, table.alpha_grid)
+        assert np.array_equal(table.dp_surface, dp)
+        assert np.array_equal(table.torque_surface, torque)
+
+
 def test_hysteresis_leak_gap(ring):
-    alphas, fwd, bwd = hysteresis_sweep(ring, p0=60.0)
+    alphas, fwd, bwd = _hysteresis(ring, p0=60.0)
     interior = slice(1, -1)
     assert np.all(bwd[interior] < fwd[interior])
 
 
 def test_hysteresis_vanishes_without_leak():
     model = RingModel(leak_rate=0.0)
-    alphas, fwd, bwd = hysteresis_sweep(model, p0=60.0)
+    alphas, fwd, bwd = _hysteresis(model, p0=60.0)
     assert np.max(np.abs(fwd - bwd)) <= 1e-9
 
 
@@ -182,7 +236,7 @@ def _stepwise_hysteresis(model, p0, alpha_grid):
 def test_hysteresis_equals_stepwise_leak_loop(model, p0, step, seconds):
     # the sweep takes 1 s a step; steps of `seconds` are a ring leaking `seconds` times as fast
     model = replace(model, leak_rate=model.leak_rate * seconds)
-    alphas, fwd, bwd = hysteresis_sweep(model, p0=p0, alpha_step_deg=step)
+    alphas, fwd, bwd = _hysteresis(model, p0=p0, alpha_step_deg=step)
     ref_fwd, ref_bwd = _stepwise_hysteresis(model, p0, alphas)
     assert np.array_equal(fwd, ref_fwd)
     assert np.array_equal(bwd, ref_bwd)
@@ -491,41 +545,41 @@ def test_table_invariants_enforced():
 
 def test_degenerate_sweep_rejected(ring):
     with pytest.raises(ConfigError):
-        generate_locked_sweep(ring, p0_grid_kpa=(60.0,))
+        _locked(ring, p0_grid_kpa=(60.0,))
     with pytest.raises(ConfigError):
-        generate_regulated_sweep(ring, alpha_max_deg=0.0)
+        _regulated(ring, alpha_max_deg=0.0)
     for step in (0.0, -1.0, math.nan, math.inf, 80.0 / MAX_GRID_POINTS):  # the last one point past the cap
         with pytest.raises(ConfigError, match="grid step"):
-            generate_locked_sweep(ring, alpha_step_deg=step)
+            _locked(ring, alpha_step_deg=step)
         with pytest.raises(ConfigError, match="grid step"):
-            generate_regulated_sweep(ring, p_step_kpa=step)
+            _regulated(ring, p_step_kpa=step)
         with pytest.raises(ConfigError, match="grid step"):
-            hysteresis_sweep(ring, alpha_step_deg=step)
+            _hysteresis(ring, alpha_step_deg=step)
     # exactly at the cap: 80 deg and 150 kPa, the default spans, in MAX_GRID_POINTS points
     at_cap = 80.0 / (MAX_GRID_POINTS - 1)
-    assert generate_locked_sweep(ring, alpha_step_deg=at_cap).alpha_grid.size == MAX_GRID_POINTS
-    assert hysteresis_sweep(ring, alpha_step_deg=at_cap)[0].size == MAX_GRID_POINTS
+    assert _locked(ring, alpha_step_deg=at_cap).alpha_grid.size == MAX_GRID_POINTS
+    assert _hysteresis(ring, alpha_step_deg=at_cap)[0].size == MAX_GRID_POINTS
     p_at_cap = 150.0 / (MAX_GRID_POINTS - 1)
-    assert generate_regulated_sweep(ring, p_step_kpa=p_at_cap).p0_grid.size == MAX_GRID_POINTS
+    assert _regulated(ring, p_step_kpa=p_at_cap).p0_grid.size == MAX_GRID_POINTS
     for p0_grid in ((20.0, 0.0), (0.0, 20.0, 20.0), (-5.0, 20.0)):
         with pytest.raises(ConfigError, match="p0 grid"):
-            generate_locked_sweep(ring, p0_grid_kpa=p0_grid)
+            _locked(ring, p0_grid_kpa=p0_grid)
     with pytest.raises(ConfigError, match="p0"):
-        hysteresis_sweep(ring, p0=-5.0)
+        _hysteresis(ring, p0=-5.0)
 
 
 def test_table_cells_are_capped(ring):
     # 1000 x 1000 cells is the cap; one row or one p0 column more is refused
     assert MAX_TABLE_CELLS == 1000 * 1000
-    table = generate_regulated_sweep(ring, alpha_step_deg=80.0 / 999, p_step_kpa=150.0 / 999)
+    table = _regulated(ring, alpha_step_deg=80.0 / 999, p_step_kpa=150.0 / 999)
     assert table.torque_surface.size == MAX_TABLE_CELLS
     with pytest.raises(ConfigError, match="1000 x 1001 cells"):
-        generate_regulated_sweep(ring, alpha_step_deg=80.0 / 999, p_step_kpa=150.0 / 1000)
+        _regulated(ring, alpha_step_deg=80.0 / 999, p_step_kpa=150.0 / 1000)
     p0_grid = [float(p) for p in range(100)]
-    table = generate_locked_sweep(ring, p0_grid_kpa=p0_grid, alpha_step_deg=80.0 / 9999)
+    table = _locked(ring, p0_grid_kpa=p0_grid, alpha_step_deg=80.0 / 9999)
     assert table.dp_surface.size == MAX_TABLE_CELLS
     with pytest.raises(ConfigError, match="10001 x 100 cells"):
-        generate_locked_sweep(ring, p0_grid_kpa=p0_grid, alpha_step_deg=80.0 / 10000)
+        _locked(ring, p0_grid_kpa=p0_grid, alpha_step_deg=80.0 / 10000)
 
 
 def test_grid_ends_at_its_last_node_at_or_below_stop():
@@ -544,10 +598,10 @@ def test_grid_ends_at_its_last_node_at_or_below_stop():
 
 def test_sweeps_stay_inside_the_joint_range(ring):
     for alpha_max in (80.0 + 1e-9, 200.0, 300.0):
-        for sweep in (generate_locked_sweep, generate_regulated_sweep, hysteresis_sweep):
+        for sweep in (_locked, _regulated, _hysteresis):
             with pytest.raises(ConfigError, match="exceeds the 80.0 deg joint range"):
                 sweep(ring, alpha_max_deg=alpha_max)
-    assert generate_locked_sweep(ring, alpha_max_deg=80.0).alpha_grid[-1] == 80.0
+    assert _locked(ring, alpha_max_deg=80.0).alpha_grid[-1] == 80.0
 
 
 def _outcome(fn, *args):

@@ -72,7 +72,7 @@ def test_builders_roundtrip_units(tmp_path):
     ring = build_ring(cfg)
     assert ring.alpha_slack == pytest.approx(math.radians(20.0))
     assert build_sensor(cfg).noise_frac > 0.0
-    assert build_sensor(cfg, noise=False).noise_frac == 0.0
+    assert build_sensor(cfg).noiseless().noise_frac == 0.0
     probe_cfg = build_probe_config(cfg)
     assert probe_cfg.d_c == 30.0
 
@@ -977,3 +977,83 @@ def test_cli_probe_steps_and_readings_are_capped(tmp_path, capsys, argv):
             assert main([*command, *extra]) == EXIT_CONFIG
             assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+
+def _files_under(root):
+    return sorted(os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root) for f in names)
+
+
+def test_cli_config_not_utf8_exits_config(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"seed": 1, "output_dir": "o\xffut"}')
+    for extra in (["--dry-run"], ["--out", str(tmp_path / "out")]):
+        assert main(["probe", "--config", str(path), "--fixture", "cube1", *extra]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"config error: {path}: 'utf-8' codec can't decode byte 0xff in position 28: invalid start byte\n"
+        )
+    assert _files_under(tmp_path) == ["bad.json"]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"seed": 1, "seed": 2}', "seed"),
+        ('{"probe": {"p0_kpa": 40}, "seed": 0, "probe": {"n_probe_steps": 3}}', "probe"),
+        ('{"probe": {"p0_kpa": 40, "p0_kpa": 20}}', "p0_kpa"),
+        ('{"fixtures": {"x": {"surface_offset_mm": 40, "base_k_n_per_mm": 5, "surface_offset_mm": 30}}}',
+         "surface_offset_mm"),
+    ],
+    ids=["top-level", "section", "section-key", "fixture-field"],
+)
+def test_cli_repeated_key_exits_config(tmp_path, capsys, text, key):
+    # the second value would silently win, so neither is taken
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    for extra in (["--dry-run"], ["--out", str(tmp_path / "out")]):
+        assert main(["calibrate", "--config", str(path), *extra]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {path}: repeated key '{key}'\n")
+    assert _files_under(tmp_path) == ["cfg.json"]
+
+
+def _cube_named(name):
+    return {"fixtures": {name: {"base_k_n_per_mm": 50.83, "surface_offset_mm": 40.0}}}
+
+
+@pytest.mark.parametrize("name", ["a/b", "a\\b", "a\0b"], ids=["slash", "backslash", "nul"])
+def test_cli_fixture_name_that_is_not_a_file_name_exits_config(tmp_path, capsys, name):
+    # probe writes probe_<name>.json, so a name must not reach into another directory
+    path = _write(tmp_path, _cube_named(name))
+    out = tmp_path / "out" / "run"
+    for extra in (["--dry-run"], ["--out", str(out)]):
+        assert main(["probe", "--config", path, "--fixture", name, *extra]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"config error: fixture name {json.dumps(name)} must not contain '/', '\\' or NUL\n"
+        )
+    assert _files_under(tmp_path) == ["cfg.json"]
+
+
+def test_cli_fixture_name_cannot_escape_out(tmp_path, capsys):
+    # once out/probe_x/ exists, x/../../../escaped would resolve outside out
+    out = tmp_path / "deep" / "out" / "run"
+    (out / "probe_x").mkdir(parents=True)
+    name = "x/../../../escaped"
+    path = _write(tmp_path, _cube_named(name))
+    assert main(["probe", "--config", path, "--fixture", name, "--noise", "off", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith('config error: fixture name "x/../../../escaped" must not contain')
+    assert _files_under(tmp_path) == ["cfg.json"]
+    assert os.listdir(out) == ["probe_x"] and os.listdir(out / "probe_x") == []
+
+
+def test_cli_output_dir_with_nul_exits_config(tmp_path, capsys):
+    path = _write(tmp_path, {"output_dir": "o\0ut"})
+    for extra in (["--dry-run"], ["--out", str(tmp_path / "out")]):
+        assert main(["calibrate", "--config", path, *extra]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", 'config error: \'output_dir\' must not contain NUL, got "o\\u0000ut"\n')
+    assert _files_under(tmp_path) == ["cfg.json"]
+
+
+def test_cli_out_with_nul_exits_config(tmp_path, capsys):
+    out = str(tmp_path / "o\0ut")
+    assert main(["calibrate", "--config", CUBES, "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: --out must not contain NUL, got {json.dumps(out)}\n")
+    assert _files_under(tmp_path) == []

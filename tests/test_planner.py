@@ -1,11 +1,15 @@
 import pytest
 
+from softgrip.config import DEFAULTS
 from softgrip.contact import ObjectModel, StiffnessProfile
 from softgrip.errors import ConfigError
 from softgrip.planner import ProbePlan, StiffnessMap, execute_plan, make_plan
 from softgrip.probing import ProbeConfig
 
 CFG = ProbeConfig()
+# execute_plan's settings as the config sets them by default
+PLAN = {"seed": DEFAULTS["seed"], "avoid_fraction": DEFAULTS["plan"]["avoid_fraction"],
+        "max_open": DEFAULTS["gripper"]["max_open_mm"]}
 
 BANANA = ObjectModel(
     profile=StiffnessProfile(
@@ -58,7 +62,7 @@ def test_make_plan_validation():
 
 def test_banana_soft_tail_avoided(geom, ring, quiet_sensor, locked_table):
     plan = make_plan(90.0, 10)
-    smap = execute_plan(plan, BANANA, geom, ring, quiet_sensor, locked_table, CFG)
+    smap = execute_plan(plan, BANANA, geom, ring, quiet_sensor, locked_table, CFG, **PLAN)
     assert 80.0 in smap.avoided and 90.0 in smap.avoided
     assert smap.chosen not in (80.0, 90.0)
     assert smap.chosen not in smap.avoided
@@ -66,7 +70,7 @@ def test_banana_soft_tail_avoided(geom, ring, quiet_sensor, locked_table):
 
 def test_banana_firm_region_ranks_equal(geom, ring, quiet_sensor, locked_table):
     plan = make_plan(90.0, 10)
-    smap = execute_plan(plan, BANANA, geom, ring, quiet_sensor, locked_table, CFG)
+    smap = execute_plan(plan, BANANA, geom, ring, quiet_sensor, locked_table, CFG, **PLAN)
     firm = [k for c, k, f in smap.entries if c <= 70.0]
     soft = [k for c, k, f in smap.entries if c >= 80.0]
     assert max(soft) < min(firm)
@@ -76,7 +80,7 @@ def test_banana_firm_region_ranks_equal(geom, ring, quiet_sensor, locked_table):
 
 def test_orange_soft_arc_avoided(geom, ring, quiet_sensor, locked_table):
     plan = make_plan(180.0, 7)
-    smap = execute_plan(plan, ORANGE, geom, ring, quiet_sensor, locked_table, CFG)
+    smap = execute_plan(plan, ORANGE, geom, ring, quiet_sensor, locked_table, CFG, **PLAN)
     for coord in (30.0, 60.0, 90.0):
         assert coord in smap.avoided
     assert smap.chosen not in smap.avoided
@@ -87,7 +91,7 @@ def test_uniform_object_nothing_avoided(geom, ring, quiet_sensor, locked_table):
         profile=StiffnessProfile(kind="uniform", base_k=100.0), surface_offset=40.0
     )
     plan = make_plan(50.0, 4)
-    smap = execute_plan(plan, uniform, geom, ring, quiet_sensor, locked_table, CFG)
+    smap = execute_plan(plan, uniform, geom, ring, quiet_sensor, locked_table, CFG, **PLAN)
     assert smap.avoided == []
     assert smap.chosen == 0.0
 
@@ -101,7 +105,7 @@ def test_map_ranking_matches_true_stiffness(geom, ring, quiet_sensor, locked_tab
     )
     plan = make_plan(60.0, 4)
     smap = execute_plan(
-        plan, gradient, geom, ring, quiet_sensor, locked_table, CFG, avoid_fraction=0.0
+        plan, gradient, geom, ring, quiet_sensor, locked_table, CFG, **{**PLAN, "avoid_fraction": 0.0}
     )
     krs = [k for _, k, _ in smap.entries]
     assert all(b > a for a, b in zip(krs, krs[1:]))
@@ -111,12 +115,12 @@ def test_map_ranking_matches_true_stiffness(geom, ring, quiet_sensor, locked_tab
 def test_avoid_fraction_zero_keeps_everything(geom, ring, quiet_sensor, locked_table):
     plan = make_plan(90.0, 10)
     smap = execute_plan(
-        plan, BANANA, geom, ring, quiet_sensor, locked_table, CFG, avoid_fraction=0.0
+        plan, BANANA, geom, ring, quiet_sensor, locked_table, CFG, **{**PLAN, "avoid_fraction": 0.0}
     )
     assert smap.avoided == []
     with pytest.raises(ConfigError):
         execute_plan(
-            plan, BANANA, geom, ring, quiet_sensor, locked_table, CFG, avoid_fraction=1.5
+            plan, BANANA, geom, ring, quiet_sensor, locked_table, CFG, **{**PLAN, "avoid_fraction": 1.5}
         )
 
 
@@ -125,7 +129,7 @@ def test_damage_threshold_flags_and_avoids(geom, ring, quiet_sensor, locked_tabl
         profile=BANANA.profile, surface_offset=40.0, damage_threshold=300.0
     )
     plan = make_plan(90.0, 10)
-    smap = execute_plan(plan, fragile, geom, ring, quiet_sensor, locked_table, CFG)
+    smap = execute_plan(plan, fragile, geom, ring, quiet_sensor, locked_table, CFG, **PLAN)
     # the firm region exceeds the damage limit; only the soft tail is graspable
     for c, k, flags in smap.entries:
         if c <= 70.0:
@@ -141,7 +145,7 @@ def test_all_locations_flagged_chooses_none(geom, ring, quiet_sensor, locked_tab
         damage_threshold=1.0,
     )
     plan = make_plan(30.0, 3)
-    smap = execute_plan(plan, doomed, geom, ring, quiet_sensor, locked_table, CFG)
+    smap = execute_plan(plan, doomed, geom, ring, quiet_sensor, locked_table, CFG, **PLAN)
     assert smap.chosen is None
     assert smap.avoided == [0.0, 15.0, 30.0]
     assert all("damage_risk" in flags for _, _, flags in smap.entries)
@@ -149,10 +153,10 @@ def test_all_locations_flagged_chooses_none(geom, ring, quiet_sensor, locked_tab
 
 def test_execution_deterministic_per_seed(geom, ring, sensor, locked_table):
     plan = make_plan(90.0, 10)
-    m1 = execute_plan(plan, BANANA, geom, ring, sensor, locked_table, CFG, seed=7)
-    m2 = execute_plan(plan, BANANA, geom, ring, sensor, locked_table, CFG, seed=7)
+    m1 = execute_plan(plan, BANANA, geom, ring, sensor, locked_table, CFG, **{**PLAN, "seed": 7})
+    m2 = execute_plan(plan, BANANA, geom, ring, sensor, locked_table, CFG, **{**PLAN, "seed": 7})
     assert m1.to_dict() == m2.to_dict()
-    m3 = execute_plan(plan, BANANA, geom, ring, sensor, locked_table, CFG, seed=8)
+    m3 = execute_plan(plan, BANANA, geom, ring, sensor, locked_table, CFG, **{**PLAN, "seed": 8})
     assert m3.entries != m1.entries
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import softgrip.calibration
 import softgrip.probing
+from softgrip.config import DEFAULTS
 from softgrip.contact import solve_equilibrium
 from softgrip.errors import ConfigError, SaturationError, StateError
 from softgrip.geometry import FingerGeometry
@@ -20,6 +21,9 @@ from softgrip.probing import (
 )
 
 CFG = ProbeConfig()
+# sensitivity_sweep's settings as the config sets them by default
+SWEEP = {"p0_grid": DEFAULTS["calibration"]["locked"]["p0_grid_kpa"], "dc_grid": DEFAULTS["sensitivity"]["dc_grid_mm"],
+         "base_cfg": ProbeConfig(), "surface_offset": 40.0, "max_open": DEFAULTS["gripper"]["max_open_mm"]}
 
 
 def _sim(geom, ring, sensor, k, offset=40.0, seed=0):
@@ -174,13 +178,13 @@ def test_sim_guards(geom, ring, sensor):
 def test_sensitivity_sweep_identical_objects_zero(geom, ring, sensor, locked_table):
     ranked = sensitivity_sweep(
         geom, ring, sensor, locked_table, 50.0, 50.0,
-        p0_grid=(20.0, 60.0), dc_grid=(12.0, 30.0),
+        **{**SWEEP, "p0_grid": (20.0, 60.0), "dc_grid": (12.0, 30.0)},
     )
     assert all(sep == pytest.approx(0.0, abs=1e-9) for _, _, sep, _ in ranked)
 
 
 def test_sensitivity_sweep_ranks_by_z(geom, ring, sensor, locked_table):
-    ranked = sensitivity_sweep(geom, ring, sensor, locked_table, 50.83, 54.87)
+    ranked = sensitivity_sweep(geom, ring, sensor, locked_table, 50.83, 54.87, **SWEEP)
     zs = [z for _, _, _, z in ranked]
     assert zs == sorted(zs, reverse=True)
     # separation grows with closing depth at a fixed supply pressure
@@ -191,9 +195,9 @@ def test_sensitivity_sweep_ranks_by_z(geom, ring, sensor, locked_table):
 
 def test_sensitivity_sweep_deterministic(geom, ring, sensor, locked_table):
     r1 = sensitivity_sweep(geom, ring, sensor, locked_table, 50.83, 202.39,
-                           p0_grid=(40.0, 80.0), dc_grid=(18.0, 30.0))
+                           **{**SWEEP, "p0_grid": (40.0, 80.0), "dc_grid": (18.0, 30.0)})
     r2 = sensitivity_sweep(geom, ring, sensor, locked_table, 50.83, 202.39,
-                           p0_grid=(40.0, 80.0), dc_grid=(18.0, 30.0))
+                           **{**SWEEP, "p0_grid": (40.0, 80.0), "dc_grid": (18.0, 30.0)})
     assert r1 == r2
 
 
@@ -201,7 +205,7 @@ def test_sensitivity_sweep_leaves_out_flagged_pairs(geom, ring, sensor, locked_t
     # a closing past the travel left is flagged travel_exhausted and not ranked
     ranked = sensitivity_sweep(
         geom, ring, sensor, locked_table, 50.83, 54.87,
-        p0_grid=(60.0,), dc_grid=(30.0, 60.0, 90.0),
+        **{**SWEEP, "p0_grid": (60.0,), "dc_grid": (30.0, 60.0, 90.0)},
     )
     assert [(p0, dc) for p0, dc, _, _ in ranked] == [(60.0, 30.0)]
 
