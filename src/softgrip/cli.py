@@ -85,6 +85,9 @@ def _json_text(doc: dict) -> str:
 
 
 def _linear_r2(x: np.ndarray, y: np.ndarray) -> float:
+    # scaling y by a power of two is exact and leaves R^2 unchanged; it keeps
+    # the squares below in range for dp values near the float limit
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
     coef = np.polyfit(x, y, 1)
     resid = y - np.polyval(coef, x)
     ss_tot = float(np.sum((y - y.mean()) ** 2))

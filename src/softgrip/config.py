@@ -190,7 +190,7 @@ def load_config(path) -> dict:
             user = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except ValueError as exc:  # bad UTF-8 or JSON, or a repeated key
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a repeated key, or nesting too deep
         raise ConfigError(f"{path}: {exc}") from None
     resolved = deepcopy(DEFAULTS)
     _merge(resolved, user)

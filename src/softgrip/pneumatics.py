@@ -167,6 +167,15 @@ class SensorModel:
             raise DomainError(f"full_scale must be positive, got {self.full_scale}")
         if self.noise_frac < 0 or self.quant_step < 0:
             raise DomainError("noise_frac and quant_step must be non-negative")
+        # measurement_sigma squares sigma and quant_step; a read counts in grid steps
+        q = self.quant_step
+        if not math.isfinite(self.sigma * self.sigma + q * q / 12.0) or (
+            q > 0 and not math.isfinite(max(self.full_scale, self.sigma) / q)
+        ):
+            raise DomainError(
+                f"full_scale={self.full_scale}, noise_frac={self.noise_frac} and quant_step={q} "
+                "put the reading noise or the full scale in ADC steps past the float range"
+            )
 
     @property
     def sigma(self) -> float:
@@ -205,10 +214,10 @@ SURE_SIGMAS = 6.0
 # A look at a read's running mean, with the extra block it needs, costs about
 # as much as drawing the sums of 1,400 readings (some 4 us against 3 ns a
 # reading, numpy 2.4 on a 2-core Xeon). A contact-free approach step mostly
-# stops at its first look and saves 3n/4 readings, so a bounded read looks
-# only when each of its four blocks holds at least this many. A batched read
-# (PressureSensor.read_avg_batch) cuts each of its reads into the same blocks,
-# so it keeps that law, and one look after a block serves all of its reads.
+# stops at its first look and saves 3n/4 readings, so a batched read
+# (PressureSensor.read_avg_batch) cuts each of its reads into four blocks only
+# when each holds at least this many; one look after a block serves all of its
+# reads.
 MIN_LOOK_BLOCK = 512
 
 # A block's sum is drawn in one piece (see PressureSensor.read_avg) once the
@@ -221,11 +230,6 @@ SUM_DRAW_MIN_STEPS = 4.0
 # The most values one draw from a sensor stream holds, so a batched read's
 # memory stays bounded for any number of reads of any length.
 MAX_DRAW = 1 << 16
-
-
-def _look_ends(n: int) -> tuple:
-    """Reading counts at which a read of n readings ends its blocks."""
-    return (n // 4, n // 2, 3 * n // 4, n) if n >= 4 * MIN_LOOK_BLOCK else (n,)
 
 
 def _row_sums(draw, m: int, k: int | None):
@@ -281,71 +285,53 @@ class PressureSensor:
         sigmas of its own length under the bound (elementwise for an array)."""
         return mean + SURE_SIGMAS * measurement_sigma(self.model, end) < below
 
-    def read_avg(self, p_true: float, n: int, below: float = math.inf) -> float:
+    def read_avg(self, p_true: float, n: int) -> float:
         """Settle-averaged measurement over n consecutive readings.
 
         A reading is quant_step * floor(a + b * z), half-up on the ADC grid:
         a = p_true / quant_step + 1/2, b = sigma / quant_step and z standard
         normal. The estimator sees only the mean, so the read draws the sum
-        of each block of m readings, not the readings. floor(W) for W ~ N(a,
-        b^2) has the law of W - U at the integers, U uniform on [0, 1), up to
-        ~2 * exp(-pi^2 * b^2 / 2) in its characteristic function, so a block
-        sums to quant_step * floor(m * a + sqrt(m) * b * z - (u_1 + ... +
-        u_{m-1})): one normal, then m - 1 uniforms. Below SUM_DRAW_MIN_STEPS
-        the m readings are drawn one by one; without quantization a block sums
-        to m * p_true + sqrt(m) * sigma * z, and without noise the mean is the
-        quantized p_true, drawing nothing.
-
-        A read of n >= 4 * MIN_LOOK_BLOCK readings draws four blocks, ending
-        at n/4, n/2, 3n/4 and n; a shorter one draws one. With a finite upper
-        bound the read looks at its running mean after each of the first three
-        blocks (Wald's sequential test) and returns that mean once it lies
-        SURE_SIGMAS measurement sigmas of its own length under the bound. A
-        read that never stops early draws and returns exactly what the
-        unbounded read does. read_avg_batch draws many reads of one pressure
-        with this law at once.
+        of its n readings as one block, not the readings. floor(W) for W ~
+        N(a, b^2) has the law of W - U at the integers, U uniform on [0, 1),
+        up to ~2 * exp(-pi^2 * b^2 / 2) in its characteristic function, so a
+        block of m readings sums to quant_step * floor(m * a + sqrt(m) * b * z
+        - (u_1 + ... + u_{m-1})): one normal, then m - 1 uniforms. Below
+        SUM_DRAW_MIN_STEPS the readings are drawn one by one; without
+        quantization the block sums to m * p_true + sqrt(m) * sigma * z, and
+        without noise the mean is the quantized p_true, drawing nothing.
+        read_avg_batch draws many reads of one pressure with this law at once.
         """
         if n < 1:
             raise DomainError(f"settle read count must be >= 1, got {n}")
-        step, b = self._step, self._b
-        if b == 0:
+        if self._b == 0:
             return self._quiet(p_true)
-        x, start, count = p_true / step, 0, 0
-        for end in _look_ends(n):
-            # count sums the readings so far in grid steps (kPa without quantization)
-            count += _block_sums(self._rng, x, b, self._quantized, end - start)
-            mean = count * step / end
-            if end < n and below < math.inf and self._sure_under(mean, end, below):
-                break
-            start = end
-        return float(mean)
+        return float(_block_sums(self._rng, p_true / self._step, self._b, self._quantized, n) * self._step / n)
 
     def read_avg_batch(self, p_true: float, k: int, n: int, below: float = math.inf) -> list:
         """k settle-averaged measurements of one true pressure, as a list.
 
-        Each has exactly the law of read_avg(p_true, n, below): the same
-        blocks, looks and draws per block. The reads are drawn together,
-        block by block, as many at a time as keep each draw within MAX_DRAW
-        values; a read that stops at a look draws no further block. Only the
-        order in which the stream's numbers go to the reads differs from k
-        read_avg calls.
+        Each has the law of read_avg(p_true, n) unless it stops early. A read
+        of n >= 4 * MIN_LOOK_BLOCK readings draws four blocks, ending at n/4,
+        n/2, 3n/4 and n; a shorter one draws one. With a finite upper bound
+        the read looks at its running mean after each of the first three
+        blocks (Wald's sequential test) and returns that mean once it lies
+        SURE_SIGMAS measurement sigmas of its own length under the bound. The
+        reads are drawn together, block by block, as many at a time as keep
+        each draw within MAX_DRAW values; a read that stops at a look draws
+        no further block.
         """
         if n < 1:
             raise DomainError(f"settle read count must be >= 1, got {n}")
         step, b = self._step, self._b
         if b == 0:
             return [self._quiet(p_true)] * k
-        x, ends = p_true / step, _look_ends(n)
+        x, ends = p_true / step, (n // 4, n // 2, 3 * n // 4, n) if n >= 4 * MIN_LOOK_BLOCK else (n,)
         rows = max(1, MAX_DRAW // (ends[0] + 1))  # no block holds more than ends[0] + 1 readings
         means = []
         for first in range(0, k, rows):
             size = min(rows, k - first)
-            if len(ends) == 1:  # one block, no look
-                counts = _block_sums(self._rng, x, b, self._quantized, n, size)
-                means += [count * step / n for count in counts.tolist()]
-                continue
             out, live = np.empty(size), np.arange(size)  # live: the reads still drawing
-            start, count = 0, 0
+            start, count = 0, 0  # count: each live read's sum so far, in grid steps (kPa unquantized)
             for end in ends:
                 count = count + _block_sums(self._rng, x, b, self._quantized, end - start, live.size)
                 mean = count * step / end

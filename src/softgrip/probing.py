@@ -134,28 +134,24 @@ class GripperSim:
             return self.rest_pressure
         return self.rest_pressure + solve_equilibrium(self.geom, self.ring, self.state, self.k_object, pen).dp
 
-    def close_to(self, opening: float, settle_reads: int, below: float = math.inf) -> float:
-        """Command an opening width and return the measured dp from the lock baseline.
-
-        A finite below, a dp bound, lets the read stop early once its mean is
-        surely under the bound (see PressureSensor.read_avg); the dp returned
-        is then that shorter mean's.
-        """
+    def close_to(self, opening: float, settle_reads: int) -> float:
+        """Command an opening width and return the measured dp from the lock baseline."""
         if self.state is None:
             raise StateError("gripper must be pressurized and locked first")
         self.opening = max(0.0, opening)
-        reading = self.stream.read_avg(self._plant_pressure(), settle_reads, self.lock_reading + below)
-        return reading - self.lock_reading
+        return self.stream.read_avg(self._plant_pressure(), settle_reads) - self.lock_reading
 
     def approach(self, step: float, settle_reads: int, below: float = math.inf):
         """Close in step increments down to the fully-shut stop, yielding the
-        measured dp after each step, as close_to would measure it.
+        measured dp after each step.
 
         The plant knows the steps before the finger reaches the object's
         surface (all of them with no object): they read the rest pressure, so
-        one read_avg_batch draws them all. The steps after go through
-        close_to. The opening is set before each yield; the caller sees only
-        the dp values, and may stop at any one.
+        one read_avg_batch draws them all, and a finite below, a dp bound,
+        lets each of those reads stop early once its mean is surely under the
+        bound. The steps after go through close_to and read in full. The
+        opening is set before each yield; the caller sees only the dp values,
+        and may stop at any one.
         """
         if self.state is None:
             raise StateError("gripper must be pressurized and locked first")
@@ -170,7 +166,7 @@ class GripperSim:
             self.opening = opening
             yield reading - self.lock_reading
         while self.opening > 0.0:
-            yield self.close_to(self.opening - step, settle_reads, below)
+            yield self.close_to(self.opening - step, settle_reads)
 
     def true_equilibrium(self) -> EquilibriumResult:
         """Ground-truth equilibrium at the current opening, solved afresh (tests only)."""
@@ -190,10 +186,10 @@ def detect_contact(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig):
     free-bend inversion no longer gives the contact opening: that yields
     (None, None, ['contact_overshoot']).
 
-    An approach step's read is bounded by the threshold, so a long read of a
-    surely contact-free step stops early (see PressureSensor.read_avg); a step
-    can cross only on a full-length read, and the lock read is always full
-    length.
+    The approach's contact-free reads are bounded by the threshold, so a long
+    one stops early once it is surely under it (see
+    PressureSensor.read_avg_batch); a step can cross only on a full-length
+    read, and the lock read and every step past the surface are full length.
     """
     sim.pressurize_and_lock(cfg.p0, cfg.settle_reads)
     threshold = cfg.threshold(sim.stream.model)

@@ -1015,6 +1015,43 @@ def test_cli_repeated_key_exits_config(tmp_path, capsys, text, key):
     assert _files_under(tmp_path) == ["cfg.json"]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("full_scale_kpa", 1e160), ("full_scale_kpa", 1e300), ("noise_frac", 1e160), ("noise_frac", 1e300),
+     ("quant_step_kpa", 1e160), ("quant_step_kpa", 1e300), ("quant_step_kpa", 1e-308)],
+)
+def test_cli_sensor_past_the_float_range_exits_config(tmp_path, capsys, key, value):
+    # the settle sigma squares the reading noise, and a read counts in ADC steps
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    doc.setdefault("plant", {}).setdefault("sensor", {})[key] = value
+    path = _write(tmp_path, doc)
+    for command in (["probe", "--fixture", "cube1"], ["sensitivity"]):
+        errs = []
+        for extra in (["--dry-run"], ["--out", str(tmp_path / "out")]):
+            assert main([*command, "--config", path, *extra]) == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("config error: plant.sensor: ") and "past the float range" in err
+            errs.append(err)
+        assert errs[0] == errs[1]
+    assert _files_under(tmp_path) == ["cfg.json"]
+
+
+def test_cli_deeply_nested_config_exits_config(tmp_path, capsys):
+    # json.load recurses once per level and gives up past the recursion limit
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"seed": ' + "[" * depth + "]" * depth + "}")
+    errs = []
+    for extra in (["--dry-run"], ["--out", str(tmp_path / "out")]):
+        assert main(["calibrate", "--config", str(path), *extra]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: {path}: maximum recursion depth exceeded")
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert _files_under(tmp_path) == ["deep.json"]
+
+
 def _cube_named(name):
     return {"fixtures": {name: {"base_k_n_per_mm": 50.83, "surface_offset_mm": 40.0}}}
 

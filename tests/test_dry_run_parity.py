@@ -45,8 +45,8 @@ def _mutations(value):
         tried = ["", "nope"]
     elif isinstance(value, list):
         tried = [[], value[:1], [_negative(value[0]), *value[1:]], value[::-1]] if value else []
-    else:  # a number, or null where a number may stand
-        tried = [0, -1, 1000]
+    else:  # a number, or null where a number may stand; the last three near the float limits
+        tried = [0, -1, 1000, 1e160, 1e300, 1e-308]
     return [v for v in tried if v != value]
 
 

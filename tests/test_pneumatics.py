@@ -250,6 +250,11 @@ def test_model_validation():
             RingModel(p_atm=p_atm)
     with pytest.raises(DomainError):
         SensorModel(full_scale=0.0)
+    # the squared reading noise and the full scale in ADC steps must be finite
+    for params in ({"full_scale": 1e160}, {"noise_frac": 1e300}, {"quant_step": 1e160}, {"quant_step": 1e-308}):
+        with pytest.raises(DomainError, match="past the float range"):
+            SensorModel(**params)
+    SensorModel(quant_step=1e-300)  # 7e302 steps over the full scale: still in range
     with pytest.raises(DomainError):
         RingState(p_gauge=-1.0)
     with pytest.raises(DomainError):
@@ -326,24 +331,21 @@ def test_block_sum_guard_is_needed(monkeypatch, m, frac):
 
 
 def _expected_draws(model, rng, n):
-    """Draw from rng what read_avg draws for an unbounded read of n readings."""
+    """Draw from rng what read_avg draws for a read of n readings: one block."""
     if model.sigma == 0:
         return
-    ends = (n // 4, n // 2, 3 * n // 4, n) if n >= 4 * MIN_LOOK_BLOCK else (n,)
-    start = 0
-    for end in ends:
-        if model.quant_step > 0 and model.sigma < SUM_DRAW_MIN_STEPS * model.quant_step:
-            rng.standard_normal(end - start)
-        else:
-            rng.standard_normal()
-            if model.quant_step > 0:
-                rng.random(end - start - 1)
-        start = end
+    if model.quant_step > 0 and model.sigma < SUM_DRAW_MIN_STEPS * model.quant_step:
+        rng.standard_normal(n)
+    else:
+        rng.standard_normal()
+        if model.quant_step > 0:
+            rng.random(n - 1)
 
 
 def test_read_avg_draws_one_path_per_sensor():
-    # each sensor draws what its path needs: one normal and m - 1 uniforms per
-    # block at b >= 4, m normals below, one normal unquantized, nothing noiseless
+    # each sensor draws what its path needs for its one block: one normal and
+    # n - 1 uniforms at b >= 4, n normals below, one normal unquantized,
+    # nothing noiseless
     rng = np.random.default_rng(8)
     models = [SensorModel(), SensorModel(noise_frac=0.0), SensorModel(quant_step=0.0), AT_GUARD]
     for _ in range(40):
@@ -361,14 +363,12 @@ def test_read_avg_draws_one_path_per_sensor():
 
 def test_unquantized_read_is_one_normal_per_block():
     # quant_step 0: the block sum is m * p + sigma * sqrt(m) * z, so the mean
-    # has mean p and sd sigma / sqrt(m)
+    # has mean p and sd sigma / sqrt(m); a plain read is one block of n
     model = SensorModel(quant_step=0.0)
     for n in (1, 512, 4 * MIN_LOOK_BLOCK):
         got = PressureSensor(model, seed=n).read_avg(60.0, n)
-        ref, total = np.random.default_rng(n), 0.0
-        for m in (n,) if n < 4 * MIN_LOOK_BLOCK else (n // 4,) * 4:
-            total += m * 60.0 + math.sqrt(m) * model.sigma * ref.standard_normal()
-        assert got == total / n
+        ref = np.random.default_rng(n)
+        assert got == (n * 60.0 + math.sqrt(n) * model.sigma * ref.standard_normal()) / n
     stream = PressureSensor(model, seed=3)
     reads = np.array([stream.read_avg(60.0, 64) for _ in range(4000)])
     assert abs(reads.mean() - 60.0) < 5 * model.sigma / math.sqrt(64 * 4000)
@@ -381,16 +381,14 @@ def test_noise_free_read_is_the_quantized_pressure():
     state = stream._rng.bit_generator.state
     for p_true in (0.0, 0.34, 59.99, 60.0, 61.37, 149.5):
         expect = float(quantize(np.array([p_true]), model.quant_step)[0])
-        for n, below in ((1, math.inf), (512, math.inf), (2048, math.inf), (2048, 1e9), (4096, 60.0)):
-            assert stream.read_avg(p_true, n, below) == expect
+        for n in (1, 512, 2048, 4096):
+            assert stream.read_avg(p_true, n) == expect
     assert stream._rng.bit_generator.state == state
 
 
 def test_reruns_from_one_seed_are_identical():
-    # fast path, per-reading fallback (b ~ 1.2) and unquantized, bounded or not
-    calls = [
-        (60.0, 1, math.inf), (60.0, 512, math.inf), (45.0, 4096, 47.0), (45.0, 4096, math.inf), (70.0, 2048, 75.0)
-    ]
+    # fast path, per-reading fallback (b ~ 1.2) and unquantized, short and long
+    calls = [(60.0, 1), (60.0, 512), (45.0, 4096), (70.0, 2048)]
     for model in (SensorModel(), SensorModel(quant_step=5.0), SensorModel(quant_step=0.0)):
         runs = []
         for _ in range(2):
@@ -407,9 +405,9 @@ def test_quantize_array_in_place():
 
 
 def _drawn(model, seed, p_true, n, below):
-    """How many readings one bounded read summed, told from its stream's state."""
+    """How many readings a one-read bounded batch summed, told from its stream's state."""
     stream = PressureSensor(model, seed=seed)
-    stream.read_avg(p_true, n, below)
+    stream.read_avg_batch(p_true, 1, n, below)
     ref, done = np.random.default_rng(seed), 0
     for end in (n // 4, n // 2, 3 * n // 4, n):
         ref.standard_normal()  # each block's sum: one normal and m - 1 uniforms
@@ -421,10 +419,18 @@ def _drawn(model, seed, p_true, n, below):
 
 
 def test_unbounded_read_is_unchanged():
-    # below=inf is the plain settle read: these floats pin the block-sum draw
-    for seed, p_true, n, expect in ((3, 60.0, 512, 60.52796875000001), (4, 0.0, 2048, -0.20154296875000002)):
-        assert PressureSensor(SensorModel(), seed=seed).read_avg(p_true, n, math.inf) == expect
-        assert PressureSensor(SensorModel(), seed=seed).read_avg(p_true, n) == expect
+    # these floats pin the block-sum draw: a plain read is one block at any
+    # length, and an unbounded batch of one read of n >= 4 * MIN_LOOK_BLOCK
+    # draws the four blocks of the look schedule without looking
+    assert PressureSensor(SensorModel(), seed=3).read_avg(60.0, 512) == 60.52796875000001
+    assert PressureSensor(SensorModel(), seed=3).read_avg_batch(60.0, 1, 512) == [60.52796875000001]
+    assert PressureSensor(SensorModel(), seed=4).read_avg_batch(0.0, 1, 2048) == [-0.20154296875000002]
+    assert PressureSensor(SensorModel(), seed=4).read_avg_batch(0.0, 1, 2048, math.inf) == [-0.20154296875000002]
+    n, stream, ref = 2048, PressureSensor(SensorModel(), seed=4), np.random.default_rng(4)
+    assert stream.read_avg(0.0, n) == -0.08765625
+    ref.standard_normal()  # one block: one normal, then n - 1 uniforms
+    ref.random(n - 1)
+    assert stream._rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_bounded_read_stops_early_only_far_under_the_bound(sensor):
@@ -444,24 +450,26 @@ def test_bounded_read_stops_early_only_far_under_the_bound(sensor):
 
 def test_bounded_read_at_its_bound_never_stops_early(sensor):
     # true pressure at the bound: a look stops with probability Phi(-6) ~ 1e-9, so
-    # over 10^4 reads none does, and each equals the unbounded read bit for bit
+    # over 10^4 one-read batches none does, and each equals the unbounded one
+    # bit for bit
     n = 4 * MIN_LOOK_BLOCK
     bounded, full = PressureSensor(sensor, seed=21), PressureSensor(sensor, seed=21)
     for i in range(10_000):
         p_true = 40.0 + 0.01 * i
-        assert bounded.read_avg(p_true, n, p_true) == full.read_avg(p_true, n)
+        assert bounded.read_avg_batch(p_true, 1, n, p_true) == full.read_avg_batch(p_true, 1, n)
     assert bounded._rng.bit_generator.state == full._rng.bit_generator.state
 
 
 def test_short_bounded_read_is_the_unbounded_read(sensor):
-    # below four blocks of MIN_LOOK_BLOCK a look would cost more than it saves
+    # below four blocks of MIN_LOOK_BLOCK a look would cost more than it saves,
+    # so a bounded one-read batch is the plain read
     for n in (1, 5, 512, 4 * MIN_LOOK_BLOCK - 1):
         bounded, full = PressureSensor(sensor, seed=n), PressureSensor(sensor, seed=n)
-        assert bounded.read_avg(60.0, n, 1e9) == full.read_avg(60.0, n)
+        assert bounded.read_avg_batch(60.0, 1, n, 1e9) == [full.read_avg(60.0, n)]
         assert bounded._rng.bit_generator.state == full._rng.bit_generator.state
     # quantization only: the mean is the quantized value at any length
     quantized = PressureSensor(SensorModel(noise_frac=0.0, quant_step=0.5))
-    assert quantized.read_avg(1.26, 4 * MIN_LOOK_BLOCK, 10.0) == 1.5
+    assert quantized.read_avg_batch(1.26, 1, 4 * MIN_LOOK_BLOCK, 10.0) == [1.5]
 
 
 class RecordingRng:
@@ -510,9 +518,10 @@ def _blocks_per_read(normals, model, n, k):
 @pytest.mark.parametrize("n", (512, 4 * MIN_LOOK_BLOCK))
 @pytest.mark.parametrize("model", NOISY, ids=NOISY_IDS)
 def test_batched_reads_have_the_law_of_scalar_reads(model, n, bounded):
-    # the same law of each mean, and the same number of blocks drawn before a
-    # look stops the read; the bound sits 9 full-read sigmas above the true
-    # pressure, so the bounded long reads stop at each of their looks
+    # unbounded, each mean has the law of a plain read; bounded, the law of a
+    # one-read batch, with the same number of blocks drawn before a look stops
+    # the read. The bound sits 9 full-read sigmas above the true pressure, so
+    # the bounded long reads stop at each of their looks
     p_true, size = 60.0, 6000
     below = p_true + 9 * measurement_sigma(model, n) if bounded else math.inf
     stream = PressureSensor(model, seed=1)
@@ -520,7 +529,7 @@ def test_batched_reads_have_the_law_of_scalar_reads(model, n, bounded):
     scalar, scalar_blocks = [], []
     for _ in range(size):
         before = len(stream._rng.normals)
-        scalar.append(stream.read_avg(p_true, n, below))
+        scalar += stream.read_avg_batch(p_true, 1, n, below) if bounded else [stream.read_avg(p_true, n)]
         scalar_blocks.append(len(stream._rng.normals) - before)
     rows = MAX_DRAW // (n // 4 + 1 if n >= 4 * MIN_LOOK_BLOCK else n + 1)
     batch, batch_blocks = [], []
@@ -535,8 +544,9 @@ def test_batched_reads_have_the_law_of_scalar_reads(model, n, bounded):
     if bounded and n >= 4 * MIN_LOOK_BLOCK:
         assert set(batch_blocks) == set(scalar_blocks) == {1, 2, 3, 4}
         assert _chi_square_passes(np.array(batch_blocks), np.array(scalar_blocks))
-    else:  # no look: every read draws all its blocks
-        assert set(batch_blocks) == set(scalar_blocks) == {1 if n < 4 * MIN_LOOK_BLOCK else 4}
+    else:  # no look: every batched read draws all its blocks, and a plain read is one
+        assert set(batch_blocks) == {1 if n < 4 * MIN_LOOK_BLOCK else 4}
+        assert set(scalar_blocks) == {1}
 
 
 def test_noise_free_batch_is_the_quantized_pressure():
@@ -544,14 +554,14 @@ def test_noise_free_batch_is_the_quantized_pressure():
         stream = PressureSensor(model, seed=4)
         state = stream._rng.bit_generator.state
         for n, below in ((1, math.inf), (512, math.inf), (4096, 60.0)):
-            assert stream.read_avg_batch(61.37, 3, n, below) == [stream.read_avg(61.37, n, below)] * 3
+            assert stream.read_avg_batch(61.37, 3, n, below) == [stream.read_avg(61.37, n)] * 3
         assert stream._rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("model", NOISY, ids=NOISY_IDS)
 def test_batch_spanning_chunks_keeps_draws_bounded(model):
     # 300 reads of 4096 take five chunks of at most 64 reads; no draw holds more
-    # than MAX_DRAW values, and the means keep the law of scalar reads
+    # than MAX_DRAW values, and the means keep the law of one-read batches
     n, k = 4096, 300
     below = 60.0 + 9 * measurement_sigma(model, n)
     stream = PressureSensor(model, seed=6)
@@ -563,7 +573,7 @@ def test_batch_spanning_chunks_keeps_draws_bounded(model):
     assert max(sizes) <= MAX_DRAW
     assert len(stream._rng.normals) >= 20 * 5  # each batch drew its first block in five chunks
     scalar = PressureSensor(model, seed=7)
-    reference = [scalar.read_avg(60.0, n, below) for _ in range(len(batch))]
+    reference = [scalar.read_avg_batch(60.0, 1, n, below)[0] for _ in range(len(batch))]
     assert _chi_square_passes(_keys(model, batch, n), _keys(model, reference, n))
 
 
@@ -593,6 +603,6 @@ def test_batched_reruns_from_one_seed_are_identical():
         runs = []
         for _ in range(2):
             stream = PressureSensor(model, seed=12)
-            runs.append([stream.read_avg_batch(*call) for call in calls] + [stream.read_avg(60.0, 4096, 61.0)])
+            runs.append([stream.read_avg_batch(*call) for call in calls] + [stream.read_avg(60.0, 4096)])
         assert runs[0] == runs[1]
         assert all(type(mean) is float and len(run) == call[1] for run, call in zip(runs[0], calls) for mean in run)

@@ -266,9 +266,9 @@ def test_probe_solves_each_contact_step_once(geom, ring, sensor, locked_table, m
         solves.append(solve_equilibrium(*args))
         return solves[-1]
 
-    def recorded_close_to(self, opening, settle_reads, below=math.inf):
+    def recorded_close_to(self, opening, settle_reads):
         openings.append(max(0.0, opening))
-        return close_to(self, opening, settle_reads, below)
+        return close_to(self, opening, settle_reads)
 
     monkeypatch.setattr(softgrip.probing, "solve_equilibrium", recorded_solve)
     monkeypatch.setattr(GripperSim, "close_to", recorded_close_to)
@@ -294,18 +294,19 @@ def test_probe_solves_each_contact_step_once(geom, ring, sensor, locked_table, m
 
 
 def test_only_approach_reads_are_bounded(geom, ring, sensor, locked_table, monkeypatch):
-    # approach steps may stop early under the contact threshold; the lock read
-    # and every probe step read the full settle_reads. The contact-free
-    # approach steps are one batched read, recorded once per step.
-    bounds = []
+    # only the batched contact-free approach steps may stop early under the
+    # contact threshold, recorded once per step; the lock read, the approach
+    # steps past the surface and every probe step are plain reads of the full
+    # settle_reads.
+    reads = []
     read_avg, read_avg_batch = PressureSensor.read_avg, PressureSensor.read_avg_batch
 
-    def recorded_read_avg(self, p_true, n, below=math.inf):
-        bounds.append(below)
-        return read_avg(self, p_true, n, below)
+    def recorded_read_avg(self, p_true, n):
+        reads.append(("plain", n))
+        return read_avg(self, p_true, n)
 
     def recorded_read_avg_batch(self, p_true, k, n, below=math.inf):
-        bounds.extend([below] * k)
+        reads.extend([("batch", below)] * k)
         return read_avg_batch(self, p_true, k, n, below)
 
     monkeypatch.setattr(PressureSensor, "read_avg", recorded_read_avg)
@@ -313,10 +314,11 @@ def test_only_approach_reads_are_bounded(geom, ring, sensor, locked_table, monke
     sim = _sim(geom, ring, sensor, 100.0, offset=30.0, seed=5)
     report = run_probe(sim, locked_table, CFG)
     assert report.flags == []
-    approach = bounds[1:-CFG.n_probe_steps]
-    assert bounds[0] == math.inf and bounds[-CFG.n_probe_steps:] == [math.inf] * CFG.n_probe_steps
-    assert set(approach) == {sim.lock_reading + CFG.threshold(sensor)}
-    assert len(approach) >= 7  # 45 -> 30 mm in 2 mm steps
+    free = 7  # 45 -> 31 mm in 2 mm steps, all before the surface at 30 mm
+    assert reads[1 : 1 + free] == [("batch", sim.lock_reading + CFG.threshold(sensor))] * free
+    plain = [reads[0], *reads[1 + free :]]
+    assert plain == [("plain", CFG.settle_reads)] * len(plain)
+    assert len(plain) >= 1 + 1 + CFG.n_probe_steps  # lock, a step past the surface, probe steps
 
 
 def test_sequential_approach_finds_contact_with_fewer_readings(geom, ring, sensor, locked_table):
@@ -421,9 +423,9 @@ def test_approach_draws_the_contact_free_stretch_in_one_batch(geom, ring, sensor
         batches.append(k)
         return read_avg_batch(self, p_true, k, n, below)
 
-    def recorded_close_to(self, opening, settle_reads, below=math.inf):
+    def recorded_close_to(self, opening, settle_reads):
         closes.append(opening)
-        return close_to(self, opening, settle_reads, below)
+        return close_to(self, opening, settle_reads)
 
     monkeypatch.setattr(PressureSensor, "read_avg_batch", recorded_batch)
     monkeypatch.setattr(GripperSim, "close_to", recorded_close_to)
