@@ -43,6 +43,7 @@ from .config import (
 from .contact import stiffness_at
 from .errors import ConfigError, SoftgripError
 from .planner import execute_plan, make_plan
+from .pneumatics import JOINT_RANGE_DEG, RingState, lock, pressure_at_angle
 from .probing import GripperSim, run_probe, sensitivity_sweep
 
 EXIT_OK = 0
@@ -144,6 +145,14 @@ def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
     if not lo <= p0 <= hi:
         raise ConfigError(
             f"probe.p0_kpa {p0!r} lies outside calibration.locked.p0_grid_kpa [{lo!r}, {hi!r}]"
+        )
+    # a read sums settle_reads readings in ADC steps; no true pressure tops hi's at the joint range
+    q, locked = sensor.quant_step, lock(RingState(p_gauge=hi), ring)
+    top = max(sensor.full_scale, pressure_at_angle(locked, ring, math.radians(JOINT_RANGE_DEG)))
+    if q > 0 and not math.isfinite(reads * top / q):
+        raise ConfigError(
+            f"plant.sensor.quant_step_kpa {q!r} puts probe.settle_reads {reads} readings of up to {top:.6g} kPa "
+            "past the float range in ADC steps"
         )
     return table, (sensor if noise else sensor.noiseless())
 

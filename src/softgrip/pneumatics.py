@@ -207,18 +207,8 @@ def measurement_sigma(sensor: SensorModel, settle_reads: int) -> float:
 
 
 # Sigmas of a settle-averaged measurement that make a comparison sure: the
-# contact threshold sits this far above the baseline, and a bounded read stops
-# early only when its mean sits this far under the bound.
+# contact threshold sits this far above the baseline.
 SURE_SIGMAS = 6.0
-
-# A look at a read's running mean, with the extra block it needs, costs about
-# as much as drawing the sums of 1,400 readings (some 4 us against 3 ns a
-# reading, numpy 2.4 on a 2-core Xeon). A contact-free approach step mostly
-# stops at its first look and saves 3n/4 readings, so a batched read
-# (PressureSensor.read_avg_batch) cuts each of its reads into four blocks only
-# when each holds at least this many; one look after a block serves all of its
-# reads.
-MIN_LOOK_BLOCK = 512
 
 # A block's sum is drawn in one piece (see PressureSensor.read_avg) once the
 # reading noise spans this many quantization steps, b = sigma / quant_step. Its
@@ -227,8 +217,15 @@ MIN_LOOK_BLOCK = 512
 # draws its readings one by one.
 SUM_DRAW_MIN_STEPS = 4.0
 
+# Binary levels of a block's uniform sum drawn exactly (see _uniform_sum), their
+# weights 2^-1 .. 2^-LEVELS, and the mean and variance per uniform of the rest.
+LEVELS = 12
+LEVEL_WEIGHTS = np.array([2.0**-j for j in range(1, LEVELS + 1)])
+REST_MEAN, REST_VAR = 2.0**-LEVELS / 2.0, 4.0**-LEVELS / 12.0
+
 # The most values one draw from a sensor stream holds, so a batched read's
-# memory stays bounded for any number of reads of any length.
+# memory stays bounded for any number of reads of any length. Only readings
+# drawn one by one (b < SUM_DRAW_MIN_STEPS) come near it.
 MAX_DRAW = 1 << 16
 
 
@@ -244,6 +241,19 @@ def _row_sums(draw, m: int, k: int | None):
     return total if k is None else np.array([total])
 
 
+def _uniform_sum(rng, n: int, k: int | None):
+    """The top LEVELS binary levels of a sum of n uniforms: one value for k None,
+    else an array of k.
+
+    rng.random() returns a multiple of 2^-53 whose 53 bits are fair coins, so
+    u_1 + ... + u_n is in law exactly sum_{j=1..53} 2^-j * B_j, the B_j
+    independent Binomial(n, 1/2). This draws the first LEVELS terms; the rest
+    is 2^-LEVELS times another such sum, with mean n * REST_MEAN and variance
+    n * REST_VAR, which the caller draws as a normal.
+    """
+    return rng.binomial(n, 0.5, LEVELS if k is None else (k, LEVELS)).dot(LEVEL_WEIGHTS)
+
+
 def _block_sums(rng, x: float, b: float, quantized: bool, m: int, k: int | None = None):
     """Sums of blocks of m readings of true value x with noise b, in grid steps
     (in kPa when not quantized): one sum for k None, else an array of k.
@@ -253,9 +263,11 @@ def _block_sums(rng, x: float, b: float, quantized: bool, m: int, k: int | None 
     if not quantized:
         return m * x + math.sqrt(m) * b * rng.standard_normal(k)
     if b >= SUM_DRAW_MIN_STEPS:
-        spread = rng.standard_normal(k) * (math.sqrt(m) * b)
-        spread -= _row_sums(rng.random, m - 1, k)
-        spread += m * (x + 0.5)
+        n = m - 1
+        # hypot, as (sqrt(m) * b)^2 can overflow where sqrt(m) * b does not
+        spread = rng.standard_normal(k) * math.hypot(math.sqrt(m) * b, math.sqrt(n * REST_VAR))
+        spread -= _uniform_sum(rng, n, k)
+        spread += m * (x + 0.5) - n * REST_MEAN
         return math.floor(spread) if k is None else np.floor(spread, out=spread)
     return _row_sums(lambda size: quantize(b * rng.standard_normal(size) + x, 1.0), m, k)
 
@@ -280,11 +292,6 @@ class PressureSensor:
         q = self.model.quant_step
         return math.floor(p_true / q + 0.5) * q if q > 0 else p_true
 
-    def _sure_under(self, mean, end: int, below: float):
-        """Whether a running mean over end readings lies SURE_SIGMAS measurement
-        sigmas of its own length under the bound (elementwise for an array)."""
-        return mean + SURE_SIGMAS * measurement_sigma(self.model, end) < below
-
     def read_avg(self, p_true: float, n: int) -> float:
         """Settle-averaged measurement over n consecutive readings.
 
@@ -295,11 +302,17 @@ class PressureSensor:
         N(a, b^2) has the law of W - U at the integers, U uniform on [0, 1),
         up to ~2 * exp(-pi^2 * b^2 / 2) in its characteristic function, so a
         block of m readings sums to quant_step * floor(m * a + sqrt(m) * b * z
-        - (u_1 + ... + u_{m-1})): one normal, then m - 1 uniforms. Below
-        SUM_DRAW_MIN_STEPS the readings are drawn one by one; without
-        quantization the block sums to m * p_true + sqrt(m) * sigma * z, and
-        without noise the mean is the quantized p_true, drawing nothing.
-        read_avg_batch draws many reads of one pressure with this law at once.
+        - (u_1 + ... + u_{m-1})): one normal and a sum of m - 1 uniforms,
+        drawn as its top LEVELS binary levels with the rest a normal folded
+        into z's (_uniform_sum). That normal moves the characteristic
+        function of the floor by at most e^-2 * 2^(-4 * LEVELS) / (16 * 2880
+        * m), about 1e-20 / m, below the ~5e-18 * sqrt(m) that rng.random's
+        2^-53 grid puts on the uniforms themselves; a block costs one normal
+        and LEVELS binomials at any m. Below SUM_DRAW_MIN_STEPS the readings
+        are drawn one by one; without quantization the block sums to m *
+        p_true + sqrt(m) * sigma * z, and without noise the mean is the
+        quantized p_true, drawing nothing. read_avg_batch draws many reads of
+        one pressure with this law at once.
         """
         if n < 1:
             raise DomainError(f"settle read count must be >= 1, got {n}")
@@ -307,42 +320,22 @@ class PressureSensor:
             return self._quiet(p_true)
         return float(_block_sums(self._rng, p_true / self._step, self._b, self._quantized, n) * self._step / n)
 
-    def read_avg_batch(self, p_true: float, k: int, n: int, below: float = math.inf) -> list:
+    def read_avg_batch(self, p_true: float, k: int, n: int) -> list:
         """k settle-averaged measurements of one true pressure, as a list.
 
-        Each has the law of read_avg(p_true, n) unless it stops early. A read
-        of n >= 4 * MIN_LOOK_BLOCK readings draws four blocks, ending at n/4,
-        n/2, 3n/4 and n; a shorter one draws one. With a finite upper bound
-        the read looks at its running mean after each of the first three
-        blocks (Wald's sequential test) and returns that mean once it lies
-        SURE_SIGMAS measurement sigmas of its own length under the bound. The
-        reads are drawn together, block by block, as many at a time as keep
-        each draw within MAX_DRAW values; a read that stops at a look draws
-        no further block.
+        Each has the law of read_avg(p_true, n) and is one block. The reads
+        are drawn together, as many at a time as keep each draw within
+        MAX_DRAW values: a block sum takes LEVELS + 1 values, a read drawn
+        reading by reading n.
         """
         if n < 1:
             raise DomainError(f"settle read count must be >= 1, got {n}")
         step, b = self._step, self._b
         if b == 0:
             return [self._quiet(p_true)] * k
-        x, ends = p_true / step, (n // 4, n // 2, 3 * n // 4, n) if n >= 4 * MIN_LOOK_BLOCK else (n,)
-        rows = max(1, MAX_DRAW // (ends[0] + 1))  # no block holds more than ends[0] + 1 readings
-        means = []
+        x, per_read = p_true / step, n if self._quantized and b < SUM_DRAW_MIN_STEPS else LEVELS + 1
+        rows, means = max(1, MAX_DRAW // per_read), []
         for first in range(0, k, rows):
-            size = min(rows, k - first)
-            out, live = np.empty(size), np.arange(size)  # live: the reads still drawing
-            start, count = 0, 0  # count: each live read's sum so far, in grid steps (kPa unquantized)
-            for end in ends:
-                count = count + _block_sums(self._rng, x, b, self._quantized, end - start, live.size)
-                mean = count * step / end
-                if end < n and below < math.inf:
-                    sure = self._sure_under(mean, end, below)
-                    out[live[sure]] = mean[sure]
-                    live, count = live[~sure], count[~sure]
-                    if not live.size:
-                        break
-                start = end
-            else:
-                out[live] = mean
-            means += out.tolist()
+            sums = _block_sums(self._rng, x, b, self._quantized, n, min(rows, k - first))
+            means += (sums * step / n).tolist()
         return means

@@ -87,7 +87,8 @@ class GripperSim:
     opening yields one quasi-static equilibrium of the plant, which close_to
     reports only as a sensor reading. approach closes in steps and yields
     those readings one by one; the steps before the finger can touch the
-    object all read the rest pressure, so it draws them in one batched read.
+    object all read the rest pressure, so it draws them in one batched read
+    with the law of step-by-step reads.
     The handle holds no estimator state: detect_contact returns the contact
     opening and baseline and probe takes them. The ground-truth equilibrium
     is for tests; the estimator never asks.
@@ -141,17 +142,16 @@ class GripperSim:
         self.opening = max(0.0, opening)
         return self.stream.read_avg(self._plant_pressure(), settle_reads) - self.lock_reading
 
-    def approach(self, step: float, settle_reads: int, below: float = math.inf):
+    def approach(self, step: float, settle_reads: int):
         """Close in step increments down to the fully-shut stop, yielding the
         measured dp after each step.
 
         The plant knows the steps before the finger reaches the object's
         surface (all of them with no object): they read the rest pressure, so
-        one read_avg_batch draws them all, and a finite below, a dp bound,
-        lets each of those reads stop early once its mean is surely under the
-        bound. The steps after go through close_to and read in full. The
-        opening is set before each yield; the caller sees only the dp values,
-        and may stop at any one.
+        one read_avg_batch draws them all. The steps after go through
+        close_to. Every step reads settle_reads readings. The opening is set
+        before each yield; the caller sees only the dp values, and may stop at
+        any one.
         """
         if self.state is None:
             raise StateError("gripper must be pressurized and locked first")
@@ -161,7 +161,7 @@ class GripperSim:
             if self.k_object is not None and self.surface_offset is not None and opening < self.surface_offset:
                 break
             free.append(opening)
-        readings = self.stream.read_avg_batch(self.rest_pressure, len(free), settle_reads, self.lock_reading + below)
+        readings = self.stream.read_avg_batch(self.rest_pressure, len(free), settle_reads)
         for opening, reading in zip(free, readings):
             self.opening = opening
             yield reading - self.lock_reading
@@ -185,15 +185,10 @@ def detect_contact(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig):
     the table) shows a step that closed beyond the dead zone, where the
     free-bend inversion no longer gives the contact opening: that yields
     (None, None, ['contact_overshoot']).
-
-    The approach's contact-free reads are bounded by the threshold, so a long
-    one stops early once it is surely under it (see
-    PressureSensor.read_avg_batch); a step can cross only on a full-length
-    read, and the lock read and every step past the surface are full length.
     """
     sim.pressurize_and_lock(cfg.p0, cfg.settle_reads)
     threshold = cfg.threshold(sim.stream.model)
-    for dp in sim.approach(cfg.approach_step, cfg.settle_reads, below=threshold):
+    for dp in sim.approach(cfg.approach_step, cfg.settle_reads):
         if dp > threshold:
             # invert the dead-zone free bend to estimate the true contact opening
             try:

@@ -205,8 +205,8 @@ def test_cli_calibrate_golden_csv(tmp_path):
         (
             ["probe", "--config", CUBES, "--fixture", "cube3", "--noise", "on"],
             {
-                "probe_cube3.json": "7f9aa5b5c9c1ef2c935cab626e2ed127cbb91ca4fea431a98652a6c376228eb0",
-                "probe_cube3_trace.csv": "a2af0c2c84607f8e06edcdc91b3915b30d55b911327946399ea4aca64a19ec85",
+                "probe_cube3.json": "0d6d82779ae83da26e842c3c70b22c55a9456ecd2640da9e75afc1105756d104",
+                "probe_cube3_trace.csv": "e676438909583e668589833a85b90d24b327b64788f6354e785381f39a3da944",
                 "run_meta.json": "cc6c26f4fdf48ebecfd4c45703ff27b70af2850a8bdaac657664320d41ad9c6d",
             },
         ),
@@ -221,18 +221,18 @@ def test_cli_calibrate_golden_csv(tmp_path):
         (
             ["scenario", "--config", BANANA],
             {
-                "stiffness_map.json": "2b829a394e761a53ff88bafc7fd8e26cf186d4f4cbd54994c685954be6ef951a",
-                "stiffness_map.csv": "88efddcc3f3d23e3652937be741dc322e0dce78c7676b0317906dce854340f7b",
-                "stiffness_map_long.csv": "e68db4e7f0bfc83f09076f3646a0dbcaa5dff5e0566572537e247f0d51988211",
+                "stiffness_map.json": "e41f837598b7faf91b5931ef4de0add39412f819c21df5c06a366557b15995d6",
+                "stiffness_map.csv": "64281c5c4438041f5e15c996e27978d936e1365ea5f20fb3af93c639aa93a934",
+                "stiffness_map_long.csv": "e184403e55bafe32d7573667329a348fcd36af0f8009328329b99d77d9059626",
                 "run_meta.json": "5f8db29864c1764c7a92d1fd1ceb1df04a37e9536690061342a337e0c9f23049",
             },
         ),
         (
             ["scenario", "--config", ORANGE],
             {
-                "stiffness_map.json": "dd45431e40b5475b584724892be3a4e38a1ab52f02d4b67bcffb998fe6c918d4",
-                "stiffness_map.csv": "023d48330eedcb185c63d7e3570d5dc5e220bf5f039b2642103e1b2dc4b279ac",
-                "stiffness_map_long.csv": "7af06351558cf764745bab336e3a45dbde87280059470467a8a49d3d4d628efa",
+                "stiffness_map.json": "d051ca3807ffe5a7c746c9d364e045d85f6c13c1b2cad430866a2285708d99eb",
+                "stiffness_map.csv": "e4fecc68478be27bca44cbe1a41c7a6ac0b8a303f1e11246043d1f930bedca70",
+                "stiffness_map_long.csv": "b0b5a58b8048bfb4e01b367b3faa293650232ca44d31c9ad9fba6e74852d9a89",
                 "run_meta.json": "36b778d2215bc37e938150718fcc8f70cb69fd15815cb92dee2a57a8237d2274",
             },
         ),
@@ -1035,6 +1035,49 @@ def test_cli_sensor_past_the_float_range_exits_config(tmp_path, capsys, key, val
             errs.append(err)
         assert errs[0] == errs[1]
     assert _files_under(tmp_path) == ["cfg.json"]
+
+
+def _tiny_grid(tmp_path, quant_step, settle_reads):
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, "plant.sensor.quant_step_kpa", quant_step)
+    _set(doc, "probe.settle_reads", settle_reads)
+    return _write(tmp_path, doc)
+
+
+def test_cli_read_past_the_float_range_in_adc_steps_exits_config(tmp_path, capsys):
+    # a read sums settle_reads readings in ADC steps: 700 kPa of full scale is
+    # 7e304 steps of 1e-302 kPa, so 2568 readings of it are the last in range
+    out = tmp_path / "out"
+    path = _tiny_grid(tmp_path, 1e-302, 2568)
+    assert main(["probe", "--config", path, "--fixture", "cube1", "--dry-run"]) == EXIT_OK
+    assert main(["probe", "--config", path, "--fixture", "cube1", "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "probe_cube1.json").read_text())
+    assert report["flags"] == [] and all(math.isfinite(dp) for _, dp in report["dp_trace"])
+    capsys.readouterr()
+    for reads in (2569, 1_000_000):
+        path = _tiny_grid(tmp_path, 1e-302, reads)
+        for extra in (["--dry-run"], ["--out", str(tmp_path / "past")]):
+            assert main(["probe", "--config", path, "--fixture", "cube1", *extra]) == EXIT_CONFIG
+            assert capsys.readouterr() == ("", (
+                f"config error: plant.sensor.quant_step_kpa 1e-302 puts probe.settle_reads {reads} readings "
+                "of up to 700 kPa past the float range in ADC steps\n"
+            ))
+    assert not (tmp_path / "past").exists()
+
+
+def test_cli_fine_grid_read_stays_finite(tmp_path):
+    # a 1e-160 kPa grid puts sigma at 5.8e160 steps, whose square overflows; the
+    # block sum combines its spreads without squaring them
+    out = tmp_path / "out"
+    path = _tiny_grid(tmp_path, 1e-160, 512)
+    assert main(["probe", "--config", path, "--fixture", "cube1", "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "probe_cube1.json").read_text())
+    numbers = [report[key] for key in ("contact_opening", "est_force", "k_r", "k_o_est", "est_delta")]
+    numbers += [value for row in report["dp_trace"] for value in row]
+    assert report["flags"] == [] and all(math.isfinite(value) for value in numbers)
+    rows = (out / "probe_cube1_trace.csv").read_text().splitlines()[1:]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 def test_cli_deeply_nested_config_exits_config(tmp_path, capsys):

@@ -6,8 +6,9 @@ import pytest
 from softgrip import pneumatics
 from softgrip.errors import DomainError, StateError
 from softgrip.pneumatics import (
-    MAX_DRAW,
-    MIN_LOOK_BLOCK,
+    LEVELS,
+    REST_MEAN,
+    REST_VAR,
     SUM_DRAW_MIN_STEPS,
     PressureSensor,
     RingModel,
@@ -18,6 +19,8 @@ from softgrip.pneumatics import (
     lock,
     measurement_sigma,
     pressure_at_angle,
+    _block_sums,
+    _uniform_sum,
     quantize,
     volume_at_angle,
 )
@@ -302,7 +305,7 @@ def _chi_square_passes(a, b, bins=20):
 
 # b = sigma / quant_step: 4.0 exactly (dyadic values) at the guard, and the default sensor's
 AT_GUARD = SensorModel(full_scale=8.0, noise_frac=0.25, quant_step=0.5)
-CASES = [(model, m, frac) for model in (AT_GUARD, SensorModel()) for m in (1, 2, 8, 512) for frac in (0.0, 0.37)]
+CASES = [(model, m, frac) for model in (AT_GUARD, SensorModel()) for m in (1, 2, 8, 512, 2048) for frac in (0.0, 0.37)]
 
 
 @pytest.mark.parametrize(
@@ -330,6 +333,46 @@ def test_block_sum_guard_is_needed(monkeypatch, m, frac):
     assert not _chi_square_passes(_read_counts(model, p_true, m, size, seed=m), reference)
 
 
+def _summed_uniforms(rng, n, size):
+    """size sums of n values of rng.random, drawn a few rows at a time."""
+    rows, sums = max(1, (1 << 16) // n), []
+    for i in range(0, size, rows):
+        sums.append(rng.random((min(rows, size - i), n)).sum(axis=1))
+    return np.concatenate(sums)
+
+
+@pytest.mark.parametrize("n", (1, 2, 511, 2047, 6143))
+def test_level_sum_matches_summed_uniforms(n):
+    # LEVELS binary levels drawn as binomials and the rest as a normal of its
+    # mean and variance have the law of n uniforms summed, keyed on a 2^-10 grid
+    size = 20_000
+    rng = np.random.default_rng(n)
+    levels = _uniform_sum(rng, n, size) + n * REST_MEAN + math.sqrt(n * REST_VAR) * rng.standard_normal(size)
+    direct = _summed_uniforms(np.random.default_rng(100 + n), n, size)
+    assert _chi_square_passes(np.floor(levels * 1024).astype(np.int64), np.floor(direct * 1024).astype(np.int64))
+    assert type(_uniform_sum(rng, n, None)) is np.float64
+
+
+class CenteredRng:
+    """A stream whose normals are 0 and whose binomials sit at their mean."""
+
+    def standard_normal(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+    def binomial(self, n, p, size):
+        return np.full(size, n * p)
+
+
+@pytest.mark.parametrize("m", (1, 3, 4097))
+def test_block_sum_is_centered(m):
+    # with every draw at its mean the level sum is (m - 1) / 2 less the rest's
+    # mean, so the block sum is floor(m * x + 1/2); a rest mean left out would
+    # add (m - 1) * 2^-13, half a step at m = 4097
+    for x in (0.0, 0.25, 10.7):
+        assert _block_sums(CenteredRng(), x, 8.6, True, m) == math.floor(m * x + 0.5)
+        assert _block_sums(CenteredRng(), x, 8.6, True, m, 2).tolist() == [math.floor(m * x + 0.5)] * 2
+
+
 def _expected_draws(model, rng, n):
     """Draw from rng what read_avg draws for a read of n readings: one block."""
     if model.sigma == 0:
@@ -339,12 +382,12 @@ def _expected_draws(model, rng, n):
     else:
         rng.standard_normal()
         if model.quant_step > 0:
-            rng.random(n - 1)
+            rng.binomial(n - 1, 0.5, LEVELS)
 
 
 def test_read_avg_draws_one_path_per_sensor():
     # each sensor draws what its path needs for its one block: one normal and
-    # n - 1 uniforms at b >= 4, n normals below, one normal unquantized,
+    # LEVELS binomials at b >= 4, n normals below, one normal unquantized,
     # nothing noiseless
     rng = np.random.default_rng(8)
     models = [SensorModel(), SensorModel(noise_frac=0.0), SensorModel(quant_step=0.0), AT_GUARD]
@@ -365,7 +408,7 @@ def test_unquantized_read_is_one_normal_per_block():
     # quant_step 0: the block sum is m * p + sigma * sqrt(m) * z, so the mean
     # has mean p and sd sigma / sqrt(m); a plain read is one block of n
     model = SensorModel(quant_step=0.0)
-    for n in (1, 512, 4 * MIN_LOOK_BLOCK):
+    for n in (1, 512, 2048):
         got = PressureSensor(model, seed=n).read_avg(60.0, n)
         ref = np.random.default_rng(n)
         assert got == (n * 60.0 + math.sqrt(n) * model.sigma * ref.standard_normal()) / n
@@ -404,87 +447,38 @@ def test_quantize_array_in_place():
     assert out.tolist() == [1.5, 1.0, 1.5, -0.5]
 
 
-def _drawn(model, seed, p_true, n, below):
-    """How many readings a one-read bounded batch summed, told from its stream's state."""
-    stream = PressureSensor(model, seed=seed)
-    stream.read_avg_batch(p_true, 1, n, below)
-    ref, done = np.random.default_rng(seed), 0
-    for end in (n // 4, n // 2, 3 * n // 4, n):
-        ref.standard_normal()  # each block's sum: one normal and m - 1 uniforms
-        ref.random(end - done - 1)
-        done = end
-        if ref.bit_generator.state == stream._rng.bit_generator.state:
-            return end
-    raise AssertionError("the read drew a length off the look schedule")
-
-
 def test_unbounded_read_is_unchanged():
-    # these floats pin the block-sum draw: a plain read is one block at any
-    # length, and an unbounded batch of one read of n >= 4 * MIN_LOOK_BLOCK
-    # draws the four blocks of the look schedule without looking
-    assert PressureSensor(SensorModel(), seed=3).read_avg(60.0, 512) == 60.52796875000001
-    assert PressureSensor(SensorModel(), seed=3).read_avg_batch(60.0, 1, 512) == [60.52796875000001]
-    assert PressureSensor(SensorModel(), seed=4).read_avg_batch(0.0, 1, 2048) == [-0.20154296875000002]
-    assert PressureSensor(SensorModel(), seed=4).read_avg_batch(0.0, 1, 2048, math.inf) == [-0.20154296875000002]
+    # these floats pin the block-sum draw: a read is one block at any length,
+    # one normal and LEVELS binomials, and a batch of one read is the plain read
+    # bit for bit
+    for seed, p_true, n, expect in ((3, 60.0, 512, 60.526640625000006), (4, 0.0, 2048, -0.07869140625000001)):
+        assert PressureSensor(SensorModel(), seed=seed).read_avg(p_true, n) == expect
+        assert PressureSensor(SensorModel(), seed=seed).read_avg_batch(p_true, 1, n) == [expect]
     n, stream, ref = 2048, PressureSensor(SensorModel(), seed=4), np.random.default_rng(4)
-    assert stream.read_avg(0.0, n) == -0.08765625
-    ref.standard_normal()  # one block: one normal, then n - 1 uniforms
-    ref.random(n - 1)
+    stream.read_avg(0.0, n)
+    ref.standard_normal()
+    ref.binomial(n - 1, 0.5, LEVELS)
     assert stream._rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_bounded_read_stops_early_only_far_under_the_bound(sensor):
-    # a bound k settle sigmas above the true pressure: at 6 sigma most reads run
-    # to full length, at 12 sigma none does (half stop at the first look, after
-    # n/4 readings, whose own sigma is twice the full read's)
-    n = 4 * MIN_LOOK_BLOCK
-    sigma = measurement_sigma(sensor, n)
-    lengths = {
-        k: [_drawn(sensor, seed, 60.0, n, 60.0 + k * sigma) for seed in range(2000)] for k in (6, 12, 24)
-    }
-    full = {k: drawn.count(n) for k, drawn in lengths.items()}
-    first_look = {k: drawn.count(n // 4) for k, drawn in lengths.items()}
-    assert full == {6: 1628, 12: 0, 24: 0}
-    assert first_look == {6: 1, 12: 970, 24: 2000}
-
-
-def test_bounded_read_at_its_bound_never_stops_early(sensor):
-    # true pressure at the bound: a look stops with probability Phi(-6) ~ 1e-9, so
-    # over 10^4 one-read batches none does, and each equals the unbounded one
-    # bit for bit
-    n = 4 * MIN_LOOK_BLOCK
-    bounded, full = PressureSensor(sensor, seed=21), PressureSensor(sensor, seed=21)
-    for i in range(10_000):
-        p_true = 40.0 + 0.01 * i
-        assert bounded.read_avg_batch(p_true, 1, n, p_true) == full.read_avg_batch(p_true, 1, n)
-    assert bounded._rng.bit_generator.state == full._rng.bit_generator.state
-
-
-def test_short_bounded_read_is_the_unbounded_read(sensor):
-    # below four blocks of MIN_LOOK_BLOCK a look would cost more than it saves,
-    # so a bounded one-read batch is the plain read
-    for n in (1, 5, 512, 4 * MIN_LOOK_BLOCK - 1):
-        bounded, full = PressureSensor(sensor, seed=n), PressureSensor(sensor, seed=n)
-        assert bounded.read_avg_batch(60.0, 1, n, 1e9) == [full.read_avg(60.0, n)]
-        assert bounded._rng.bit_generator.state == full._rng.bit_generator.state
-    # quantization only: the mean is the quantized value at any length
-    quantized = PressureSensor(SensorModel(noise_frac=0.0, quant_step=0.5))
-    assert quantized.read_avg_batch(1.26, 1, 4 * MIN_LOOK_BLOCK, 10.0) == [1.5]
-
-
 class RecordingRng:
-    """A Generator that records the size of every draw taken from it."""
+    """A Generator that records how many values each draw taken from it holds."""
 
     def __init__(self, rng):
-        self.rng, self.normals, self.uniforms = rng, [], []
+        self.rng, self.normals, self.sizes = rng, [], []
+
+    def _record(self, size):
+        if size is not None:
+            self.sizes.append(int(np.prod(size)))
 
     def standard_normal(self, size=None):
         self.normals.append(size)
+        self._record(size)
         return self.rng.standard_normal(size)
 
-    def random(self, size):
-        self.uniforms.append(size)
-        return self.rng.random(size)
+    def binomial(self, n, p, size):
+        self._record(size)
+        return self.rng.binomial(n, p, size)
 
 
 # the four sensor paths: block sums (b >= 4), readings one by one (b ~ 1.2),
@@ -495,92 +489,61 @@ NOISY, NOISY_IDS = (BLOCK_SUM, PER_READING, UNQUANTIZED), ("block-sum", "per-rea
 
 
 def _keys(model, means, n):
-    """Integer keys of settle means for the chi-square test: the count of grid
-    steps times 3n / end, an integer for each block end of a read of n; a
-    twentieth of the full read's sigma unquantized."""
+    """Integer keys of settle means for the chi-square test: the block sum in
+    grid steps; a twentieth of the read's sigma unquantized."""
     if model.quant_step > 0:
-        keys = np.asarray(means) * (3 * n) / model.quant_step
+        keys = np.asarray(means) * n / model.quant_step
         assert np.all(np.abs(keys - np.rint(keys)) < 1e-6)
         return np.rint(keys).astype(np.int64)
     return np.floor(np.asarray(means) / (measurement_sigma(model, n) / 20)).astype(np.int64)
 
 
-def _blocks_per_read(normals, model, n, k):
-    """Blocks each of k batched reads drew, from the sizes of its normal draws
-    (one draw a block for all reads still drawing, k of them in one chunk)."""
-    per_read = n // 4 if n >= 4 * MIN_LOOK_BLOCK else n
-    live = [size // per_read if model is PER_READING else size for size in normals]
-    assert live[0] == k and all(a >= b for a, b in zip(live, live[1:]))
-    return np.repeat(np.arange(1, len(live) + 1), np.diff([*live, 0]) * -1)
-
-
-@pytest.mark.parametrize("bounded", (False, True), ids=("unbounded", "bounded"))
-@pytest.mark.parametrize("n", (512, 4 * MIN_LOOK_BLOCK))
+@pytest.mark.parametrize("n", (512, 2048))
 @pytest.mark.parametrize("model", NOISY, ids=NOISY_IDS)
-def test_batched_reads_have_the_law_of_scalar_reads(model, n, bounded):
-    # unbounded, each mean has the law of a plain read; bounded, the law of a
-    # one-read batch, with the same number of blocks drawn before a look stops
-    # the read. The bound sits 9 full-read sigmas above the true pressure, so
-    # the bounded long reads stop at each of their looks
+def test_batched_reads_have_the_law_of_scalar_reads(model, n):
+    # each batched mean has the law of a plain read of the same length
     p_true, size = 60.0, 6000
-    below = p_true + 9 * measurement_sigma(model, n) if bounded else math.inf
     stream = PressureSensor(model, seed=1)
-    stream._rng = RecordingRng(stream._rng)
-    scalar, scalar_blocks = [], []
-    for _ in range(size):
-        before = len(stream._rng.normals)
-        scalar += stream.read_avg_batch(p_true, 1, n, below) if bounded else [stream.read_avg(p_true, n)]
-        scalar_blocks.append(len(stream._rng.normals) - before)
-    rows = MAX_DRAW // (n // 4 + 1 if n >= 4 * MIN_LOOK_BLOCK else n + 1)
-    batch, batch_blocks = [], []
-    batched = PressureSensor(model, seed=2)
-    rng = batched._rng
-    for _ in range(size // rows):  # one chunk a batch, so its normal draws tell the blocks drawn
-        batched._rng = RecordingRng(rng)
-        batch += batched.read_avg_batch(p_true, rows, n, below)
-        batch_blocks += _blocks_per_read(batched._rng.normals, model, n, rows).tolist()
-    scalar, scalar_blocks = scalar[: len(batch)], scalar_blocks[: len(batch)]
+    scalar = [stream.read_avg(p_true, n) for _ in range(size)]
+    batch = PressureSensor(model, seed=2).read_avg_batch(p_true, size, n)
     assert _chi_square_passes(_keys(model, batch, n), _keys(model, scalar, n))
-    if bounded and n >= 4 * MIN_LOOK_BLOCK:
-        assert set(batch_blocks) == set(scalar_blocks) == {1, 2, 3, 4}
-        assert _chi_square_passes(np.array(batch_blocks), np.array(scalar_blocks))
-    else:  # no look: every batched read draws all its blocks, and a plain read is one
-        assert set(batch_blocks) == {1 if n < 4 * MIN_LOOK_BLOCK else 4}
-        assert set(scalar_blocks) == {1}
 
 
 def test_noise_free_batch_is_the_quantized_pressure():
     for model in (NOISE_FREE, SensorModel(noise_frac=0.0, quant_step=0.0)):
         stream = PressureSensor(model, seed=4)
         state = stream._rng.bit_generator.state
-        for n, below in ((1, math.inf), (512, math.inf), (4096, 60.0)):
-            assert stream.read_avg_batch(61.37, 3, n, below) == [stream.read_avg(61.37, n)] * 3
+        for n in (1, 512, 4096):
+            assert stream.read_avg_batch(61.37, 3, n) == [stream.read_avg(61.37, n)] * 3
         assert stream._rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("model", NOISY, ids=NOISY_IDS)
-def test_batch_spanning_chunks_keeps_draws_bounded(model):
-    # 300 reads of 4096 take five chunks of at most 64 reads; no draw holds more
-    # than MAX_DRAW values, and the means keep the law of one-read batches
-    n, k = 4096, 300
-    below = 60.0 + 9 * measurement_sigma(model, n)
+def test_batch_spanning_chunks_keeps_draws_bounded(monkeypatch, model):
+    # with a 1024-value cap, 300 reads of 512 take at least four chunks on every
+    # path (a block sum takes LEVELS + 1 values a read, a read drawn reading by
+    # reading 512); no draw holds more than the cap, and the means keep the
+    # law of plain reads
+    monkeypatch.setattr(pneumatics, "MAX_DRAW", 1024)
+    n, k = 512, 300
     stream = PressureSensor(model, seed=6)
     stream._rng = RecordingRng(stream._rng)
     batch = []
     for _ in range(20):
-        batch += stream.read_avg_batch(60.0, k, n, below)
-    sizes = [size for size in stream._rng.normals + stream._rng.uniforms if size is not None]
-    assert max(sizes) <= MAX_DRAW
-    assert len(stream._rng.normals) >= 20 * 5  # each batch drew its first block in five chunks
+        batch += stream.read_avg_batch(60.0, k, n)
+    assert max(stream._rng.sizes) <= 1024
+    assert len(stream._rng.normals) >= 20 * 4
     scalar = PressureSensor(model, seed=7)
-    reference = [scalar.read_avg_batch(60.0, 1, n, below)[0] for _ in range(len(batch))]
+    reference = [scalar.read_avg(60.0, n) for _ in range(len(batch))]
     assert _chi_square_passes(_keys(model, batch, n), _keys(model, reference, n))
 
 
 @pytest.mark.parametrize("model", (BLOCK_SUM, PER_READING), ids=("block-sum", "per-reading"))
 def test_reads_longer_than_a_draw_are_drawn_in_pieces(monkeypatch, model):
-    # with a 100-value cap a 512-reading block is drawn in six pieces, in a
-    # batch and in a scalar read, and keeps the law of readings drawn one by one
+    # with a 100-value cap a 512-reading block drawn reading by reading takes
+    # six pieces, in a batch and in a scalar read, and a block sum stays within
+    # the cap (LEVELS + 1 values a read); both keep the law of readings drawn
+    # one by one
     monkeypatch.setattr(pneumatics, "MAX_DRAW", 100)
     m, size = 512, 4000
     p_true = 88.37 * model.quant_step
@@ -591,14 +554,13 @@ def test_reads_longer_than_a_draw_are_drawn_in_pieces(monkeypatch, model):
             means = stream.read_avg_batch(p_true, size, m)
         else:
             means = [stream.read_avg(p_true, m) for _ in range(size)]
-        sizes = [s for s in stream._rng.normals + stream._rng.uniforms if s is not None]
-        assert max(sizes) <= 100
+        assert max(stream._rng.sizes) <= 100
         counts = np.rint(np.array(means) * m / model.quant_step).astype(np.int64)
         assert _chi_square_passes(counts, _reference_counts(model, p_true, m, size, seed=10))
 
 
 def test_batched_reruns_from_one_seed_are_identical():
-    calls = [(60.0, 2, 512, math.inf), (45.0, 150, 4096, 47.0), (45.0, 70, 2048, math.inf), (70.0, 3, 4096, 75.0)]
+    calls = [(60.0, 2, 512), (45.0, 150, 4096), (45.0, 70, 2048), (70.0, 3, 4096)]
     for model in (BLOCK_SUM, PER_READING, UNQUANTIZED):
         runs = []
         for _ in range(2):

@@ -10,7 +10,7 @@ from softgrip.config import DEFAULTS
 from softgrip.contact import solve_equilibrium
 from softgrip.errors import ConfigError, SaturationError, StateError
 from softgrip.geometry import FingerGeometry
-from softgrip.pneumatics import MIN_LOOK_BLOCK, PressureSensor, measurement_sigma
+from softgrip.pneumatics import PressureSensor, measurement_sigma
 from softgrip.probing import (
     GripperSim,
     ProbeConfig,
@@ -293,60 +293,6 @@ def test_probe_solves_each_contact_step_once(geom, ring, sensor, locked_table, m
     assert free.delta == 0.0 and free.force == 0.0
 
 
-def test_only_approach_reads_are_bounded(geom, ring, sensor, locked_table, monkeypatch):
-    # only the batched contact-free approach steps may stop early under the
-    # contact threshold, recorded once per step; the lock read, the approach
-    # steps past the surface and every probe step are plain reads of the full
-    # settle_reads.
-    reads = []
-    read_avg, read_avg_batch = PressureSensor.read_avg, PressureSensor.read_avg_batch
-
-    def recorded_read_avg(self, p_true, n):
-        reads.append(("plain", n))
-        return read_avg(self, p_true, n)
-
-    def recorded_read_avg_batch(self, p_true, k, n, below=math.inf):
-        reads.extend([("batch", below)] * k)
-        return read_avg_batch(self, p_true, k, n, below)
-
-    monkeypatch.setattr(PressureSensor, "read_avg", recorded_read_avg)
-    monkeypatch.setattr(PressureSensor, "read_avg_batch", recorded_read_avg_batch)
-    sim = _sim(geom, ring, sensor, 100.0, offset=30.0, seed=5)
-    report = run_probe(sim, locked_table, CFG)
-    assert report.flags == []
-    free = 7  # 45 -> 31 mm in 2 mm steps, all before the surface at 30 mm
-    assert reads[1 : 1 + free] == [("batch", sim.lock_reading + CFG.threshold(sensor))] * free
-    plain = [reads[0], *reads[1 + free :]]
-    assert plain == [("plain", CFG.settle_reads)] * len(plain)
-    assert len(plain) >= 1 + 1 + CFG.n_probe_steps  # lock, a step past the surface, probe steps
-
-
-def test_sequential_approach_finds_contact_with_fewer_readings(geom, ring, sensor, locked_table):
-    # long reads split into blocks: a probe with a 30-step approach draws the
-    # sums of under 60% of the readings it asks for, and still finds contact
-    # within one step. A block of m readings takes one normal and m - 1 uniforms.
-    class CountingRng:
-        def __init__(self, rng):
-            self.rng, self.drawn = rng, 0
-
-        def standard_normal(self, size=None):
-            self.drawn += 1 if size is None else size
-            return self.rng.standard_normal(size)
-
-        def random(self, size):
-            self.drawn += size
-            return self.rng.random(size)
-
-    cfg = replace(CFG, settle_reads=8 * MIN_LOOK_BLOCK)
-    for seed in range(10):
-        sim = GripperSim(geom, ring, sensor, 100.0, 40.0, max_open=100.0, seed=seed)
-        sim.stream._rng = CountingRng(sim.stream._rng)
-        report = run_probe(sim, locked_table, cfg)
-        assert report.flags == [] and abs(report.contact_opening - 40.0) < cfg.approach_step
-        requested = (1 + 31 + cfg.n_probe_steps) * cfg.settle_reads  # lock, approach, probe steps
-        assert sim.stream._rng.drawn < 0.6 * requested
-
-
 def test_probe_flags_travel_exhausted(geom, ring, quiet_sensor, locked_table):
     # commanded closing past the travel left: no estimates, like out_of_table
     report = run_probe(_sim(geom, ring, quiet_sensor, 100.0), locked_table, replace(CFG, probe_step=1e9))
@@ -419,9 +365,9 @@ def test_approach_draws_the_contact_free_stretch_in_one_batch(geom, ring, sensor
     batches, closes = [], []
     read_avg_batch, close_to = PressureSensor.read_avg_batch, GripperSim.close_to
 
-    def recorded_batch(self, p_true, k, n, below=math.inf):
+    def recorded_batch(self, p_true, k, n):
         batches.append(k)
-        return read_avg_batch(self, p_true, k, n, below)
+        return read_avg_batch(self, p_true, k, n)
 
     def recorded_close_to(self, opening, settle_reads):
         closes.append(opening)
