@@ -498,10 +498,11 @@ def _keys(model, means, n):
     return np.floor(np.asarray(means) / (measurement_sigma(model, n) / 20)).astype(np.int64)
 
 
-@pytest.mark.parametrize("n", (512, 2048))
+@pytest.mark.parametrize("n", (512, 2048), ids=("512-unbounded", "2048-unbounded"))
 @pytest.mark.parametrize("model", NOISY, ids=NOISY_IDS)
 def test_batched_reads_have_the_law_of_scalar_reads(model, n):
-    # each batched mean has the law of a plain read of the same length
+    # each batched mean has the law of a plain read of the same length; every
+    # read is unbounded: it sums all n of its readings, none stops early
     p_true, size = 60.0, 6000
     stream = PressureSensor(model, seed=1)
     scalar = [stream.read_avg(p_true, n) for _ in range(size)]
