@@ -16,8 +16,11 @@ rule holds for every command:
 - exit 3 with a flag (no_contact, contact_overshoot, out_of_table,
   travel_exhausted, saturated, no safe grasp, a sensitivity pair left out):
   every file is written and the flag goes to stderr;
-- exit 2 (config error), or exit 3 with ``error:``: nothing is written, and a
-  write that fails puts back the files of the run before.
+- exit 2 (config error), or exit 3 with ``error:``: nothing is written.
+
+Each file is created in place. A file of an earlier run that the run
+replaces is first moved aside, and dropped only once every file is written;
+a write that fails removes the run's files and puts the moved ones back.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Callable
-from dataclasses import asdict
 
 import numpy as np
 
@@ -54,31 +55,23 @@ EXIT_RUNTIME_FLAG = 3
 Run = Callable[[], "tuple[dict, str | None]"]
 
 
-def _atomic_write(path: str, text: str) -> str | None:
-    """Write via a temp file in the same directory, then rename.
+def _atomic_write(path: str, text: str) -> None:
+    """Create path, which must not exist, holding text; a write that fails removes it.
 
-    A file already at path is first moved aside in the same directory; the
-    return value is where (None if there was none), for the caller to put back
-    or to drop. A write that fails leaves path as it was.
+    One file of a run; main makes the run as a whole all or nothing.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    aside = None
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        if os.path.exists(path):
-            aside = f"{tmp}.old"
-            os.replace(path, aside)
-        os.replace(tmp, path)
+        try:
+            data = memoryview(text.encode())
+            while data:  # os.write may write short
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        if aside is not None and os.path.exists(aside):
-            os.replace(aside, path)
+        with contextlib.suppress(OSError):
+            os.unlink(path)
         raise
-    return aside
 
 
 def _json_text(doc: dict) -> str:
@@ -146,13 +139,14 @@ def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
         raise ConfigError(
             f"probe.p0_kpa {p0!r} lies outside calibration.locked.p0_grid_kpa [{lo!r}, {hi!r}]"
         )
-    # a read sums settle_reads readings in ADC steps; no true pressure tops hi's at the joint range
+    # a read sums settle_reads readings in ADC steps: each a true pressure, none
+    # above hi's at the joint range, plus noise, taken as at most ten sigmas
     q, locked = sensor.quant_step, lock(RingState(p_gauge=hi), ring)
     top = max(sensor.full_scale, pressure_at_angle(locked, ring, math.radians(JOINT_RANGE_DEG)))
-    if q > 0 and not math.isfinite(reads * top / q):
+    if q > 0 and not math.isfinite(reads * (top + 10.0 * sensor.sigma) / q):
         raise ConfigError(
             f"plant.sensor.quant_step_kpa {q!r} puts probe.settle_reads {reads} readings of up to {top:.6g} kPa "
-            "past the float range in ADC steps"
+            f"plus 10 noise sigmas of {sensor.sigma:.6g} kPa past the float range in ADC steps"
         )
     return table, (sensor if noise else sensor.noiseless())
 
@@ -227,7 +221,7 @@ def resolve_probe(
     def run():
         report = run_probe(sim, table, probe_cfg)
         files = {
-            f"probe_{fixture_name}.json": _json_text({**asdict(report), "fixture": fixture_name, "noise": noise}),
+            f"probe_{fixture_name}.json": _json_text({**vars(report), "fixture": fixture_name, "noise": noise}),
             f"probe_{fixture_name}_trace.csv": report.trace_csv(),
         }
         return files, (f"probe finished with flags: {', '.join(report.flags)}" if report.flags else None)
@@ -356,7 +350,7 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             cfg["seed"] = args.seed
-        out_dir = args.out or cfg["output_dir"]
+        out_dir = args.out or cfg["output_dir"] or os.curdir
         if "\0" in out_dir:
             raise ConfigError(f"--out must not contain NUL, got {json.dumps(out_dir)}")
         if os.path.exists(out_dir) and not os.path.isdir(out_dir):
@@ -380,29 +374,35 @@ def main(argv=None) -> int:
         "noise": noise,
         "version": __version__,
     })
-    fresh_dir, written = not os.path.isdir(out_dir), []  # (path, where its old file went)
+    fresh_dir, path = not os.path.isdir(out_dir), out_dir
+    created, moved = [], []  # files this run created; (file, where its old file went)
     try:
+        os.makedirs(out_dir, exist_ok=True)
         for name, text in files.items():
             path = os.path.join(out_dir, name)
-            written.append((path, _atomic_write(path, text)))
+            if not fresh_dir and os.path.lexists(path):
+                aside = os.path.join(out_dir, f".tmp-{os.urandom(8).hex()}.old")
+                os.replace(path, aside)
+                moved.append((path, aside))
+            _atomic_write(path, text)
+            created.append(path)
     except OSError as exc:
-        # undo: remove the files this run added, put back the ones it replaced
-        for done, aside in written:
+        # undo: remove the files this run created, put back the ones it moved
+        for done in created:
             with contextlib.suppress(OSError):
-                if aside is None:
-                    os.unlink(done)
-                else:
-                    os.replace(aside, done)
+                os.unlink(done)
+        for done, aside in moved:
+            with contextlib.suppress(OSError):
+                os.replace(aside, done)
         if fresh_dir:
             with contextlib.suppress(OSError):
                 os.rmdir(out_dir)
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_RUNTIME_FLAG
     # every file is in place: only now drop the previous run's
-    for _, aside in written:
-        if aside is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(aside)
+    for _, aside in moved:
+        with contextlib.suppress(OSError):
+            os.unlink(aside)
     if problem is not None:
         print(problem, file=sys.stderr)
         return EXIT_RUNTIME_FLAG

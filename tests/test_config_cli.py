@@ -840,21 +840,40 @@ def test_cli_out_is_a_file_exits_config(tmp_path, capsys):
     assert out.read_text() == "keep me\n"
 
 
-def test_cli_failed_write_leaves_no_output(tmp_path, capsys, monkeypatch):
-    replace = os.replace
-    calls = []
+def _full_disk(monkeypatch, path, at):
+    """Fail the create ("open") or the first write ("write") of path once, as a
+    full disk does; returns the files whose write was attempted, in order."""
+    real_open, real_write = os.open, os.write
+    opened, written, failed = {}, [], []
 
-    def replace_then_fail(src, dst):
-        calls.append(dst)
-        if len(calls) == 2:
+    def create(file, flags, *args, **kwargs):
+        if at == "open" and str(file) == str(path) and not failed:
+            failed.append(file)
             raise OSError(28, "No space left on device")
-        replace(src, dst)
+        fd = real_open(file, flags, *args, **kwargs)
+        opened[fd] = str(file)
+        return fd
 
-    monkeypatch.setattr(os, "replace", replace_then_fail)
+    def write(fd, data):
+        if opened.get(fd) not in written:
+            written.append(opened.get(fd))
+        if at == "write" and opened.get(fd) == str(path) and not failed:
+            failed.append(path)
+            raise OSError(28, "No space left on device")
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "open", create)
+    monkeypatch.setattr(os, "write", write)
+    return written, failed
+
+
+def test_cli_failed_write_leaves_no_output(tmp_path, capsys, monkeypatch):
+    # locked.csv is created, then its write fails: it, regulated.csv and the directory go
     out = tmp_path / "x"
+    calls, failed = _full_disk(monkeypatch, out / "locked.csv", "write")
     assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_RUNTIME_FLAG
     assert capsys.readouterr().err == f"error: cannot write {out / 'locked.csv'}: No space left on device\n"
-    assert len(calls) == 2
+    assert calls == [str(out / "regulated.csv"), str(out / "locked.csv")] and failed
     assert not out.exists()
 
 
@@ -863,23 +882,80 @@ def test_cli_failed_rerun_keeps_previous_run(tmp_path, capsys, monkeypatch):
     out = tmp_path / "x"
     assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_OK
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    replace = os.replace
-    failed = []
-
-    def replace_then_fail(src, dst):
-        if dst == str(out / "locked.csv") and not failed:
-            failed.append(dst)
-            raise OSError(28, "No space left on device")
-        replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", replace_then_fail)
+    _, failed = _full_disk(monkeypatch, out / "locked.csv", "open")
     with open(CUBES) as fh:
         doc = json.load(fh)
-    _set(doc, "plant.ring.c2_nmm_per_rad_kpa", 700.0)  # every file of the second run differs
+    _set(doc, "plant.ring.c2_nmm_per_rad_kpa", 700.0)
+    _set(doc, "probe.p0_kpa", 40.0)  # with c2, every file of the second run differs
     assert main(["calibrate", "--config", _write(tmp_path, doc), "--out", str(out)]) == EXIT_RUNTIME_FLAG
     assert capsys.readouterr().err == f"error: cannot write {out / 'locked.csv'}: No space left on device\n"
     assert failed
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_cli_rerun_replaces_its_files_and_keeps_the_rest(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_OK
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    (out / "notes.txt").write_text("keep me\n")
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, "plant.ring.c2_nmm_per_rad_kpa", 700.0)
+    _set(doc, "probe.p0_kpa", 40.0)  # with c2, every file of the second run differs
+    assert main(["calibrate", "--config", _write(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    second = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(second) == sorted([*first, "notes.txt"])  # no file moved aside is left
+    assert second["notes.txt"] == b"keep me\n"
+    assert all(second[name] != text for name, text in first.items())
+
+
+def test_cli_replaces_a_symlink_at_an_output_name(tmp_path):
+    # the link is replaced by the run's file; neither its target nor a dangling one is touched
+    out, target = tmp_path / "x", tmp_path / "target.csv"
+    out.mkdir()
+    target.write_text("keep me\n")
+    (out / "locked.csv").symlink_to(target)
+    (out / "regulated.csv").symlink_to(tmp_path / "missing.csv")
+    assert main(["calibrate", "--config", CUBES, "--out", str(tmp_path / "ref")]) == EXIT_OK
+    assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_OK
+    for name in ("locked.csv", "regulated.csv"):
+        assert not (out / name).is_symlink()
+        assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+    assert target.read_text() == "keep me\n" and not (tmp_path / "missing.csv").exists()
+
+
+def test_cli_output_directory_that_cannot_be_made_exits_runtime(tmp_path, capsys):
+    # a path under a regular file is not a directory the run can create
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    out = taken / "x"
+    assert main(["probe", "--config", CUBES, "--fixture", "cube1", "--out", str(out)]) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+    assert _files_under(tmp_path) == ["taken"] and taken.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_cli_output_files_follow_the_umask(tmp_path, umask):
+    out = tmp_path / "x"
+    old = os.umask(umask)
+    try:
+        assert main(["probe", "--config", CUBES, "--fixture", "cube1", "--out", str(out)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+    assert sorted(modes) == ["probe_cube1.json", "probe_cube1_trace.csv", "run_meta.json"]
+    assert set(modes.values()) == {0o666 & ~umask}
+
+
+def test_cli_short_writes_are_completed(tmp_path, monkeypatch):
+    # os.write may write fewer bytes than asked; every file still ends whole
+    ref, out = tmp_path / "ref", tmp_path / "x"
+    assert main(["calibrate", "--config", CUBES, "--out", str(ref)]) == EXIT_OK
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:1000]))
+    assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {p.name: p.read_bytes() for p in ref.iterdir()}
 
 
 def test_cli_calibration_grid_ends_inside_the_joint_range(tmp_path, capsys):
@@ -1037,33 +1113,51 @@ def test_cli_sensor_past_the_float_range_exits_config(tmp_path, capsys, key, val
     assert _files_under(tmp_path) == ["cfg.json"]
 
 
-def _tiny_grid(tmp_path, quant_step, settle_reads):
+def _tiny_grid(tmp_path, quant_step, settle_reads, noise_frac=None):
     with open(CUBES) as fh:
         doc = json.load(fh)
     _set(doc, "plant.sensor.quant_step_kpa", quant_step)
     _set(doc, "probe.settle_reads", settle_reads)
+    if noise_frac is not None:
+        _set(doc, "plant.sensor.noise_frac", noise_frac)
     return _write(tmp_path, doc)
 
 
-def test_cli_read_past_the_float_range_in_adc_steps_exits_config(tmp_path, capsys):
-    # a read sums settle_reads readings in ADC steps: 700 kPa of full scale is
-    # 7e304 steps of 1e-302 kPa, so 2568 readings of it are the last in range
+def _adc_limit(tmp_path, capsys, quant_step, noise_frac, limit, past, message):
+    # `limit` settle reads run, each of `past` exits 2 with and without --dry-run, writing nothing
     out = tmp_path / "out"
-    path = _tiny_grid(tmp_path, 1e-302, 2568)
+    path = _tiny_grid(tmp_path, quant_step, limit, noise_frac)
     assert main(["probe", "--config", path, "--fixture", "cube1", "--dry-run"]) == EXIT_OK
-    assert main(["probe", "--config", path, "--fixture", "cube1", "--out", str(out)]) == EXIT_OK
+    assert main(["probe", "--config", path, "--fixture", "cube1", "--out", str(out)]) in (EXIT_OK, EXIT_RUNTIME_FLAG)
     report = json.loads((out / "probe_cube1.json").read_text())
-    assert report["flags"] == [] and all(math.isfinite(dp) for _, dp in report["dp_trace"])
+    assert all(math.isfinite(dp) for _, dp in report["dp_trace"])
     capsys.readouterr()
-    for reads in (2569, 1_000_000):
-        path = _tiny_grid(tmp_path, 1e-302, reads)
+    for reads in past:
+        path = _tiny_grid(tmp_path, quant_step, reads, noise_frac)
         for extra in (["--dry-run"], ["--out", str(tmp_path / "past")]):
             assert main(["probe", "--config", path, "--fixture", "cube1", *extra]) == EXIT_CONFIG
             assert capsys.readouterr() == ("", (
-                f"config error: plant.sensor.quant_step_kpa 1e-302 puts probe.settle_reads {reads} readings "
-                "of up to 700 kPa past the float range in ADC steps\n"
+                f"config error: plant.sensor.quant_step_kpa {quant_step!r} puts probe.settle_reads {reads} readings "
+                f"of up to 700 kPa plus 10 noise sigmas of {message} kPa past the float range in ADC steps\n"
             ))
     assert not (tmp_path / "past").exists()
+    return report
+
+
+def test_cli_read_past_the_float_range_in_adc_steps_exits_config(tmp_path, capsys):
+    # a read sums settle_reads readings in ADC steps: 700 kPa of full scale and
+    # ten sigmas of 5.83 kPa noise are 7.58e304 steps of 1e-302 kPa, so 2370
+    # readings of them are the last in range
+    report = _adc_limit(tmp_path, capsys, 1e-302, None, 2370, (2371, 1_000_000), "5.83333")
+    assert report["flags"] == []
+
+
+def test_cli_noisy_read_past_the_float_range_in_adc_steps_exits_config(tmp_path, capsys):
+    # noise of ten times full scale: with the pressure, ten sigmas of 7000 kPa
+    # are 7.07e306 steps of 1e-302 kPa, so 25 readings are the last in range;
+    # on a 7e-304 kPa grid the noise term of 100 readings overflowed a read
+    _adc_limit(tmp_path, capsys, 1e-302, 10, 25, (26,), "7000")
+    _adc_limit(tmp_path, capsys, 7e-304, 10, 1, (2, 100), "7000")
 
 
 def test_cli_fine_grid_read_stays_finite(tmp_path):
