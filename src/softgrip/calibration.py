@@ -98,12 +98,10 @@ def _grid(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(n + 1)
 
 
-def _alpha_grid(sweep: str, alpha_max_deg: float, alpha_step_deg: float) -> np.ndarray:
+def _alpha_grid(alpha_max_deg: float, alpha_step_deg: float) -> np.ndarray:
     """A sweep's angles, inside the joint range over which the ring model is valid."""
     if alpha_max_deg > JOINT_RANGE_DEG:
-        raise ConfigError(
-            f"{sweep} sweep alpha_max_deg {alpha_max_deg!r} exceeds the {JOINT_RANGE_DEG!r} deg joint range"
-        )
+        raise ConfigError(f"alpha_max_deg {alpha_max_deg!r} exceeds the {JOINT_RANGE_DEG!r} deg joint range")
     return _grid(0.0, alpha_max_deg, alpha_step_deg)
 
 
@@ -119,7 +117,7 @@ def generate_regulated_sweep(
 
     dp_surface is zeroed; it is meaningless in this mode.
     """
-    alpha_grid = _alpha_grid("regulated", alpha_max_deg, alpha_step_deg)
+    alpha_grid = _alpha_grid(alpha_max_deg, alpha_step_deg)
     p_grid = _grid(0.0, p_max_kpa, p_step_kpa)
     _check_cells(alpha_grid.size, p_grid.size)
     torque = joint_torque(model, np.radians(alpha_grid)[:, None], p_grid)
@@ -140,14 +138,11 @@ def generate_locked_sweep(
     trapped-gas pressure. The sweep is treated as instantaneous (no leakage);
     use hysteresis_sweep for the timed forward/backward comparison.
     """
-    alpha_grid = _alpha_grid("locked", alpha_max_deg, alpha_step_deg)
+    alpha_grid = _alpha_grid(alpha_max_deg, alpha_step_deg)
     p0_grid = np.asarray(p0_grid_kpa, dtype=float)
-    if p0_grid.size < 2:
-        raise ConfigError("locked sweep needs at least 2 initial pressures")
-    if p0_grid[0] < 0 or np.any(np.diff(p0_grid) <= 0):
-        raise ConfigError(
-            f"locked sweep p0 grid must be non-negative and strictly increasing, got {p0_grid.tolist()}"
-        )
+    if p0_grid.size < 2:  # checked here, as RingState cannot check an empty grid
+        raise ConfigError(f"p0_grid_kpa needs at least 2 pressures, got {p0_grid.tolist()}")
+    # RingState rejects a negative p0, and CalibrationTable a p0 grid that is not strictly increasing
     _check_cells(alpha_grid.size, p0_grid.size)
     alphas = np.radians(alpha_grid)
     p = pressure_at_angle(lock(RingState(p_gauge=p0_grid), model), model, alphas[:, None])
@@ -163,9 +158,7 @@ def hysteresis_sweep(model: RingModel, *, p0: float, alpha_max_deg: float, alpha
 
     Returns (alpha_deg, p_forward, p_backward) with pressures in gauge kPa.
     """
-    if p0 < 0:
-        raise ConfigError(f"hysteresis p0 must be non-negative, got {p0}")
-    alpha_grid = _alpha_grid("hysteresis", alpha_max_deg, alpha_step_deg)
+    alpha_grid = _alpha_grid(alpha_max_deg, alpha_step_deg)
     path = np.radians(np.concatenate((alpha_grid, alpha_grid[::-1])))
     state = leak_path(lock(RingState(p_gauge=float(p0)), model), model, path)
     p = pressure_at_angle(state, model, path)

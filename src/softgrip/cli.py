@@ -6,6 +6,10 @@ model and fixture once, so a bad value fails every command alike.
 ``resolve_<cmd>`` takes them, makes every other check, builds the plan and
 tables and returns the run, which makes no check and returns the files it
 produced (name -> text, in write order) and a runtime-flag message or None.
+Each check lives in the library type or function that relies on it; every
+build at resolve goes through ``config.built`` with the config key or
+section its values come from, so each config error reads ``config error:
+<key or section>: ...``.
 ``--dry-run`` resolves and prints the config, so it exits 2 exactly when the
 run would, with the same message; only a name the run needs but nothing sets
 (``--fixture`` for probe, ``plan.fixture``, the sensitivity pair) is left to
@@ -20,7 +24,8 @@ rule holds for every command:
 
 Each file is created in place. A file of an earlier run that the run
 replaces is first moved aside, and dropped only once every file is written;
-a write that fails removes the run's files and puts the moved ones back.
+a write that fails removes the run's files and the directories the run made,
+and puts the moved files back.
 """
 
 from __future__ import annotations
@@ -32,20 +37,21 @@ import math
 import os
 import sys
 from collections.abc import Callable
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .calibration import generate_locked_sweep, generate_regulated_sweep, hysteresis_sweep, write_csv
 from .config import (
-    build_fixture, build_geometry, build_probe_config, build_ring, build_sensor, config_hash, fixture_named,
-    load_config,
+    build_fixture, build_geometry, build_probe_config, build_ring, build_sensor, built, config_hash,
+    fixture_named, load_config,
 )
 from .contact import stiffness_at
 from .errors import ConfigError, SoftgripError
 from .planner import execute_plan, make_plan
 from .pneumatics import JOINT_RANGE_DEG, RingState, lock, pressure_at_angle
-from .probing import GripperSim, run_probe, sensitivity_sweep
+from .probing import GripperSim, check_travel, run_probe, sensitivity_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,17 +111,13 @@ MAX_PLAN_PROBES = 10_000  # plan.n; the bundled plans probe at most 10 locations
 def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
     """(locked table, sensor) of a probing command; the sensor is quiet without noise.
 
-    The gripper must open past the fixture's surface in bounded approach steps, a
-    probe take bounded steps and readings, and probe.p0_kpa lie in the table's p0 grid.
+    The gripper must open past the fixture's surface (check_travel) in bounded approach
+    steps, a probe take bounded steps and readings, and probe.p0_kpa lie in the table's
+    p0 grid.
     """
     max_open, step = cfg["gripper"]["max_open_mm"], cfg["probe"]["approach_step_mm"]
-    if max_open <= 0:
-        raise ConfigError(f"gripper.max_open_mm must be positive, got {max_open!r}")
-    if fixture is not None and fixture.surface_offset > max_open:
-        raise ConfigError(
-            f"fixtures.{name}.surface_offset_mm {fixture.surface_offset!r} exceeds "
-            f"gripper.max_open_mm {max_open!r}"
-        )
+    keys = "gripper.max_open_mm" if fixture is None else f"gripper.max_open_mm and fixtures.{name}.surface_offset_mm"
+    built(keys, check_travel, max_open, None if fixture is None else fixture.surface_offset)
     if max_open / step > MAX_APPROACH_STEPS:
         raise ConfigError(
             f"probe.approach_step_mm {step!r} closes gripper.max_open_mm {max_open!r} "
@@ -133,7 +135,7 @@ def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
             f"probe.settle_reads {reads} in 1 + {approach_steps} approach + {probe_steps} probe steps "
             f"requests {readings} readings, more than {MAX_PROBE_READINGS}"
         )
-    table = generate_locked_sweep(ring, **cfg["calibration"]["locked"])
+    table = built("calibration.locked", generate_locked_sweep, ring, **cfg["calibration"]["locked"])
     lo, hi, p0 = float(table.p0_grid[0]), float(table.p0_grid[-1]), cfg["probe"]["p0_kpa"]
     if not lo <= p0 <= hi:
         raise ConfigError(
@@ -166,8 +168,8 @@ def resolve_calibrate(
     if fixture_arg is not None:
         raise ConfigError("calibrate takes no --fixture")
     cal = cfg["calibration"]
-    reg = generate_regulated_sweep(ring, **cal["regulated"])
-    locked = generate_locked_sweep(ring, **cal["locked"])
+    reg = built("calibration.regulated", generate_regulated_sweep, ring, **cal["regulated"])
+    locked = built("calibration.locked", generate_locked_sweep, ring, **cal["locked"])
     fit_mask = locked.alpha_grid <= 60.0  # the angles of the dp-alpha linearity fit
     if np.count_nonzero(fit_mask) < 2:
         raise ConfigError(
@@ -205,7 +207,7 @@ def resolve_calibrate(
 def resolve_probe(
     cfg: dict, fixture_name: str | None, noise: bool, geom, ring, sensor, probe_cfg, fixtures
 ) -> Run:
-    fixture = fixture_named(fixtures, fixture_name) if fixture_name else None
+    fixture = fixture_named(fixtures, fixture_name, "--fixture") if fixture_name else None
     if fixture is not None and fixture.profile.kind != "uniform":
         raise ConfigError(
             f"fixture '{fixture_name}' has a spatial profile; use the scenario command"
@@ -235,18 +237,16 @@ def resolve_scenario(
     if fixture_arg is not None:
         raise ConfigError("scenario takes its fixture from plan.fixture, not --fixture")
     plan_cfg = cfg["plan"]
-    fixture = fixture_named(fixtures, plan_cfg["fixture"]) if plan_cfg["fixture"] else None
+    fixture = fixture_named(fixtures, plan_cfg["fixture"], "plan.fixture") if plan_cfg["fixture"] else None
     if plan_cfg["n"] > MAX_PLAN_PROBES:
         raise ConfigError(f"plan.n {plan_cfg['n']} exceeds {MAX_PLAN_PROBES}")
-    plan = make_plan(plan_cfg["span"], plan_cfg["n"])
+    plan = built("plan", make_plan, plan_cfg["span"], plan_cfg["n"], plan_cfg["avoid_fraction"])
     samples = fixture.profile.samples if fixture else ()  # () for a uniform fixture or none
     if samples and not (samples[0][0] <= 0.0 and plan_cfg["span"] <= samples[-1][0]):
         raise ConfigError(
             f"plan.span {plan_cfg['span']!r} probes [0, {plan_cfg['span']!r}], but fixture "
             f"'{plan_cfg['fixture']}' is sampled over [{samples[0][0]!r}, {samples[-1][0]!r}]"
         )
-    if not 0.0 <= plan_cfg["avoid_fraction"] <= 1.0:
-        raise ConfigError(f"plan.avoid_fraction must be in [0, 1], got {plan_cfg['avoid_fraction']!r}")
     table, sensor = _rig(cfg, plan_cfg["fixture"], fixture, ring, sensor, noise)
     if fixture is None:
         return _fails(ConfigError("plan.fixture must name a fixture"))
@@ -254,7 +254,7 @@ def resolve_scenario(
     def run():
         stiffness_map = execute_plan(
             plan, fixture, geom, ring, sensor, table, probe_cfg, seed=cfg["seed"],
-            avoid_fraction=plan_cfg["avoid_fraction"], max_open=cfg["gripper"]["max_open_mm"],
+            max_open=cfg["gripper"]["max_open_mm"],
         )
         files = {
             "stiffness_map.json": _json_text(stiffness_map.to_dict()),
@@ -279,17 +279,17 @@ def resolve_sensitivity(
         raise ConfigError(need_pair)
     fa = fb = None
     if name_a:
-        fa, fb = fixture_named(fixtures, name_a), fixture_named(fixtures, name_b)
+        fa = fixture_named(fixtures, name_a, "--fixture" if fixture_a else "sensitivity.fixture_a")
+        fb = fixture_named(fixtures, name_b, "--fixture" if fixture_b else "sensitivity.fixture_b")
         if fa.profile.kind != "uniform" or fb.profile.kind != "uniform":
             raise ConfigError("sensitivity sweep expects uniform fixtures")
         if fa.surface_offset != fb.surface_offset:
             raise ConfigError(
-                f"sensitivity probes both fixtures at one surface offset; '{name_a}' has "
-                f"{fa.surface_offset!r} mm and '{name_b}' has {fb.surface_offset!r} mm"
+                f"sensitivity probes both fixtures at one surface offset; fixtures.{name_a}.surface_offset_mm "
+                f"is {fa.surface_offset!r} and fixtures.{name_b}.surface_offset_mm is {fb.surface_offset!r}"
             )
-    for dc in sens["dc_grid_mm"]:
-        if dc <= 0:
-            raise ConfigError(f"sensitivity.dc_grid_mm entries must be positive, got {dc!r}")
+    for dc in sens["dc_grid_mm"]:  # the probe settings the sweep takes at each closing
+        built("sensitivity.dc_grid_mm", replace, probe_cfg, probe_step=dc / probe_cfg.n_probe_steps)
     # fb has fa's offset; the noisy sensor gives the sigma the sweep ranks by
     table, sensor = _rig(cfg, name_a, fa, ring, sensor, True)
     if fa is None:
@@ -374,29 +374,34 @@ def main(argv=None) -> int:
         "noise": noise,
         "version": __version__,
     })
-    fresh_dir, path = not os.path.isdir(out_dir), out_dir
-    created, moved = [], []  # files this run created; (file, where its old file went)
+    missing, head = [], os.path.normpath(out_dir)
+    while head and not os.path.lexists(head):  # out_dir and each missing parent, leaf first
+        missing.append(head)
+        head = os.path.dirname(head)
+    path, made, created, moved = out_dir, [], [], []  # (file, where its old file went) in moved
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        for folder in reversed(missing):
+            os.mkdir(folder)
+            made.append(folder)
         for name, text in files.items():
             path = os.path.join(out_dir, name)
-            if not fresh_dir and os.path.lexists(path):
+            if not missing and os.path.lexists(path):
                 aside = os.path.join(out_dir, f".tmp-{os.urandom(8).hex()}.old")
                 os.replace(path, aside)
                 moved.append((path, aside))
             _atomic_write(path, text)
             created.append(path)
     except OSError as exc:
-        # undo: remove the files this run created, put back the ones it moved
+        # undo: remove the files and directories this run made, put back the files it moved
         for done in created:
             with contextlib.suppress(OSError):
                 os.unlink(done)
         for done, aside in moved:
             with contextlib.suppress(OSError):
                 os.replace(aside, done)
-        if fresh_dir:
+        for folder in reversed(made):  # leaf first
             with contextlib.suppress(OSError):
-                os.rmdir(out_dir)
+                os.rmdir(folder)
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_RUNTIME_FLAG
     # every file is in place: only now drop the previous run's

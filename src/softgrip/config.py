@@ -4,6 +4,8 @@ defaults, and builders for the plant / probe / fixture objects.
 Config units are external: mm, degrees, kPa, N/mm. Unknown and repeated keys
 are rejected, and every value must have the type of its default. DEFAULTS is
 the one home of each config-valued default; the CLI builds the models once.
+Each build goes through ``built``, so a value that the library rejects is a
+config error that names its key or section.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from copy import deepcopy
 
 from .contact import ObjectModel, StiffnessProfile
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ParseError
 from .geometry import FingerGeometry
 from .pneumatics import RingModel, SensorModel
 from .probing import ProbeConfig
@@ -207,18 +209,19 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _plant_model(section: str, cls, **params):
-    """Construct a plant model; invalid plant values are a config error."""
+def built(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs) on values the config holds at path; a library
+    error in them is a config error whose message starts with path."""
     try:
-        return cls(**params)
-    except DomainError as exc:
-        raise ConfigError(f"plant.{section}: {exc}") from None
+        return build(*args, **kwargs)
+    except (DomainError, ConfigError, ParseError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def build_geometry(cfg: dict) -> FingerGeometry:
     g = cfg["plant"]["geometry"]
-    return _plant_model(
-        "geometry",
+    return built(
+        "plant.geometry",
         FingerGeometry,
         a=g["a_mm"],
         b=g["b_mm"],
@@ -229,8 +232,8 @@ def build_geometry(cfg: dict) -> FingerGeometry:
 
 def build_ring(cfg: dict) -> RingModel:
     r = cfg["plant"]["ring"]
-    return _plant_model(
-        "ring",
+    return built(
+        "plant.ring",
         RingModel,
         v0=r["v0_mm3"],
         kappa=r["kappa_per_rad"],
@@ -244,8 +247,8 @@ def build_ring(cfg: dict) -> RingModel:
 
 def build_sensor(cfg: dict) -> SensorModel:
     s = cfg["plant"]["sensor"]
-    return _plant_model(
-        "sensor",
+    return built(
+        "plant.sensor",
         SensorModel,
         full_scale=s["full_scale_kpa"],
         noise_frac=s["noise_frac"],
@@ -255,7 +258,9 @@ def build_sensor(cfg: dict) -> SensorModel:
 
 def build_probe_config(cfg: dict) -> ProbeConfig:
     p = cfg["probe"]
-    return ProbeConfig(
+    return built(
+        "probe",
+        ProbeConfig,
         p0=p["p0_kpa"],
         approach_step=p["approach_step_mm"],
         probe_step=p["probe_step_mm"],
@@ -264,19 +269,20 @@ def build_probe_config(cfg: dict) -> ProbeConfig:
     )
 
 
-def fixture_named(fixtures: dict, name: str):
-    """The fixture of that name, config fields or built model; an unknown name is a config error."""
+def fixture_named(fixtures: dict, name: str, key: str):
+    """The fixture of that name, config fields or built model; an unknown name
+    is a config error naming key, the config key or flag that gave the name."""
     if name not in fixtures:
         available = ", ".join(sorted(fixtures)) or "<none>"
-        raise ConfigError(f"unknown fixture '{name}'; available: {available}")
+        raise ConfigError(f"{key}: unknown fixture '{name}'; available: {available}")
     return fixtures[name]
 
 
 def build_fixture(cfg: dict, name: str) -> ObjectModel:
-    raw = {**_FIXTURE_FIELDS, **fixture_named(cfg["fixtures"], name)}
+    path, raw = f"fixtures.{name}", {**_FIXTURE_FIELDS, **fixture_named(cfg["fixtures"], name, "fixtures")}
     samples = () if raw["kind"] == "uniform" else tuple(map(tuple, raw["samples"]))
-    return ObjectModel(
-        profile=StiffnessProfile(kind=raw["kind"], base_k=raw["base_k_n_per_mm"], samples=samples),
-        surface_offset=raw["surface_offset_mm"],
-        damage_threshold=raw["damage_threshold_n"],
+    profile = built(path, StiffnessProfile, kind=raw["kind"], base_k=raw["base_k_n_per_mm"], samples=samples)
+    return built(
+        path, ObjectModel,
+        profile=profile, surface_offset=raw["surface_offset_mm"], damage_threshold=raw["damage_threshold_n"],
     )

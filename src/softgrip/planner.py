@@ -17,28 +17,30 @@ from .probing import GripperSim, ProbeConfig, run_probe
 
 @dataclass(frozen=True)
 class ProbePlan:
-    """Ordered probing locations: mm along the body (linear) or degrees (angular)."""
+    """Ordered probing locations, mm along the body (linear) or degrees
+    (angular), and the fraction of the map's largest k_r below which a
+    location is avoided."""
 
     locations: tuple
+    avoid_fraction: float
 
     def __post_init__(self):
         if len(self.locations) < 2:
-            raise ConfigError("a probe plan needs at least 2 locations")
-        if any(b <= a for a, b in zip(self.locations, self.locations[1:])):
-            raise ConfigError("plan locations must be strictly increasing")
+            raise ConfigError(f"a probe plan needs at least 2 locations, got {len(self.locations)}")
+        for a, b in zip(self.locations, self.locations[1:]):
+            if b <= a:
+                raise ConfigError(f"locations must be strictly increasing, got {b!r} after {a!r}")
+        if not 0.0 <= self.avoid_fraction <= 1.0:
+            raise ConfigError(f"avoid_fraction must be in [0, 1], got {self.avoid_fraction!r}")
 
 
-def make_plan(span: float, n: int) -> ProbePlan:
-    """n equally spaced probing locations over [0, span].
+def make_plan(span: float, n: int, avoid_fraction: float) -> ProbePlan:
+    """n equally spaced probing locations over [0, span] (none for n < 0).
 
     The fixture's profile kind gives the unit: mm along the body for
     linear_positions, wrist angles in degrees for angular_positions.
     """
-    if n < 2:
-        raise ConfigError(f"need at least 2 probing locations, got {n}")
-    if span <= 0:
-        raise ConfigError(f"span must be positive, got {span}")
-    return ProbePlan(tuple(float(x) for x in np.linspace(0.0, span, n)))
+    return ProbePlan(tuple(float(x) for x in np.linspace(0.0, span, max(n, 0))), avoid_fraction)
 
 
 @dataclass
@@ -84,7 +86,6 @@ def execute_plan(
     cfg: ProbeConfig,
     *,
     seed: int,
-    avoid_fraction: float,
     max_open: float,
 ) -> StiffnessMap:
     """Probe every planned location against the fixture's local stiffness.
@@ -92,13 +93,11 @@ def execute_plan(
     Each location gets its own simulation handle and a noise stream derived from
     (seed, location index), so the assembled map does not depend on execution
     order. Locations are avoided when flagged, when the estimated force exceeds
-    the fixture's damage threshold, or when k_r falls below avoid_fraction of
-    the map maximum. The chosen location maximizes k_r among the unflagged
-    entries, ties broken by the smallest coordinate; it is None when every
-    entry is flagged, and then every location is avoided.
+    the fixture's damage threshold, or when k_r falls below the plan's
+    avoid_fraction of the map maximum. The chosen location maximizes k_r among
+    the unflagged entries, ties broken by the smallest coordinate; it is None
+    when every entry is flagged, and then every location is avoided.
     """
-    if not 0.0 <= avoid_fraction <= 1.0:
-        raise ConfigError(f"avoid_fraction must be in [0, 1], got {avoid_fraction}")
     entries = []
     for idx, coord in enumerate(plan.locations):
         k_local = stiffness_at(fixture, coord)  # raises RangeError outside the span
@@ -125,7 +124,7 @@ def execute_plan(
     avoided = [
         c
         for c, k, f in entries
-        if f or k is None or k < avoid_fraction * k_max
+        if f or k is None or k < plan.avoid_fraction * k_max
     ]
     chosen = min(c for c, k in valid if k == k_max)
     return StiffnessMap(entries=entries, chosen=chosen, avoided=avoided)

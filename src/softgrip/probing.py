@@ -39,7 +39,7 @@ class ProbeConfig:
         if self.n_probe_steps < 1:
             raise ConfigError(f"n_probe_steps must be >= 1, got {self.n_probe_steps}")
         if self.approach_step <= 0 or self.probe_step <= 0:
-            raise ConfigError("approach_step and probe_step must be positive")
+            raise ConfigError(f"approach_step {self.approach_step!r} and probe_step {self.probe_step!r} must be positive")
         if self.settle_reads < 1:
             raise ConfigError(f"settle_reads must be >= 1, got {self.settle_reads}")
         if self.p0 < 0:
@@ -79,6 +79,15 @@ class ProbeReport:
         return "\n".join(lines) + "\n"
 
 
+def check_travel(max_open: float, surface_offset: float | None) -> None:
+    """The gripper must open, and open at least as wide as the object's surface
+    lies (surface_offset None: no object)."""
+    if max_open <= 0:
+        raise ConfigError(f"max_open must be positive, got {max_open!r}")
+    if surface_offset is not None and surface_offset > max_open:
+        raise ConfigError(f"surface_offset {surface_offset!r} exceeds max_open {max_open!r}")
+
+
 class GripperSim:
     """Simulation handle: one finger, one locked ring, one object, one sensor stream.
 
@@ -105,10 +114,7 @@ class GripperSim:
         max_open: float,
         seed=0,
     ):
-        if max_open <= 0:
-            raise ConfigError(f"max_open must be positive, got {max_open}")
-        if surface_offset is not None and surface_offset > max_open:
-            raise ConfigError("surface_offset exceeds the gripper's travel range")
+        check_travel(max_open, surface_offset)
         self.geom = geom
         self.ring = ring
         self.k_object = k_object

@@ -561,10 +561,13 @@ def test_degenerate_sweep_rejected(ring):
     assert _hysteresis(ring, alpha_step_deg=at_cap)[0].size == MAX_GRID_POINTS
     p_at_cap = 150.0 / (MAX_GRID_POINTS - 1)
     assert _regulated(ring, p_step_kpa=p_at_cap).p0_grid.size == MAX_GRID_POINTS
-    for p0_grid in ((20.0, 0.0), (0.0, 20.0, 20.0), (-5.0, 20.0)):
-        with pytest.raises(ConfigError, match="p0 grid"):
+    # the table rejects a p0 grid that is not strictly increasing, the ring state a negative p0
+    for p0_grid in ((20.0, 0.0), (0.0, 20.0, 20.0)):
+        with pytest.raises(ParseError, match="p0_grid is not strictly increasing"):
             _locked(ring, p0_grid_kpa=p0_grid)
-    with pytest.raises(ConfigError, match="p0"):
+    with pytest.raises(DomainError, match="gauge pressure must be non-negative"):
+        _locked(ring, p0_grid_kpa=(-5.0, 20.0))
+    with pytest.raises(DomainError, match="gauge pressure must be non-negative"):
         _hysteresis(ring, p0=-5.0)
 
 

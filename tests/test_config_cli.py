@@ -621,21 +621,21 @@ def _dry_run_case(
             id="plant.ring.kappa_per_rad-2.0-config error: plant.ring: kappa=2.0 empties the cavity",
         ),
         _dry_run_case(
-            "probe.n_probe_steps", 0, "config error: n_probe_steps must be >= 1",
+            "probe.n_probe_steps", 0, "config error: probe: n_probe_steps must be >= 1",
             id="probe.n_probe_steps-0-config error: n_probe_steps must be >= 1",
         ),
         _dry_run_case(
-            "fixtures.cube1.base_k_n_per_mm", -1, "config error: uniform profile needs base_k > 0",
+            "fixtures.cube1.base_k_n_per_mm", -1, "config error: fixtures.cube1: uniform profile needs base_k > 0",
             id="fixtures.cube1.base_k_n_per_mm--1-config error: uniform profile needs base_k > 0",
         ),
         _dry_run_case(
-            "calibration.locked.p0_grid_kpa", [20, 0], "config error: locked sweep p0 grid",
+            "calibration.locked.p0_grid_kpa", [20, 0], "config error: calibration.locked: p0_grid is not strictly",
             id="calibration.locked.p0_grid_kpa-value3-config error: locked sweep p0 grid",
         ),
         # the settings only one command reads: its dry run checks them too
         _dry_run_case(
             "calibration.regulated.p_step_kpa", 0,
-            "config error: grid step must be positive and finite, got 0\n",
+            "config error: calibration.regulated: grid step must be positive and finite, got 0\n",
             command="calibrate", run_flags=(),
         ),
         _dry_run_case(  # a removed key
@@ -653,7 +653,7 @@ def _dry_run_case(
             command="calibrate", run_flags=(),
         ),
         _dry_run_case(
-            "plan.n", 1, "config error: need at least 2 probing locations",
+            "plan.n", 1, "config error: plan: a probe plan needs at least 2 locations, got 1\n",
             command="scenario", config=BANANA, run_flags=(),
         ),
         _dry_run_case(
@@ -661,7 +661,7 @@ def _dry_run_case(
             command="scenario", config=BANANA, run_flags=(),
         ),
         _dry_run_case(
-            "plan.fixture", "pear", "config error: unknown fixture 'pear'",
+            "plan.fixture", "pear", "config error: plan.fixture: unknown fixture 'pear'",
             command="scenario", config=BANANA, run_flags=(),
         ),
         _dry_run_case(
@@ -681,17 +681,18 @@ def _dry_run_case(
             command="scenario", config=BANANA, run_flags=(),
         ),
         _dry_run_case(
-            "plan.avoid_fraction", 2.0, "config error: plan.avoid_fraction must be in [0, 1], got 2.0\n",
+            "plan.avoid_fraction", 2.0, "config error: plan: avoid_fraction must be in [0, 1], got 2.0\n",
             command="scenario", config=BANANA, run_flags=(),
         ),
         _dry_run_case(
             "gripper.max_open_mm", 30.0,
-            "config error: fixtures.cube1.surface_offset_mm 40.0 exceeds gripper.max_open_mm 30.0\n",
+            "config error: gripper.max_open_mm and fixtures.cube1.surface_offset_mm: "
+            "surface_offset 40.0 exceeds max_open 30.0\n",
             command="sensitivity", run_flags=(),
         ),
         _dry_run_case(
             "sensitivity.dc_grid_mm", [10, 0],
-            "config error: sensitivity.dc_grid_mm entries must be positive, got 0.0\n",
+            "config error: sensitivity.dc_grid_mm: approach_step 2.0 and probe_step 0.0 must be positive\n",
             command="sensitivity", run_flags=(),
         ),
         _dry_run_case(  # a removed key
@@ -734,8 +735,9 @@ def test_cli_dry_run_rejects_bad_values(
 @pytest.mark.parametrize(
     "value, message",
     [
-        (30.0, "config error: fixtures.cube1.surface_offset_mm 40.0 exceeds gripper.max_open_mm 30.0\n"),
-        (0, "config error: gripper.max_open_mm must be positive, got 0.0\n"),
+        (30.0, "config error: gripper.max_open_mm and fixtures.cube1.surface_offset_mm: "
+               "surface_offset 40.0 exceeds max_open 30.0\n"),
+        (0, "config error: gripper.max_open_mm and fixtures.cube1.surface_offset_mm: max_open must be positive, got 0.0\n"),
     ],
 )
 def test_cli_probe_dry_run_checks_the_travel(tmp_path, capsys, value, message):
@@ -893,6 +895,29 @@ def test_cli_failed_rerun_keeps_previous_run(tmp_path, capsys, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_cli_failed_write_removes_the_directories_it_made(tmp_path, capsys, monkeypatch):
+    # --out a/b/c with only tmp_path there: the run makes a, a/b and a/b/c, and a failed write removes all three
+    out = tmp_path / "a" / "b" / "c"
+    _, failed = _full_disk(monkeypatch, out / "regulated.csv", "write")
+    assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == f"error: cannot write {out / 'regulated.csv'}: No space left on device\n"
+    assert failed and os.listdir(tmp_path) == []
+
+
+def test_cli_failed_write_into_an_existing_directory_keeps_it_whole(tmp_path, capsys, monkeypatch):
+    # a previous run's files, a file the run does not write and an empty subdirectory all stay as they were
+    out = tmp_path / "a" / "b"
+    assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_OK
+    (out / "notes.txt").write_text("keep me\n")
+    (out / "empty").mkdir()
+    before = {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()}
+    _, failed = _full_disk(monkeypatch, out / "regulated.csv", "write")
+    assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == f"error: cannot write {out / 'regulated.csv'}: No space left on device\n"
+    assert failed and os.listdir(tmp_path) == ["a"] and os.listdir(tmp_path / "a") == ["b"]
+    assert {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_cli_rerun_replaces_its_files_and_keeps_the_rest(tmp_path, capsys):
     out = tmp_path / "x"
     assert main(["calibrate", "--config", CUBES, "--out", str(out)]) == EXIT_OK
@@ -991,7 +1016,7 @@ def test_cli_sweep_past_the_joint_range_exits_config(tmp_path, capsys, key, valu
     for extra in (["--dry-run"], ["--out", str(out)]):
         assert main(["calibrate", "--config", path, *extra]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"config error: {sweep} sweep alpha_max_deg {value!r} exceeds the 80.0 deg joint range\n"
+            f"config error: calibration.{sweep}: alpha_max_deg {value!r} exceeds the 80.0 deg joint range\n"
         )
     assert not out.exists()
 

@@ -14,6 +14,7 @@ from softgrip.pneumatics import PressureSensor, measurement_sigma
 from softgrip.probing import (
     GripperSim,
     ProbeConfig,
+    check_travel,
     detect_contact,
     probe,
     run_probe,
@@ -163,6 +164,18 @@ def test_report_serialization(geom, ring, quiet_sensor, locked_table):
     assert len(csv) == 1 + len(report.dp_trace)
     step, dc, dp = csv[1].split(",")
     assert (int(step), float(dc), float(dp)) == (1, *report.dp_trace[0])
+
+
+def test_travel_is_checked_where_the_sim_relies_on_it(geom, ring, sensor):
+    # the gripper opens, and at least as wide as the surface; an offset at max_open is in reach
+    check_travel(45.0, 45.0)
+    check_travel(45.0, None)  # no object
+    with pytest.raises(ConfigError, match=r"^max_open must be positive, got 0.0$"):
+        GripperSim(geom, ring, sensor, None, None, max_open=0.0)
+    with pytest.raises(ConfigError, match=r"^max_open must be positive, got -1.0$"):
+        GripperSim(geom, ring, sensor, 100.0, 0.0, max_open=-1.0)
+    with pytest.raises(ConfigError, match=r"^surface_offset 50.0 exceeds max_open 45.0$"):
+        GripperSim(geom, ring, sensor, 100.0, 50.0, max_open=45.0)
 
 
 def test_sim_guards(geom, ring, sensor):
