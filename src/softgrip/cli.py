@@ -50,7 +50,7 @@ from .config import (
 from .contact import stiffness_at
 from .errors import ConfigError, SoftgripError
 from .planner import execute_plan, make_plan
-from .pneumatics import JOINT_RANGE_DEG, RingState, lock, pressure_at_angle
+from .pneumatics import JOINT_RANGE_DEG, TAIL_SIGMAS, RingState, lock, pressure_at_angle
 from .probing import GripperSim, check_travel, run_probe, sensitivity_sweep
 
 EXIT_OK = 0
@@ -99,12 +99,10 @@ def _linear_r2(x: np.ndarray, y: np.ndarray) -> float:
 # A probe closes from gripper.max_open_mm in probe.approach_step_mm steps, each
 # one settle read; contact_search, the benchmark's longest approach, takes 200.
 MAX_APPROACH_STEPS = 10_000
-# A settle read's draws grow with probe.settle_reads; the benchmark reads at most 6,144.
+# probe.settle_reads is the count of numpy's binomial and multinomial draws,
+# which must fit in int64; the benchmark reads at most 6,144.
 MAX_SETTLE_READS = 1_000_000
 MAX_PROBE_STEPS = 10_000  # probe.n_probe_steps; the bundled configs take 5
-# A probe takes one settle read to lock, one an approach step and one a probe
-# step; contact_search's largest probe requests 6,144 x (1 + 200 + 5) readings.
-MAX_PROBE_READINGS = 100_000_000
 MAX_PLAN_PROBES = 10_000  # plan.n; the bundled plans probe at most 10 locations
 
 
@@ -112,7 +110,7 @@ def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
     """(locked table, sensor) of a probing command; the sensor is quiet without noise.
 
     The gripper must open past the fixture's surface (check_travel) in bounded approach
-    steps, a probe take bounded steps and readings, and probe.p0_kpa lie in the table's
+    steps, a probe take bounded steps and settle reads, and probe.p0_kpa lie in the table's
     p0 grid.
     """
     max_open, step = cfg["gripper"]["max_open_mm"], cfg["probe"]["approach_step_mm"]
@@ -128,13 +126,6 @@ def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
         raise ConfigError(f"probe.settle_reads {reads} exceeds {MAX_SETTLE_READS}")
     if probe_steps > MAX_PROBE_STEPS:
         raise ConfigError(f"probe.n_probe_steps {probe_steps} exceeds {MAX_PROBE_STEPS}")
-    approach_steps = math.ceil(max_open / step)
-    readings = reads * (1 + approach_steps + probe_steps)
-    if readings > MAX_PROBE_READINGS:
-        raise ConfigError(
-            f"probe.settle_reads {reads} in 1 + {approach_steps} approach + {probe_steps} probe steps "
-            f"requests {readings} readings, more than {MAX_PROBE_READINGS}"
-        )
     table = built("calibration.locked", generate_locked_sweep, ring, **cfg["calibration"]["locked"])
     lo, hi, p0 = float(table.p0_grid[0]), float(table.p0_grid[-1]), cfg["probe"]["p0_kpa"]
     if not lo <= p0 <= hi:
@@ -142,15 +133,28 @@ def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
             f"probe.p0_kpa {p0!r} lies outside calibration.locked.p0_grid_kpa [{lo!r}, {hi!r}]"
         )
     # a read sums settle_reads readings in ADC steps: each a true pressure, none
-    # above hi's at the joint range, plus noise, taken as at most ten sigmas
+    # above hi's at the joint range, plus noise, taken as at most TAIL_SIGMAS
+    # sigmas, the most a coarse grid's reading law reaches
     q, locked = sensor.quant_step, lock(RingState(p_gauge=hi), ring)
     top = max(sensor.full_scale, pressure_at_angle(locked, ring, math.radians(JOINT_RANGE_DEG)))
-    if q > 0 and not math.isfinite(reads * (top + 10.0 * sensor.sigma) / q):
+    if q > 0 and not math.isfinite(reads * (top + TAIL_SIGMAS * sensor.sigma) / q):
         raise ConfigError(
             f"plant.sensor.quant_step_kpa {q!r} puts probe.settle_reads {reads} readings of up to {top:.6g} kPa "
-            f"plus 10 noise sigmas of {sensor.sigma:.6g} kPa past the float range in ADC steps"
+            f"plus {TAIL_SIGMAS:g} noise sigmas of {sensor.sigma:.6g} kPa past the float range in ADC steps"
         )
     return table, (sensor if noise else sensor.noiseless())
+
+
+def _uniform_fixture(fixtures: dict, name: str, source: str, command: str):
+    """The fixture of that name, which source (the flag or config key that gave
+    the name) must name uniform: command probes it at one location."""
+    fixture = fixture_named(fixtures, name, source)
+    if fixture.profile.kind != "uniform":
+        raise ConfigError(
+            f"{source} names fixture '{name}', which has a spatial profile; "
+            f"{command} takes a uniform fixture, the scenario command a spatial one"
+        )
+    return fixture
 
 
 def _fails(exc: ConfigError) -> Run:
@@ -207,11 +211,7 @@ def resolve_calibrate(
 def resolve_probe(
     cfg: dict, fixture_name: str | None, noise: bool, geom, ring, sensor, probe_cfg, fixtures
 ) -> Run:
-    fixture = fixture_named(fixtures, fixture_name, "--fixture") if fixture_name else None
-    if fixture is not None and fixture.profile.kind != "uniform":
-        raise ConfigError(
-            f"fixture '{fixture_name}' has a spatial profile; use the scenario command"
-        )
+    fixture = _uniform_fixture(fixtures, fixture_name, "--fixture", "probe") if fixture_name else None
     table, sensor = _rig(cfg, fixture_name, fixture, ring, sensor, noise)
     if fixture is None:
         return _fails(ConfigError("probe requires --fixture"))
@@ -274,22 +274,20 @@ def resolve_sensitivity(
     fixture_a, _, fixture_b = (fixture_arg or "").partition(",")
     name_a = fixture_a or sens["fixture_a"]
     name_b = fixture_b or sens["fixture_b"]
-    need_pair = "sensitivity needs two fixture names (config or --fixture a,b)"
+    need_pair = "sensitivity.fixture_a and sensitivity.fixture_b (or --fixture a,b) must name two fixtures"
     if bool(name_a) != bool(name_b):
         raise ConfigError(need_pair)
     fa = fb = None
     if name_a:
-        fa = fixture_named(fixtures, name_a, "--fixture" if fixture_a else "sensitivity.fixture_a")
-        fb = fixture_named(fixtures, name_b, "--fixture" if fixture_b else "sensitivity.fixture_b")
-        if fa.profile.kind != "uniform" or fb.profile.kind != "uniform":
-            raise ConfigError("sensitivity sweep expects uniform fixtures")
+        fa = _uniform_fixture(fixtures, name_a, "--fixture" if fixture_a else "sensitivity.fixture_a", "sensitivity")
+        fb = _uniform_fixture(fixtures, name_b, "--fixture" if fixture_b else "sensitivity.fixture_b", "sensitivity")
         if fa.surface_offset != fb.surface_offset:
             raise ConfigError(
                 f"sensitivity probes both fixtures at one surface offset; fixtures.{name_a}.surface_offset_mm "
                 f"is {fa.surface_offset!r} and fixtures.{name_b}.surface_offset_mm is {fb.surface_offset!r}"
             )
     for dc in sens["dc_grid_mm"]:  # the probe settings the sweep takes at each closing
-        built("sensitivity.dc_grid_mm", replace, probe_cfg, probe_step=dc / probe_cfg.n_probe_steps)
+        built(f"sensitivity.dc_grid_mm entry {dc!r}", replace, probe_cfg, probe_step=dc / probe_cfg.n_probe_steps)
     # fb has fa's offset; the noisy sensor gives the sigma the sweep ranks by
     table, sensor = _rig(cfg, name_a, fa, ring, sensor, True)
     if fa is None:

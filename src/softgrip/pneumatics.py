@@ -186,20 +186,6 @@ class SensorModel:
         return replace(self, noise_frac=0.0, quant_step=0.0)
 
 
-def quantize(values: np.ndarray, step: float) -> np.ndarray:
-    """Round a float array half-up onto a grid of the given step, in place.
-
-    Returns the array; step 0 passes it through.
-    """
-    if step <= 0:
-        return values
-    values /= step
-    values += 0.5
-    np.floor(values, out=values)
-    values *= step
-    return values
-
-
 def measurement_sigma(sensor: SensorModel, settle_reads: int) -> float:
     """1-sigma of a settle-averaged measurement, quantization included."""
     per_read = math.sqrt(sensor.sigma**2 + sensor.quant_step**2 / 12.0)
@@ -210,12 +196,16 @@ def measurement_sigma(sensor: SensorModel, settle_reads: int) -> float:
 # contact threshold sits this far above the baseline.
 SURE_SIGMAS = 6.0
 
-# A block's sum is drawn in one piece (see PressureSensor.read_avg) once the
-# reading noise spans this many quantization steps, b = sigma / quant_step. Its
-# law then differs from m per-reading draws by at most
-# 2 * m * exp(-pi^2 * b^2 / 2) per value, below 1e-34 * m; a coarser grid
-# draws its readings one by one.
+# A block's sum is drawn from one normal and its uniform levels (see
+# PressureSensor.read_avg) once the reading noise spans this many quantization
+# steps, b = sigma / quant_step. Its law then differs from m per-reading draws
+# by at most 2 * m * exp(-pi^2 * b^2 / 2) per value, below 1e-34 * m; a coarser
+# grid draws the block from the reading law's cells (_cell_law).
 SUM_DRAW_MIN_STEPS = 4.0
+
+# Noise sigmas on either side of a reading's true value that its cells span
+# (_cell_law); cli bounds a settle read's sum in ADC steps by as many.
+TAIL_SIGMAS = 10.0
 
 # Binary levels of a block's uniform sum drawn exactly (see _uniform_sum), their
 # weights 2^-1 .. 2^-LEVELS, and the mean and variance per uniform of the rest.
@@ -223,22 +213,23 @@ LEVELS = 12
 LEVEL_WEIGHTS = np.array([2.0**-j for j in range(1, LEVELS + 1)])
 REST_MEAN, REST_VAR = 2.0**-LEVELS / 2.0, 4.0**-LEVELS / 12.0
 
-# The most values one draw from a sensor stream holds, so a batched read's
-# memory stays bounded for any number of reads of any length. Only readings
-# drawn one by one (b < SUM_DRAW_MIN_STEPS) come near it.
-MAX_DRAW = 1 << 16
 
+def _cell_law(f: float, b: float):
+    """The cells j = -w..w, w = ceil(TAIL_SIGMAS * b), and the probability of
+    each that floor(f + b * z) = j, for f in [0, 1] and z standard normal.
 
-def _row_sums(draw, m: int, k: int | None):
-    """Sums of k rows of m values from draw(size), or of one row for k None.
-
-    The rows are one flat draw; a row longer than MAX_DRAW (k is then 1 or
-    None) is drawn and summed in pieces of at most MAX_DRAW.
+    Each edge j - f takes its nearer normal tail, the mass below it for j <= 0
+    and above it for j >= 1. A cell is the difference of its edges' tails, so
+    a far cell keeps its relative precision; cell 0, whose edges straddle the
+    mean, is one less both tails. The mass past the window, at most
+    erfc(TAIL_SIGMAS / sqrt 2), is left out; rng.multinomial gives it to the
+    last cell.
     """
-    if m <= MAX_DRAW:
-        return draw(m).sum() if k is None else draw(k * m).reshape(k, m).sum(axis=1)
-    total = sum(draw(min(MAX_DRAW, m - i)).sum() for i in range(0, m, MAX_DRAW))
-    return total if k is None else np.array([total])
+    w, scale = math.ceil(TAIL_SIGMAS * b), b * math.sqrt(2.0)
+    tails = np.array([math.erfc(abs(j - f) / scale) / 2.0 for j in range(-w, w + 2)])
+    p = np.abs(np.diff(tails))
+    p[w] = 1.0 - tails[w] - tails[w + 1]
+    return np.arange(-w, w + 1), p
 
 
 def _uniform_sum(rng, n: int, k: int | None):
@@ -269,7 +260,10 @@ def _block_sums(rng, x: float, b: float, quantized: bool, m: int, k: int | None 
         spread -= _uniform_sum(rng, n, k)
         spread += m * (x + 0.5) - n * REST_MEAN
         return math.floor(spread) if k is None else np.floor(spread, out=spread)
-    return _row_sums(lambda size: quantize(b * rng.standard_normal(size) + x, 1.0), m, k)
+    # base stays a float: m * base as an int could pass int64 in the sum below
+    base = float(math.floor(x + 0.5))
+    cells, p = _cell_law(x + 0.5 - base, b)
+    return m * base + rng.multinomial(m, p, k).dot(cells)
 
 
 class PressureSensor:
@@ -298,7 +292,8 @@ class PressureSensor:
         A reading is quant_step * floor(a + b * z), half-up on the ADC grid:
         a = p_true / quant_step + 1/2, b = sigma / quant_step and z standard
         normal. The estimator sees only the mean, so the read draws the sum
-        of its n readings as one block, not the readings. floor(W) for W ~
+        of its n readings as one block, not the readings, at a cost that does
+        not grow with n. From SUM_DRAW_MIN_STEPS up, floor(W) for W ~
         N(a, b^2) has the law of W - U at the integers, U uniform on [0, 1),
         up to ~2 * exp(-pi^2 * b^2 / 2) in its characteristic function, so a
         block of m readings sums to quant_step * floor(m * a + sqrt(m) * b * z
@@ -308,11 +303,17 @@ class PressureSensor:
         function of the floor by at most e^-2 * 2^(-4 * LEVELS) / (16 * 2880
         * m), about 1e-20 / m, below the ~5e-18 * sqrt(m) that rng.random's
         2^-53 grid puts on the uniforms themselves; a block costs one normal
-        and LEVELS binomials at any m. Below SUM_DRAW_MIN_STEPS the readings
-        are drawn one by one; without quantization the block sums to m *
-        p_true + sqrt(m) * sigma * z, and without noise the mean is the
-        quantized p_true, drawing nothing. read_avg_batch draws many reads of
-        one pressure with this law at once.
+        and LEVELS binomials. Below SUM_DRAW_MIN_STEPS a reading is floor(a)
+        + j, j = floor(f + b * z) with f = a - floor(a), and the block sums to
+        m * floor(a) + sum_j j * N_j, (N_j) multinomial over the cells |j| <=
+        ceil(TAIL_SIGMAS * b) (_cell_law): one multinomial over at most 81
+        cells. Its law differs from m readings drawn one by one by at most m *
+        erfc(TAIL_SIGMAS / sqrt 2), about 1.5e-23 * m, in total variation,
+        plus the rounding of erfc and of the cell probabilities, about 1e-16
+        a cell. Without quantization the block sums to m * p_true + sqrt(m) *
+        sigma * z, and without noise the mean is the quantized p_true,
+        drawing nothing. read_avg_batch draws many reads of one pressure with
+        this law at once.
         """
         if n < 1:
             raise DomainError(f"settle read count must be >= 1, got {n}")
@@ -323,19 +324,12 @@ class PressureSensor:
     def read_avg_batch(self, p_true: float, k: int, n: int) -> list:
         """k settle-averaged measurements of one true pressure, as a list.
 
-        Each has the law of read_avg(p_true, n) and is one block. The reads
-        are drawn together, as many at a time as keep each draw within
-        MAX_DRAW values: a block sum takes LEVELS + 1 values, a read drawn
-        reading by reading n.
+        Each has the law of read_avg(p_true, n) and is one block; the k
+        blocks are drawn together, in one draw of each kind a block takes.
         """
         if n < 1:
             raise DomainError(f"settle read count must be >= 1, got {n}")
-        step, b = self._step, self._b
-        if b == 0:
+        if self._b == 0:
             return [self._quiet(p_true)] * k
-        x, per_read = p_true / step, n if self._quantized and b < SUM_DRAW_MIN_STEPS else LEVELS + 1
-        rows, means = max(1, MAX_DRAW // per_read), []
-        for first in range(0, k, rows):
-            sums = _block_sums(self._rng, x, b, self._quantized, n, min(rows, k - first))
-            means += (sums * step / n).tolist()
-        return means
+        sums = _block_sums(self._rng, p_true / self._step, self._b, self._quantized, n, k)
+        return (sums * self._step / n).tolist()

@@ -9,7 +9,7 @@ import pytest
 import numpy as np
 
 from softgrip.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, MAX_PLAN_PROBES, MAX_PROBE_READINGS, MAX_PROBE_STEPS,
+    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, MAX_PLAN_PROBES, MAX_PROBE_STEPS,
     MAX_SETTLE_READS, main,
 )
 from softgrip.config import (
@@ -607,6 +607,10 @@ def test_first_fault_in_file_order_is_reported(tmp_path):
         load_config(_write(tmp_path, key_first, name="other.json"))
 
 
+# a fixture sampled along its length, which only the scenario command probes
+SPATIAL = {"kind": "linear_positions", "samples": [[0.0, 150.0], [90.0, 25.0]], "surface_offset_mm": 40.0}
+
+
 def _dry_run_case(
     key, value, message, command="probe", config=CUBES, run_flags=("--fixture", "cube1"), id=None
 ):
@@ -665,7 +669,8 @@ def _dry_run_case(
             command="scenario", config=BANANA, run_flags=(),
         ),
         _dry_run_case(
-            "sensitivity.fixture_b", "", "config error: sensitivity needs two fixture names",
+            "sensitivity.fixture_b", "",
+            "config error: sensitivity.fixture_a and sensitivity.fixture_b (or --fixture a,b) must name two fixtures\n",
             command="sensitivity", run_flags=(),
         ),
         _dry_run_case(
@@ -692,7 +697,7 @@ def _dry_run_case(
         ),
         _dry_run_case(
             "sensitivity.dc_grid_mm", [10, 0],
-            "config error: sensitivity.dc_grid_mm: approach_step 2.0 and probe_step 0.0 must be positive\n",
+            "config error: sensitivity.dc_grid_mm entry 0.0: approach_step 2.0 and probe_step 0.0 must be positive\n",
             command="sensitivity", run_flags=(),
         ),
         _dry_run_case(  # a removed key
@@ -710,8 +715,28 @@ def _dry_run_case(
         ),
         _dry_run_case(
             "sensitivity", {"fixture_a": "banana", "fixture_b": "banana"},
-            "config error: sensitivity sweep expects uniform fixtures\n",
+            "config error: sensitivity.fixture_a names fixture 'banana', which has a spatial profile; "
+            "sensitivity takes a uniform fixture, the scenario command a spatial one\n",
             command="sensitivity", config=BANANA, run_flags=(), id="sensitivity-spatial-pair",
+        ),
+        # a spatial fixture named by the flag or key that gave it
+        _dry_run_case(
+            "fixtures.cube1", SPATIAL,
+            "config error: --fixture names fixture 'cube1', which has a spatial profile; "
+            "probe takes a uniform fixture, the scenario command a spatial one\n",
+            id="probe-spatial-fixture",
+        ),
+        _dry_run_case(
+            "fixtures.cube2", SPATIAL,
+            "config error: sensitivity.fixture_b names fixture 'cube2', which has a spatial profile; "
+            "sensitivity takes a uniform fixture, the scenario command a spatial one\n",
+            command="sensitivity", run_flags=(), id="sensitivity-spatial-fixture_b",
+        ),
+        _dry_run_case(
+            "fixtures.cube3", SPATIAL,
+            "config error: --fixture names fixture 'cube3', which has a spatial profile; "
+            "sensitivity takes a uniform fixture, the scenario command a spatial one\n",
+            command="sensitivity", run_flags=("--fixture", "cube3,cube1"), id="sensitivity-spatial---fixture",
         ),
     ],
 )
@@ -723,7 +748,7 @@ def test_cli_dry_run_rejects_bad_values(
         doc = json.load(fh)
     _set(doc, key, value)
     path = _write(tmp_path, doc)
-    assert main([command, "--config", path, "--dry-run"]) == EXIT_CONFIG
+    assert main([command, "--config", path, *run_flags, "--dry-run"]) == EXIT_CONFIG
     dry = capsys.readouterr()
     assert dry.out == "" and dry.err.startswith(message)
     out = tmp_path / "x"
@@ -739,6 +764,7 @@ def test_cli_dry_run_rejects_bad_values(
                "surface_offset 40.0 exceeds max_open 30.0\n"),
         (0, "config error: gripper.max_open_mm and fixtures.cube1.surface_offset_mm: max_open must be positive, got 0.0\n"),
     ],
+    ids=["narrower-than-the-fixture", "shut"],
 )
 def test_cli_probe_dry_run_checks_the_travel(tmp_path, capsys, value, message):
     # a probe's dry run given --fixture checks that fixture against the opening
@@ -1052,32 +1078,44 @@ def test_cli_work_in_proportion_to_a_value_is_capped(tmp_path, capsys, argv, key
     ["sensitivity", "--config", CUBES],
 ], ids=["probe", "scenario", "sensitivity"])
 def test_cli_probe_steps_and_readings_are_capped(tmp_path, capsys, argv):
-    # every probing command caps probe.n_probe_steps, and the readings one probe
-    # may request: settle_reads for the lock read, each approach and each probe step
+    # every probing command caps probe.n_probe_steps and the readings of one
+    # settle read, probe.settle_reads, but not the readings of a whole probe: a
+    # read costs the same at any length, so both at their caps pass
     with open(argv[2]) as fh:
         doc = json.load(fh)
-    approach = math.ceil(doc.get("gripper", {}).get("max_open_mm", DEFAULTS["gripper"]["max_open_mm"]) / 2.0)
-    reads = MAX_PROBE_READINGS // 10_000  # 10,000 reads a probe request the cap
-    at_readings_cap = 10_000 - 1 - approach
-    for settle_reads, steps, message in (
-        (1, MAX_PROBE_STEPS, f"probe.n_probe_steps {MAX_PROBE_STEPS + 1} exceeds {MAX_PROBE_STEPS}"),
-        (reads, at_readings_cap, (
-            f"probe.settle_reads {reads} in 1 + {approach} approach + {at_readings_cap + 1} probe steps "
-            f"requests {MAX_PROBE_READINGS + reads} readings, more than {MAX_PROBE_READINGS}"
-        )),
-    ):
-        _set(doc, "probe.settle_reads", settle_reads)
-        _set(doc, "probe.n_probe_steps", steps)
-        command = [argv[0], "--config", _write(tmp_path, doc), *argv[3:]]
-        assert main([*command, "--dry-run"]) == EXIT_OK
-        capsys.readouterr()
-        _set(doc, "probe.n_probe_steps", steps + 1)
-        command[2] = _write(tmp_path, doc)
-        out = tmp_path / "x"
-        for extra in (["--dry-run"], ["--out", str(out)]):
-            assert main([*command, *extra]) == EXIT_CONFIG
-            assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not out.exists()
+    _set(doc, "probe.settle_reads", MAX_SETTLE_READS)
+    _set(doc, "probe.n_probe_steps", MAX_PROBE_STEPS)
+    command = [argv[0], "--config", _write(tmp_path, doc), *argv[3:]]
+    assert main([*command, "--dry-run"]) == EXIT_OK
+    capsys.readouterr()
+    _set(doc, "probe.n_probe_steps", MAX_PROBE_STEPS + 1)
+    command[2] = _write(tmp_path, doc)
+    out = tmp_path / "x"
+    for extra in (["--dry-run"], ["--out", str(out)]):
+        assert main([*command, *extra]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: probe.n_probe_steps {MAX_PROBE_STEPS + 1} exceeds {MAX_PROBE_STEPS}\n"
+        )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("quant_step", [0.68, 5.0], ids=["block-sum", "coarse"])
+def test_cli_probe_of_a_million_readings_a_read_runs(tmp_path, capsys, quant_step):
+    # 10^6 readings a read, 180 contact-free approach steps before the cube and
+    # more than 10^8 readings a probe, at b = 8.6 and b = 1.2: each read costs
+    # the same at any length, so the probe runs and finds the cube
+    doc = {
+        "gripper": {"max_open_mm": 400.0},
+        "plant": {"sensor": {"quant_step_kpa": quant_step}},
+        "probe": {"settle_reads": MAX_SETTLE_READS},
+        "fixtures": {"cube": {"kind": "uniform", "base_k_n_per_mm": 120.0, "surface_offset_mm": 40.0}},
+    }
+    out = tmp_path / "x"
+    code = main(["probe", "--config", _write(tmp_path, doc), "--fixture", "cube", "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_RUNTIME_FLAG)
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "probe_cube.json").read_text())
+    assert report["contact_opening"] == pytest.approx(40.0, abs=2.0)
 
 
 def _files_under(root):

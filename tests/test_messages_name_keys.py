@@ -2,12 +2,14 @@
 
 Each mutation that ``test_dry_run_parity`` makes runs once with
 ``--dry-run``; the parity test shows that the run fails with the same
-message. A message that exits 2 must contain the mutated dotted key or its
-section: the key without its last part, or the key itself for a top-level key.
+message. A message that exits 2 must contain the whole mutated dotted key,
+not as part of a longer name, or start ``config error: <section>:``, the
+section being the key without its last part.
 """
 
 import json
 import os
+import re
 
 import pytest
 from test_dry_run_parity import COMMANDS, _cases
@@ -31,8 +33,9 @@ def test_config_error_names_the_key_or_its_section(tmp_path, capsys, command):
         if code != EXIT_CONFIG:
             continue
         errors += 1
-        section = key.rpartition(".")[0] or key
-        if key not in err and section not in err:
+        whole_key = rf"(?<![\w.]){re.escape(key)}(?![\w]|\.\w)"
+        section = key.rpartition(".")[0]
+        if not re.search(whole_key, err) and not (section and err.startswith(f"config error: {section}:")):
             unnamed.append((key, value, err))
     assert errors > 50
     assert unnamed == []

@@ -10,6 +10,7 @@ from softgrip.pneumatics import (
     REST_MEAN,
     REST_VAR,
     SUM_DRAW_MIN_STEPS,
+    TAIL_SIGMAS,
     PressureSensor,
     RingModel,
     RingState,
@@ -20,8 +21,8 @@ from softgrip.pneumatics import (
     measurement_sigma,
     pressure_at_angle,
     _block_sums,
+    _cell_law,
     _uniform_sum,
-    quantize,
     volume_at_angle,
 )
 
@@ -195,8 +196,10 @@ def test_leak_lowers_pressure_at_same_angle(ring):
 
 
 def test_quantize_round_half_up():
-    assert quantize(np.array([1.26, 1.24, 1.25, -0.3]), 0.5).tolist() == [1.5, 1.0, 1.5, -0.5]
-    assert quantize(np.array([3.1415]), 0.0).tolist() == [3.1415]
+    # a noise-free read is its pressure rounded half-up onto the ADC grid
+    stream = PressureSensor(SensorModel(noise_frac=0.0, quant_step=0.5))
+    assert [stream.read_avg(p, 1) for p in (1.26, 1.24, 1.25, -0.3)] == [1.5, 1.0, 1.5, -0.5]
+    assert PressureSensor(SensorModel(noise_frac=0.0, quant_step=0.0)).read_avg(3.1415, 1) == 3.1415
 
 
 def test_noiseless_sensor_reads_exactly(quiet_sensor):
@@ -303,18 +306,23 @@ def _chi_square_passes(a, b, bins=20):
     return stat < critical
 
 
-# b = sigma / quant_step: 4.0 exactly (dyadic values) at the guard, and the default sensor's
+# b = sigma / quant_step: 4.0 exactly (dyadic values) at the guard, and the default sensor's;
+# below the guard, coarse grids whose blocks are drawn from the reading law's cells
 AT_GUARD = SensorModel(full_scale=8.0, noise_frac=0.25, quant_step=0.5)
 CASES = [(model, m, frac) for model in (AT_GUARD, SensorModel()) for m in (1, 2, 8, 512, 2048) for frac in (0.0, 0.37)]
+CASES += [
+    (SensorModel(full_scale=1.0, noise_frac=b / 2.0, quant_step=0.5), m, frac)
+    for b in (0.3, 1.0, 2.5, 3.9) for m in (1, 2, 7, 512, 6144) for frac in (0.0, 0.37)
+]
 
 
 @pytest.mark.parametrize(
     "model, m, frac", CASES, ids=[f"b{mod.sigma / mod.quant_step:.2f}-m{m}-frac{f}" for mod, m, f in CASES]
 )
 def test_block_sum_matches_per_reading_draws(model, m, frac):
-    # the block sum drawn from one normal and m - 1 uniforms has the law of m
-    # quantized readings drawn one by one, on and off the half-up tie point
-    assert model.sigma / model.quant_step >= SUM_DRAW_MIN_STEPS
+    # the block sum has the law of m quantized readings drawn one by one, on
+    # and off the half-up tie point: drawn from one normal and m - 1 uniforms
+    # at b >= 4, and from the reading law's cells below
     p_true, size = (88.0 + frac) * model.quant_step, 20_000
     drawn = _read_counts(model, p_true, m, size, seed=m)
     assert _chi_square_passes(drawn, _reference_counts(model, p_true, m, size, seed=100 + m))
@@ -324,13 +332,38 @@ def test_block_sum_matches_per_reading_draws(model, m, frac):
 @pytest.mark.parametrize("frac", (0.0, 0.37))
 def test_block_sum_guard_is_needed(monkeypatch, m, frac):
     # at b = 0.3 the one-normal identity is wrong, and the same test sees it;
-    # read_avg itself draws such readings one by one and passes
+    # read_avg itself draws such a block from the reading law's cells and passes
     model = SensorModel(full_scale=1.0, noise_frac=0.15, quant_step=0.5)
     p_true, size = (88.0 + frac) * model.quant_step, 20_000
     reference = _reference_counts(model, p_true, m, size, seed=100 + m)
     assert _chi_square_passes(_read_counts(model, p_true, m, size, seed=m), reference)
     monkeypatch.setattr(pneumatics, "SUM_DRAW_MIN_STEPS", 0.0)
     assert not _chi_square_passes(_read_counts(model, p_true, m, size, seed=m), reference)
+
+
+def _normal_mass(lo, hi, intervals=4000):
+    """The standard normal's mass on [lo, hi] by Simpson's rule on its density,
+    which keeps the relative precision of a far tail's small cells."""
+    x = np.linspace(lo, hi, intervals + 1)
+    w = np.ones(intervals + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    return float(np.dot(w, np.exp(-x * x / 2.0))) * (hi - lo) / (3.0 * intervals) / math.sqrt(2.0 * math.pi)
+
+
+def test_cell_law_is_the_normal_mass_of_each_cell():
+    # each cell j holds the normal mass of f + b * z in [j, j + 1), far cells
+    # on either side included; the cells leave out at most the two tails past
+    # TAIL_SIGMAS sigmas
+    tail = math.erfc(TAIL_SIGMAS / math.sqrt(2.0))
+    for b in (0.3, 1.0, 2.5, 3.999):
+        for f in (0.0, 0.37, 0.5, 0.999):
+            cells, p = _cell_law(f, b)
+            w = math.ceil(TAIL_SIGMAS * b)
+            assert cells.tolist() == list(range(-w, w + 1))
+            assert 1.0 - tail - 1e-14 <= p.sum() <= 1.0 + 1e-14
+            expect = [_normal_mass((j - f) / b, (j + 1 - f) / b) for j in cells.tolist()]
+            assert p.tolist() == pytest.approx(expect, rel=1e-9, abs=1e-300)
+    assert _cell_law(0.25, 1e-9)[1].tolist() == [0.0, 1.0, 0.0]
 
 
 def _summed_uniforms(rng, n, size):
@@ -373,12 +406,13 @@ def test_block_sum_is_centered(m):
         assert _block_sums(CenteredRng(), x, 8.6, True, m, 2).tolist() == [math.floor(m * x + 0.5)] * 2
 
 
-def _expected_draws(model, rng, n):
-    """Draw from rng what read_avg draws for a read of n readings: one block."""
+def _expected_draws(model, rng, p_true, n):
+    """Draw from rng what read_avg draws for a read of n readings of p_true: one block."""
     if model.sigma == 0:
         return
     if model.quant_step > 0 and model.sigma < SUM_DRAW_MIN_STEPS * model.quant_step:
-        rng.standard_normal(n)
+        a = p_true / model.quant_step + 0.5
+        rng.multinomial(n, _cell_law(a - math.floor(a), model.sigma / model.quant_step)[1])
     else:
         rng.standard_normal()
         if model.quant_step > 0:
@@ -387,8 +421,8 @@ def _expected_draws(model, rng, n):
 
 def test_read_avg_draws_one_path_per_sensor():
     # each sensor draws what its path needs for its one block: one normal and
-    # LEVELS binomials at b >= 4, n normals below, one normal unquantized,
-    # nothing noiseless
+    # LEVELS binomials at b >= 4, one multinomial over the reading law's cells
+    # below, one normal unquantized, nothing noiseless
     rng = np.random.default_rng(8)
     models = [SensorModel(), SensorModel(noise_frac=0.0), SensorModel(quant_step=0.0), AT_GUARD]
     for _ in range(40):
@@ -398,8 +432,9 @@ def test_read_avg_draws_one_path_per_sensor():
     for i, model in enumerate(models):
         for n in (1, 512, 4096):
             stream, ref = PressureSensor(model, seed=i), np.random.default_rng(i)
-            got = stream.read_avg(float(rng.uniform(0.0, 150.0)), n)
-            _expected_draws(model, ref, n)
+            p_true = float(rng.uniform(0.0, 150.0))
+            got = stream.read_avg(p_true, n)
+            _expected_draws(model, ref, p_true, n)
             assert type(got) is float
             assert stream._rng.bit_generator.state == ref.bit_generator.state
 
@@ -423,14 +458,14 @@ def test_noise_free_read_is_the_quantized_pressure():
     stream = PressureSensor(model, seed=4)
     state = stream._rng.bit_generator.state
     for p_true in (0.0, 0.34, 59.99, 60.0, 61.37, 149.5):
-        expect = float(quantize(np.array([p_true]), model.quant_step)[0])
+        expect = math.floor(p_true / model.quant_step + 0.5) * model.quant_step
         for n in (1, 512, 2048, 4096):
             assert stream.read_avg(p_true, n) == expect
     assert stream._rng.bit_generator.state == state
 
 
 def test_reruns_from_one_seed_are_identical():
-    # fast path, per-reading fallback (b ~ 1.2) and unquantized, short and long
+    # block sums, a coarse grid's cells (b ~ 1.2) and unquantized, short and long
     calls = [(60.0, 1), (60.0, 512), (45.0, 4096), (70.0, 2048)]
     for model in (SensorModel(), SensorModel(quant_step=5.0), SensorModel(quant_step=0.0)):
         runs = []
@@ -438,13 +473,6 @@ def test_reruns_from_one_seed_are_identical():
             stream = PressureSensor(model, seed=12)
             runs.append([stream.read_avg(*call) for call in calls * 3])
         assert runs[0] == runs[1]
-
-
-def test_quantize_array_in_place():
-    values = np.array([1.26, 1.24, 1.25, -0.3])
-    out = quantize(values, 0.5)
-    assert out is values
-    assert out.tolist() == [1.5, 1.0, 1.5, -0.5]
 
 
 def test_unbounded_read_is_unchanged():
@@ -462,30 +490,31 @@ def test_unbounded_read_is_unchanged():
 
 
 class RecordingRng:
-    """A Generator that records how many values each draw taken from it holds."""
+    """A Generator that records how many values each draw taken from it returns."""
 
     def __init__(self, rng):
-        self.rng, self.normals, self.sizes = rng, [], []
+        self.rng, self.sizes = rng, []
 
-    def _record(self, size):
-        if size is not None:
-            self.sizes.append(int(np.prod(size)))
+    def _record(self, values):
+        self.sizes.append(np.size(values))
+        return values
 
     def standard_normal(self, size=None):
-        self.normals.append(size)
-        self._record(size)
-        return self.rng.standard_normal(size)
+        return self._record(self.rng.standard_normal(size))
 
     def binomial(self, n, p, size):
-        self._record(size)
-        return self.rng.binomial(n, p, size)
+        return self._record(self.rng.binomial(n, p, size))
+
+    def multinomial(self, n, pvals, size=None):
+        return self._record(self.rng.multinomial(n, pvals, size))
 
 
-# the four sensor paths: block sums (b >= 4), readings one by one (b ~ 1.2),
-# one normal a block unquantized, and no draw noise-free
-BLOCK_SUM, PER_READING = SensorModel(), SensorModel(quant_step=5.0)
+# the four sensor paths: block sums (b >= 4), a coarse grid (b ~ 1.2) whose
+# block is one multinomial over the per-reading law's cells, one normal a block
+# unquantized, and no draw noise-free
+BLOCK_SUM, COARSE = SensorModel(), SensorModel(quant_step=5.0)
 UNQUANTIZED, NOISE_FREE = SensorModel(quant_step=0.0), SensorModel(noise_frac=0.0)
-NOISY, NOISY_IDS = (BLOCK_SUM, PER_READING, UNQUANTIZED), ("block-sum", "per-reading", "unquantized")
+NOISY, NOISY_IDS = (BLOCK_SUM, COARSE, UNQUANTIZED), ("block-sum", "per-reading", "unquantized")
 
 
 def _keys(model, means, n):
@@ -519,50 +548,34 @@ def test_noise_free_batch_is_the_quantized_pressure():
         assert stream._rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("model", NOISY, ids=NOISY_IDS)
-def test_batch_spanning_chunks_keeps_draws_bounded(monkeypatch, model):
-    # with a 1024-value cap, 300 reads of 512 take at least four chunks on every
-    # path (a block sum takes LEVELS + 1 values a read, a read drawn reading by
-    # reading 512); no draw holds more than the cap, and the means keep the
-    # law of plain reads
-    monkeypatch.setattr(pneumatics, "MAX_DRAW", 1024)
-    n, k = 512, 300
-    stream = PressureSensor(model, seed=6)
+@pytest.mark.parametrize("n", (1, 512, 1_000_000))
+def test_coarse_read_draws_at_most_its_cells(n):
+    # a read at b < 4 is one multinomial, so it draws no more values than the
+    # reading law has cells at any length, and a batch of k reads k times that
+    b = COARSE.sigma / COARSE.quant_step
+    cells = 2 * math.ceil(TAIL_SIGMAS * b) + 1
+    stream = PressureSensor(COARSE, seed=n)
     stream._rng = RecordingRng(stream._rng)
-    batch = []
-    for _ in range(20):
-        batch += stream.read_avg_batch(60.0, k, n)
-    assert max(stream._rng.sizes) <= 1024
-    assert len(stream._rng.normals) >= 20 * 4
-    scalar = PressureSensor(model, seed=7)
-    reference = [scalar.read_avg(60.0, n) for _ in range(len(batch))]
-    assert _chi_square_passes(_keys(model, batch, n), _keys(model, reference, n))
+    mean = stream.read_avg(61.37, n)
+    assert sum(stream._rng.sizes) <= cells
+    assert abs(mean - 61.37) < 8 * measurement_sigma(COARSE, n) + COARSE.quant_step
+    stream._rng.sizes.clear()
+    assert len(stream.read_avg_batch(61.37, 150, n)) == 150
+    assert len(stream._rng.sizes) == 1 and stream._rng.sizes[0] <= 150 * cells
 
 
-@pytest.mark.parametrize("model", (BLOCK_SUM, PER_READING), ids=("block-sum", "per-reading"))
-def test_reads_longer_than_a_draw_are_drawn_in_pieces(monkeypatch, model):
-    # with a 100-value cap a 512-reading block drawn reading by reading takes
-    # six pieces, in a batch and in a scalar read, and a block sum stays within
-    # the cap (LEVELS + 1 values a read); both keep the law of readings drawn
-    # one by one
-    monkeypatch.setattr(pneumatics, "MAX_DRAW", 100)
-    m, size = 512, 4000
-    p_true = 88.37 * model.quant_step
-    for batched in (False, True):
-        stream = PressureSensor(model, seed=9)
-        stream._rng = RecordingRng(stream._rng)
-        if batched:
-            means = stream.read_avg_batch(p_true, size, m)
-        else:
-            means = [stream.read_avg(p_true, m) for _ in range(size)]
-        assert max(stream._rng.sizes) <= 100
-        counts = np.rint(np.array(means) * m / model.quant_step).astype(np.int64)
-        assert _chi_square_passes(counts, _reference_counts(model, p_true, m, size, seed=10))
+def test_coarse_read_past_int64_steps():
+    # a b = 2 sensor whose pressure sits past 2^63 ADC steps reads in floats
+    model = SensorModel(full_scale=700.0, noise_frac=2e-300 / 700.0, quant_step=1e-300)
+    assert model.sigma / model.quant_step < SUM_DRAW_MIN_STEPS
+    stream = PressureSensor(model, seed=3)
+    for read in [stream.read_avg(60.0, 512), *stream.read_avg_batch(60.0, 3, 512)]:
+        assert read == pytest.approx(60.0, rel=1e-12)
 
 
 def test_batched_reruns_from_one_seed_are_identical():
     calls = [(60.0, 2, 512), (45.0, 150, 4096), (45.0, 70, 2048), (70.0, 3, 4096)]
-    for model in (BLOCK_SUM, PER_READING, UNQUANTIZED):
+    for model in (BLOCK_SUM, COARSE, UNQUANTIZED):
         runs = []
         for _ in range(2):
             stream = PressureSensor(model, seed=12)
