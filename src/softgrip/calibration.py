@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError, RangeError, SaturationError
+from .errors import ConfigError, DomainError, RangeError, SaturationError
 from .geometry import FingerGeometry
 from .pneumatics import (
     JOINT_RANGE_DEG, RingModel, RingState, joint_torque, leak_path, lock, pressure_at_angle,
@@ -46,17 +46,17 @@ class CalibrationTable:
             raise ConfigError("calibration grids need at least 2 points per axis")
         for name, grid in (("alpha_grid", self.alpha_grid), ("p0_grid", self.p0_grid)):
             if np.any(np.diff(grid) <= 0):
-                raise ParseError(f"{name} is not strictly increasing")
+                raise DomainError(f"{name} is not strictly increasing")
         shape = (self.alpha_grid.size, self.p0_grid.size)
         if self.dp_surface.shape != shape or self.torque_surface.shape != shape:
-            raise ParseError(
+            raise DomainError(
                 f"surface shape mismatch: expected {shape}, "
                 f"got dp {self.dp_surface.shape}, torque {self.torque_surface.shape}"
             )
         if self.alpha_grid[0] == 0.0 and np.any(np.abs(self.dp_surface[0]) > 1e-9):
-            raise ParseError("dp_surface row at alpha=0 must be zero")
+            raise DomainError("dp_surface row at alpha=0 must be zero")
         if np.any(np.diff(self.dp_surface, axis=0) < -1e-9):
-            raise ParseError("dp_surface must be non-decreasing along the alpha axis")
+            raise DomainError("dp_surface must be non-decreasing along the alpha axis")
 
     # list forms for the scalar lookups: indexing and bisecting a list is
     # several times cheaper than indexing an array from Python
@@ -247,8 +247,6 @@ def force_from_dp(table: CalibrationTable, geom: FingerGeometry, dp: float, p0: 
 # ---------------------------------------------------------------------------
 # CSV schema: `# caltab v1`, `# meta: k=v;...`, header row, row-major (alpha outer)
 
-_HEADER = "alpha_deg,p0_kpa,dp_kpa,torque_nmm"
-
 
 def write_csv(table: CalibrationTable) -> str:
     """CSV text of a table, lossless: full float precision, LF line endings.
@@ -261,52 +259,5 @@ def write_csv(table: CalibrationTable) -> str:
     p0s = ["%.17g" % p for p in table.p0_grid.tolist()]
     template = "\n".join(f"{a},{p},%.17g,%.17g" for a in alphas for p in p0s)
     cells = np.stack((table.dp_surface, table.torque_surface), axis=-1).ravel().tolist()
-    return f"# caltab v1\n# meta: {meta}\n{_HEADER}\n" + template % tuple(cells) + "\n"
+    return f"# caltab v1\n# meta: {meta}\nalpha_deg,p0_kpa,dp_kpa,torque_nmm\n" + template % tuple(cells) + "\n"
 
-
-def read_csv(path) -> CalibrationTable:
-    """Read a table saved from write_csv, enforcing schema and grid invariants."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != "# caltab v1":
-        raise ParseError(f"{path}: line 1: missing '# caltab v1' header")
-    if len(lines) < 3 or not lines[1].startswith("# meta: "):
-        raise ParseError(f"{path}: line 2: missing '# meta:' line")
-    meta_raw = lines[1][len("# meta: "):]
-    meta = {}
-    if meta_raw:
-        for item in meta_raw.split(";"):
-            k, _, v = item.partition("=")
-            meta[k] = v
-    header = lines[2]
-    for col, token in enumerate(_HEADER.split(",")):
-        got = header.split(",")
-        if col >= len(got) or got[col] != token:
-            raise ParseError(f"{path}: line 3, column {col + 1}: expected header token '{token}'")
-    rows = []
-    for ln_no, ln in enumerate(lines[3:], start=4):
-        if not ln:
-            continue
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"{path}: line {ln_no}: expected 4 columns, got {len(parts)}")
-        try:
-            rows.append([float(x) for x in parts])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {ln_no}: {exc}") from None
-    data = np.asarray(rows)
-    if data.size == 0:
-        raise ParseError(f"{path}: no data rows")
-    alpha_grid = np.unique(data[:, 0])
-    p0_grid = np.unique(data[:, 1])
-    if data.shape[0] != alpha_grid.size * p0_grid.size:
-        raise ParseError(f"{path}: grid is not complete ({data.shape[0]} rows)")
-    # enforce row-major (alpha outer) order exactly as written
-    expect_a = np.repeat(alpha_grid, p0_grid.size)
-    expect_p = np.tile(p0_grid, alpha_grid.size)
-    if not (np.array_equal(data[:, 0], expect_a) and np.array_equal(data[:, 1], expect_p)):
-        raise ParseError(f"{path}: rows are not in row-major (alpha outer) order")
-    shape = (alpha_grid.size, p0_grid.size)
-    return CalibrationTable(
-        alpha_grid, p0_grid, data[:, 2].reshape(shape), data[:, 3].reshape(shape), meta
-    )

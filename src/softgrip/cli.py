@@ -115,7 +115,7 @@ def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
     """
     max_open, step = cfg["gripper"]["max_open_mm"], cfg["probe"]["approach_step_mm"]
     keys = "gripper.max_open_mm" if fixture is None else f"gripper.max_open_mm and fixtures.{name}.surface_offset_mm"
-    built(keys, check_travel, max_open, None if fixture is None else fixture.surface_offset)
+    built(keys, check_travel, max_open, 0.0 if fixture is None else fixture.surface_offset)
     if max_open / step > MAX_APPROACH_STEPS:
         raise ConfigError(
             f"probe.approach_step_mm {step!r} closes gripper.max_open_mm {max_open!r} "
@@ -294,23 +294,17 @@ def resolve_sensitivity(
         return _fails(ConfigError(need_pair))
 
     def run():
-        ranked = sensitivity_sweep(
+        ranked, left_out = sensitivity_sweep(
             geom, ring, sensor, table, stiffness_at(fa, 0.0), stiffness_at(fb, 0.0),
-            p0_grid=table.p0_grid, dc_grid=sens["dc_grid_mm"], base_cfg=probe_cfg,
+            dc_grid=sens["dc_grid_mm"], base_cfg=probe_cfg,
             surface_offset=fa.surface_offset, max_open=cfg["gripper"]["max_open_mm"],
         )
         lines = ["p0_kpa,dc_mm,separation_kpa,z"]
         for p0, dc, sep, z in ranked:
             lines.append(f"{p0!r},{dc!r},{sep!r},{z!r}")
         files = {"sensitivity.csv": "\n".join(lines) + "\n"}
-        ranked_pairs = {(p0, dc) for p0, dc, _, _ in ranked}
-        dropped = [
-            f"p0={float(p0)!r} kPa d_c={dc!r} mm"
-            for p0 in table.p0_grid
-            for dc in sens["dc_grid_mm"]
-            if (float(p0), dc) not in ranked_pairs
-        ]
-        return files, (f"sensitivity left out flagged pairs: {'; '.join(dropped)}" if dropped else None)
+        dropped = "; ".join(f"p0={p0!r} kPa d_c={dc!r} mm" for p0, dc in left_out)
+        return files, (f"sensitivity left out flagged pairs: {dropped}" if dropped else None)
 
     return run
 

@@ -16,7 +16,7 @@ import math
 from copy import deepcopy
 
 from .contact import ObjectModel, StiffnessProfile
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, DomainError
 from .geometry import FingerGeometry
 from .pneumatics import RingModel, SensorModel
 from .probing import ProbeConfig
@@ -214,7 +214,7 @@ def built(path: str, build, *args, **kwargs):
     error in them is a config error whose message starts with path."""
     try:
         return build(*args, **kwargs)
-    except (DomainError, ConfigError, ParseError) as exc:
+    except (DomainError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 

@@ -23,7 +23,3 @@ class SaturationError(RangeError):
 
 class ConfigError(SoftgripError, ValueError):
     """A scenario configuration is malformed or inconsistent."""
-
-
-class ParseError(SoftgripError, ValueError):
-    """A data file could not be parsed; message carries the offending location."""

@@ -79,12 +79,12 @@ class ProbeReport:
         return "\n".join(lines) + "\n"
 
 
-def check_travel(max_open: float, surface_offset: float | None) -> None:
+def check_travel(max_open: float, surface_offset: float) -> None:
     """The gripper must open, and open at least as wide as the object's surface
-    lies (surface_offset None: no object)."""
+    lies."""
     if max_open <= 0:
         raise ConfigError(f"max_open must be positive, got {max_open!r}")
-    if surface_offset is not None and surface_offset > max_open:
+    if surface_offset > max_open:
         raise ConfigError(f"surface_offset {surface_offset!r} exceeds max_open {max_open!r}")
 
 
@@ -97,7 +97,9 @@ class GripperSim:
     reports only as a sensor reading. approach closes in steps and yields
     those readings one by one; the steps before the finger can touch the
     object all read the rest pressure, so it draws them in one batched read
-    with the law of step-by-step reads.
+    with the law of step-by-step reads. An empty workspace is an object
+    whose surface lies at opening 0, which the gripper shuts against without
+    touching it.
     The handle holds no estimator state: detect_contact returns the contact
     opening and baseline and probe takes them. The ground-truth equilibrium
     is for tests; the estimator never asks.
@@ -108,8 +110,8 @@ class GripperSim:
         geom: FingerGeometry,
         ring: RingModel,
         sensor: SensorModel,
-        k_object: float | None,
-        surface_offset: float | None,
+        k_object: float,
+        surface_offset: float,
         *,
         max_open: float,
         seed=0,
@@ -134,10 +136,8 @@ class GripperSim:
         self.lock_reading = self.stream.read_avg(p0, settle_reads)
 
     def _plant_pressure(self) -> float:
-        pen = 0.0
-        if self.surface_offset is not None:
-            pen = max(0.0, self.surface_offset - self.opening)
-        if pen <= 0.0 or self.k_object is None:
+        pen = max(0.0, self.surface_offset - self.opening)
+        if pen <= 0.0:
             return self.rest_pressure
         return self.rest_pressure + solve_equilibrium(self.geom, self.ring, self.state, self.k_object, pen).dp
 
@@ -153,18 +153,18 @@ class GripperSim:
         measured dp after each step.
 
         The plant knows the steps before the finger reaches the object's
-        surface (all of them with no object): they read the rest pressure, so
-        one read_avg_batch draws them all. The steps after go through
-        close_to. Every step reads settle_reads readings. The opening is set
-        before each yield; the caller sees only the dp values, and may stop at
-        any one.
+        surface (all of them in an empty workspace): they read the rest
+        pressure, so one read_avg_batch draws them all. The steps after go
+        through close_to. Every step reads settle_reads readings. The opening
+        is set before each yield; the caller sees only the dp values, and may
+        stop at any one.
         """
         if self.state is None:
             raise StateError("gripper must be pressurized and locked first")
         free, opening = [], self.opening
         while opening > 0.0:
             opening = max(0.0, opening - step)
-            if self.k_object is not None and self.surface_offset is not None and opening < self.surface_offset:
+            if opening < self.surface_offset:
                 break
             free.append(opening)
         readings = self.stream.read_avg_batch(self.rest_pressure, len(free), settle_reads)
@@ -176,8 +176,8 @@ class GripperSim:
 
     def true_equilibrium(self) -> EquilibriumResult:
         """Ground-truth equilibrium at the current opening, solved afresh (tests only)."""
-        pen = max(0.0, (self.surface_offset or 0.0) - self.opening)
-        return solve_equilibrium(self.geom, self.ring, self.state, self.k_object or 0.0, pen)
+        pen = max(0.0, self.surface_offset - self.opening)
+        return solve_equilibrium(self.geom, self.ring, self.state, self.k_object, pen)
 
 
 def detect_contact(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig):
@@ -285,33 +285,35 @@ def sensitivity_sweep(
     k_a: float,
     k_b: float,
     *,
-    p0_grid,
     dc_grid,
     base_cfg: ProbeConfig,
     surface_offset: float,
     max_open: float,
 ):
-    """Rank (p0, d_c) pairs by noise-free dp separation over the measurement sigma.
+    """Rank the (p0, d_c) pairs of the table's p0 grid and dc_grid by noise-free
+    dp separation over the measurement sigma.
 
-    Returns a list of (p0, d_c, separation_kpa, z) sorted by descending z;
-    deterministic (probes run without noise, sigma from the sensor model).
-    A pair where either object's probe carries a flag (for example a closing
-    past the travel left, which is never applied) is left out of the list.
+    Returns (ranked, left_out): ranked a list of (p0, d_c, separation_kpa, z)
+    sorted by descending z, left_out the (p0, d_c) pairs where either object's
+    probe carries a flag (for example a closing past the travel left, which
+    is never applied), in grid order. Deterministic: probes run without
+    noise, and sigma comes from the sensor model.
     """
     quiet = sensor.noiseless()
     sigma = measurement_sigma(sensor, base_cfg.settle_reads)
-    out = []
-    for p0 in p0_grid:
+    ranked, left_out = [], []
+    for p0 in table.p0_grid.tolist():
         for dc in dc_grid:
-            cfg = replace(base_cfg, p0=float(p0), probe_step=float(dc) / base_cfg.n_probe_steps)
+            cfg = replace(base_cfg, p0=p0, probe_step=float(dc) / base_cfg.n_probe_steps)
             reports = [
                 run_probe(GripperSim(geom, ring, quiet, k, surface_offset, max_open=max_open), table, cfg)
                 for k in (k_a, k_b)
             ]
             if any(rep.flags for rep in reports):
+                left_out.append((p0, float(dc)))
                 continue
             sep = abs(reports[0].dp_trace[-1][1] - reports[1].dp_trace[-1][1])
             z = sep / sigma if sigma > 0 else math.inf
-            out.append((float(p0), float(dc), sep, z))
-    out.sort(key=lambda t: (-t[3], t[0], t[1]))
-    return out
+            ranked.append((p0, float(dc), sep, z))
+    ranked.sort(key=lambda t: (-t[3], t[0], t[1]))
+    return ranked, left_out

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from softgrip.calibration import hysteresis_sweep, read_csv, write_csv
+from softgrip.calibration import hysteresis_sweep, write_csv
 from softgrip.cli import EXIT_OK, main
 from softgrip.config import DEFAULTS
 from softgrip.contact import solve_equilibrium, solve_equilibrium_bruteforce
@@ -49,9 +49,9 @@ def test_criterion_1_cube_ordering(geom, ring, sensor, quiet_sensor, locked_tabl
         ok &= krs[0] < krs[1] < krs[2]
 
     # noisy runs at the sensitivity-optimal operating point
-    ranked = sensitivity_sweep(
+    ranked, _ = sensitivity_sweep(
         geom, ring, sensor, locked_table, CUBES["cube1"], CUBES["cube2"],
-        p0_grid=LOCKED["p0_grid_kpa"], dc_grid=DEFAULTS["sensitivity"]["dc_grid_mm"], base_cfg=ProbeConfig(),
+        dc_grid=DEFAULTS["sensitivity"]["dc_grid_mm"], base_cfg=ProbeConfig(),
         surface_offset=OFFSET, max_open=MAX_OPEN,
     )
     p0_opt, dc_opt = ranked[0][0], ranked[0][1]
@@ -152,7 +152,7 @@ def test_criterion_6_contact_detection(geom, ring, sensor, quiet_sensor, locked_
     # empty workspace, default threshold, full noise: 1000 approach steps
     steps = 1000
     sim = GripperSim(
-        geom, ring, sensor, None, None,
+        geom, ring, sensor, 100.0, 0.0,
         max_open=steps * cfg.approach_step + 0.5, seed=77,
     )
     opening, _, flags = detect_contact(sim, locked_table, cfg)
@@ -237,11 +237,13 @@ def test_criterion_9_determinism_and_io(locked_table, tmp_path):
 
     path = tmp_path / "table.csv"
     path.write_text(write_csv(locked_table))
-    back = read_csv(path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=3)
+    shape = (locked_table.alpha_grid.size, locked_table.p0_grid.size)
     lossless = (
-        np.array_equal(back.alpha_grid, locked_table.alpha_grid)
-        and np.array_equal(back.p0_grid, locked_table.p0_grid)
-        and np.array_equal(back.dp_surface, locked_table.dp_surface)
-        and np.array_equal(back.torque_surface, locked_table.torque_surface)
+        rows.shape == (shape[0] * shape[1], 4)
+        and np.array_equal(rows[:, 0], np.repeat(locked_table.alpha_grid, shape[1]))
+        and np.array_equal(rows[:, 1], np.tile(locked_table.p0_grid, shape[0]))
+        and np.array_equal(rows[:, 2].reshape(shape), locked_table.dp_surface)
+        and np.array_equal(rows[:, 3].reshape(shape), locked_table.torque_surface)
     )
     _report("criterion 9: hash-identical reruns and lossless CSV", deterministic and lossless)

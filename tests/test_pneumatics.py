@@ -269,17 +269,6 @@ def test_model_validation():
         joint_torque(RingModel(), 0.5, -2.0)
 
 
-def _reference_counts(model, p_true, m, size, seed):
-    """Block sums of m readings drawn one by one, in quantization steps."""
-    rng, q = np.random.default_rng(seed), model.quant_step
-    counts = np.empty(size, dtype=np.int64)
-    rows = max(1, 4096 // m)
-    for i in range(0, size, rows):
-        z = rng.standard_normal((min(rows, size - i), m))
-        counts[i : i + len(z)] = np.floor(p_true / q + 0.5 + model.sigma / q * z).sum(axis=1)
-    return counts
-
-
 def _read_counts(model, p_true, m, size, seed):
     """Block sums read_avg drew for size reads of m readings, in quantization steps."""
     stream = PressureSensor(model, seed=seed)
@@ -306,6 +295,46 @@ def _chi_square_passes(a, b, bins=20):
     return stat < critical
 
 
+def _block_sum_law(model, p_true, m):
+    """(lowest value, probabilities) of the sum of m quantized readings, in
+    quantization steps, each reading floor(a + b * z) for a = p_true /
+    quant_step + 1/2, b = sigma / quant_step and z standard normal.
+
+    A reading is floor(a) + j, with j in the cell [j - f, j + 1 - f) of b * z,
+    f = a - floor(a); the cells, 12 sigmas out, take the normal mass of each
+    from _normal_mass, and the block sum's law is their m-fold convolution.
+    """
+    a, b = p_true / model.quant_step + 0.5, model.sigma / model.quant_step
+    base, w = math.floor(a), math.ceil(12.0 * b) + 1
+    f = a - base
+    cells = np.array([_normal_mass((j - f) / b, (j + 1 - f) / b) for j in range(-w, w + 1)])
+    size = 2 * m * w + 1  # the support of the sum of m cells
+    n = 1 << (size - 1).bit_length()  # a circular convolution this long does not wrap
+    law = np.fft.irfft(np.fft.rfft(cells / cells.sum(), n) ** m, n)[:size].clip(0.0)
+    return m * (base - w), law / law.sum()
+
+
+def _law_chi_square_passes(counts, lowest, law, bins=20):
+    """One-sample chi-square of integer counts against the law of the values
+    lowest, lowest + 1, ... at the 0.1% level.
+
+    Bins end at the law's quantiles, each bin and the rest past it expecting
+    at least 5 counts; the critical value is the Wilson-Hilferty
+    approximation of the chi-square quantile.
+    """
+    cdf, ends, least = np.cumsum(law), [], 5.0 / counts.size
+    for end in np.unique(np.searchsorted(cdf, np.arange(1, bins) / bins)).tolist():
+        if cdf[end] - (cdf[ends[-1]] if ends else 0.0) >= least and 1.0 - cdf[end] >= least:
+            ends.append(end)  # a bin ends at value lowest + end
+    observed = np.bincount(np.searchsorted(ends, counts - lowest), minlength=len(ends) + 1)
+    expected = counts.size * np.diff(np.concatenate([[0.0], cdf[ends], [1.0]]))
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    dof = len(ends)
+    assert dof >= 1
+    critical = dof * (1.0 - 2.0 / (9 * dof) + 3.0902 * math.sqrt(2.0 / (9 * dof))) ** 3
+    return stat < critical
+
+
 # b = sigma / quant_step: 4.0 exactly (dyadic values) at the guard, and the default sensor's;
 # below the guard, coarse grids whose blocks are drawn from the reading law's cells
 AT_GUARD = SensorModel(full_scale=8.0, noise_frac=0.25, quant_step=0.5)
@@ -325,7 +354,7 @@ def test_block_sum_matches_per_reading_draws(model, m, frac):
     # at b >= 4, and from the reading law's cells below
     p_true, size = (88.0 + frac) * model.quant_step, 20_000
     drawn = _read_counts(model, p_true, m, size, seed=m)
-    assert _chi_square_passes(drawn, _reference_counts(model, p_true, m, size, seed=100 + m))
+    assert _law_chi_square_passes(drawn, *_block_sum_law(model, p_true, m))
 
 
 @pytest.mark.parametrize("m", (2, 8))
@@ -335,10 +364,10 @@ def test_block_sum_guard_is_needed(monkeypatch, m, frac):
     # read_avg itself draws such a block from the reading law's cells and passes
     model = SensorModel(full_scale=1.0, noise_frac=0.15, quant_step=0.5)
     p_true, size = (88.0 + frac) * model.quant_step, 20_000
-    reference = _reference_counts(model, p_true, m, size, seed=100 + m)
-    assert _chi_square_passes(_read_counts(model, p_true, m, size, seed=m), reference)
+    law = _block_sum_law(model, p_true, m)
+    assert _law_chi_square_passes(_read_counts(model, p_true, m, size, seed=m), *law)
     monkeypatch.setattr(pneumatics, "SUM_DRAW_MIN_STEPS", 0.0)
-    assert not _chi_square_passes(_read_counts(model, p_true, m, size, seed=m), reference)
+    assert not _law_chi_square_passes(_read_counts(model, p_true, m, size, seed=m), *law)
 
 
 def _normal_mass(lo, hi, intervals=4000):

@@ -6,6 +6,7 @@ import pytest
 
 import softgrip.calibration
 import softgrip.probing
+from softgrip.calibration import generate_locked_sweep
 from softgrip.config import DEFAULTS
 from softgrip.contact import solve_equilibrium
 from softgrip.errors import ConfigError, SaturationError, StateError
@@ -23,8 +24,13 @@ from softgrip.probing import (
 
 CFG = ProbeConfig()
 # sensitivity_sweep's settings as the config sets them by default
-SWEEP = {"p0_grid": DEFAULTS["calibration"]["locked"]["p0_grid_kpa"], "dc_grid": DEFAULTS["sensitivity"]["dc_grid_mm"],
-         "base_cfg": ProbeConfig(), "surface_offset": 40.0, "max_open": DEFAULTS["gripper"]["max_open_mm"]}
+SWEEP = {"dc_grid": DEFAULTS["sensitivity"]["dc_grid_mm"], "base_cfg": ProbeConfig(), "surface_offset": 40.0,
+         "max_open": DEFAULTS["gripper"]["max_open_mm"]}
+
+
+def _table_at(ring, p0_grid):
+    """The default locked table over the supply pressures p0_grid, which the sweep ranks."""
+    return generate_locked_sweep(ring, **{**DEFAULTS["calibration"]["locked"], "p0_grid_kpa": p0_grid})
 
 
 def _sim(geom, ring, sensor, k, offset=40.0, seed=0):
@@ -73,7 +79,7 @@ def test_detect_contact_noisy(geom, ring, sensor, locked_table):
 
 
 def test_empty_workspace_reports_no_contact(geom, ring, sensor, locked_table):
-    sim = GripperSim(geom, ring, sensor, None, None, max_open=45.0, seed=0)
+    sim = GripperSim(geom, ring, sensor, 100.0, 0.0, max_open=45.0, seed=0)
     report = run_probe(sim, locked_table, CFG)
     assert report.flags == ["no_contact"]
     assert report.contact_opening is None
@@ -169,9 +175,9 @@ def test_report_serialization(geom, ring, quiet_sensor, locked_table):
 def test_travel_is_checked_where_the_sim_relies_on_it(geom, ring, sensor):
     # the gripper opens, and at least as wide as the surface; an offset at max_open is in reach
     check_travel(45.0, 45.0)
-    check_travel(45.0, None)  # no object
+    check_travel(45.0, 0.0)  # an empty workspace
     with pytest.raises(ConfigError, match=r"^max_open must be positive, got 0.0$"):
-        GripperSim(geom, ring, sensor, None, None, max_open=0.0)
+        GripperSim(geom, ring, sensor, 100.0, 0.0, max_open=0.0)
     with pytest.raises(ConfigError, match=r"^max_open must be positive, got -1.0$"):
         GripperSim(geom, ring, sensor, 100.0, 0.0, max_open=-1.0)
     with pytest.raises(ConfigError, match=r"^surface_offset 50.0 exceeds max_open 45.0$"):
@@ -188,16 +194,15 @@ def test_sim_guards(geom, ring, sensor):
         sim.close_to(30.0, 8)
 
 
-def test_sensitivity_sweep_identical_objects_zero(geom, ring, sensor, locked_table):
-    ranked = sensitivity_sweep(
-        geom, ring, sensor, locked_table, 50.0, 50.0,
-        **{**SWEEP, "p0_grid": (20.0, 60.0), "dc_grid": (12.0, 30.0)},
+def test_sensitivity_sweep_identical_objects_zero(geom, ring, sensor):
+    ranked, _ = sensitivity_sweep(
+        geom, ring, sensor, _table_at(ring, (20.0, 60.0)), 50.0, 50.0, **{**SWEEP, "dc_grid": (12.0, 30.0)},
     )
     assert all(sep == pytest.approx(0.0, abs=1e-9) for _, _, sep, _ in ranked)
 
 
 def test_sensitivity_sweep_ranks_by_z(geom, ring, sensor, locked_table):
-    ranked = sensitivity_sweep(geom, ring, sensor, locked_table, 50.83, 54.87, **SWEEP)
+    ranked, _ = sensitivity_sweep(geom, ring, sensor, locked_table, 50.83, 54.87, **SWEEP)
     zs = [z for _, _, _, z in ranked]
     assert zs == sorted(zs, reverse=True)
     # separation grows with closing depth at a fixed supply pressure
@@ -206,21 +211,24 @@ def test_sensitivity_sweep_ranks_by_z(geom, ring, sensor, locked_table):
     assert seps[0] < seps[1] < seps[2]
 
 
-def test_sensitivity_sweep_deterministic(geom, ring, sensor, locked_table):
-    r1 = sensitivity_sweep(geom, ring, sensor, locked_table, 50.83, 202.39,
-                           **{**SWEEP, "p0_grid": (40.0, 80.0), "dc_grid": (18.0, 30.0)})
-    r2 = sensitivity_sweep(geom, ring, sensor, locked_table, 50.83, 202.39,
-                           **{**SWEEP, "p0_grid": (40.0, 80.0), "dc_grid": (18.0, 30.0)})
+def test_sensitivity_sweep_deterministic(geom, ring, sensor):
+    table = _table_at(ring, (40.0, 80.0))
+    r1 = sensitivity_sweep(geom, ring, sensor, table, 50.83, 202.39, **{**SWEEP, "dc_grid": (18.0, 30.0)})
+    r2 = sensitivity_sweep(geom, ring, sensor, table, 50.83, 202.39, **{**SWEEP, "dc_grid": (18.0, 30.0)})
     assert r1 == r2
 
 
 def test_sensitivity_sweep_leaves_out_flagged_pairs(geom, ring, sensor, locked_table):
-    # a closing past the travel left is flagged travel_exhausted and not ranked
-    ranked = sensitivity_sweep(
-        geom, ring, sensor, locked_table, 50.83, 54.87,
-        **{**SWEEP, "p0_grid": (60.0,), "dc_grid": (30.0, 60.0, 90.0)},
+    # a closing past the travel left is flagged travel_exhausted and not ranked;
+    # the sweep returns every pair it did not rank, in grid order
+    dc_grid = (30.0, 60.0, 90.0)
+    ranked, left_out = sensitivity_sweep(
+        geom, ring, sensor, locked_table, 50.83, 54.87, **{**SWEEP, "dc_grid": dc_grid},
     )
-    assert [(p0, dc) for p0, dc, _, _ in ranked] == [(60.0, 30.0)]
+    assert [(p0, dc) for p0, dc, _, _ in ranked if p0 == 60.0] == [(60.0, 30.0)]
+    ranked_pairs = {(p0, dc) for p0, dc, _, _ in ranked}
+    grid = [(p0, dc) for p0 in locked_table.p0_grid.tolist() for dc in dc_grid]
+    assert left_out == [pair for pair in grid if pair not in ranked_pairs]
 
 
 def test_saturated_flag_matches_plant_truth(ring, sensor, quiet_sensor, locked_table):
@@ -404,8 +412,8 @@ def test_approach_draws_the_contact_free_stretch_in_one_batch(geom, ring, sensor
     assert stepped == expect
     assert [o for o, _ in stepped][:3] == [43.0, 41.0, 39.0] and stepped[-1][0] == 0.0
 
-    # no object: the whole approach is one batch, ending at the shut stop
-    empty = GripperSim(geom, ring, sensor, None, None, max_open=45.0, seed=3)
+    # an empty workspace: the whole approach is one batch, ending at the shut stop
+    empty = GripperSim(geom, ring, sensor, 100.0, 0.0, max_open=45.0, seed=3)
     empty.pressurize_and_lock(CFG.p0, CFG.settle_reads)
     dps = list(empty.approach(CFG.approach_step, CFG.settle_reads))
     assert len(dps) == 23 and empty.opening == 0.0
