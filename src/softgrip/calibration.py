@@ -45,14 +45,18 @@ class CalibrationTable:
         if self.alpha_grid.size < 2 or self.p0_grid.size < 2:
             raise ConfigError("calibration grids need at least 2 points per axis")
         for name, grid in (("alpha_grid", self.alpha_grid), ("p0_grid", self.p0_grid)):
-            if np.any(np.diff(grid) <= 0):
-                raise DomainError(f"{name} is not strictly increasing")
+            # a NaN step fails the comparison, and between finite ends an increasing grid is finite
+            if not (math.isfinite(grid[0]) and math.isfinite(grid[-1]) and np.all(np.diff(grid) > 0)):
+                raise DomainError(f"{name} is not strictly increasing and finite")
         shape = (self.alpha_grid.size, self.p0_grid.size)
         if self.dp_surface.shape != shape or self.torque_surface.shape != shape:
             raise DomainError(
                 f"surface shape mismatch: expected {shape}, "
                 f"got dp {self.dp_surface.shape}, torque {self.torque_surface.shape}"
             )
+        for name in ("dp_surface", "torque_surface"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DomainError(f"{name} holds a non-finite value")
         if self.alpha_grid[0] == 0.0 and np.any(np.abs(self.dp_surface[0]) > 1e-9):
             raise DomainError("dp_surface row at alpha=0 must be zero")
         if np.any(np.diff(self.dp_surface, axis=0) < -1e-9):
@@ -120,7 +124,8 @@ def generate_regulated_sweep(
     alpha_grid = _alpha_grid(alpha_max_deg, alpha_step_deg)
     p_grid = _grid(0.0, p_max_kpa, p_step_kpa)
     _check_cells(alpha_grid.size, p_grid.size)
-    torque = joint_torque(model, np.radians(alpha_grid)[:, None], p_grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # the table rejects what overflows
+        torque = joint_torque(model, np.radians(alpha_grid)[:, None], p_grid)
     meta = {
         "mode": "regulated",
         "alpha_step_deg": repr(alpha_step_deg),
@@ -143,12 +148,14 @@ def generate_locked_sweep(
     if p0_grid.size < 2:  # checked here, as RingState cannot check an empty grid
         raise ConfigError(f"p0_grid_kpa needs at least 2 pressures, got {p0_grid.tolist()}")
     # RingState rejects a negative p0, and CalibrationTable a p0 grid that is not strictly increasing
+    # and finite, or a surface that overflows
     _check_cells(alpha_grid.size, p0_grid.size)
     alphas = np.radians(alpha_grid)
-    p = pressure_at_angle(lock(RingState(p_gauge=p0_grid), model), model, alphas[:, None])
-    dp = p - p0_grid
-    dp[0] = 0.0  # the baseline row is zero by definition; drop float residue
-    torque = joint_torque(model, alphas[:, None], p)
+    with np.errstate(over="ignore", invalid="ignore"):  # the table rejects what overflows
+        p = pressure_at_angle(lock(RingState(p_gauge=p0_grid), model), model, alphas[:, None])
+        dp = p - p0_grid
+        dp[0] = 0.0  # the baseline row is zero by definition; drop float residue
+        torque = joint_torque(model, alphas[:, None], p)
     meta = {"mode": "locked", "alpha_step_deg": repr(alpha_step_deg)}
     return CalibrationTable(alpha_grid, p0_grid, dp, torque, meta)
 
@@ -162,6 +169,10 @@ def hysteresis_sweep(model: RingModel, *, p0: float, alpha_max_deg: float, alpha
     path = np.radians(np.concatenate((alpha_grid, alpha_grid[::-1])))
     state = leak_path(lock(RingState(p_gauge=float(p0)), model), model, path)
     p = pressure_at_angle(state, model, path)
+    with np.errstate(over="ignore"):
+        total = p.sum()  # finite only if every pressure is, and so is any mean of them or of their gaps
+    if not math.isfinite(total):
+        raise DomainError(f"p0 {p0!r} kPa takes the swept pressures, or their sum, past the float range")
     n = alpha_grid.size
     return alpha_grid, p[:n], p[n:][::-1]
 
@@ -252,12 +263,13 @@ def write_csv(table: CalibrationTable) -> str:
     """CSV text of a table, lossless: full float precision, LF line endings.
 
     Grid values are formatted once, and the surface cells fill a single
-    %-template, row-major with alpha outer.
+    %-template, row-major with alpha outer. Each alpha row of the template is
+    one join over the p0 strings, which hold no "%".
     """
     meta = ";".join(f"{k}={v}" for k, v in table.meta.items())
     alphas = ["%.17g" % a for a in table.alpha_grid.tolist()]
     p0s = ["%.17g" % p for p in table.p0_grid.tolist()]
-    template = "\n".join(f"{a},{p},%.17g,%.17g" for a in alphas for p in p0s)
+    template = "\n".join(f"{a}," + f",%.17g,%.17g\n{a},".join(p0s) + ",%.17g,%.17g" for a in alphas)
     cells = np.stack((table.dp_surface, table.torque_surface), axis=-1).ravel().tolist()
     return f"# caltab v1\n# meta: {meta}\nalpha_deg,p0_kpa,dp_kpa,torque_nmm\n" + template % tuple(cells) + "\n"
 

@@ -84,16 +84,19 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _linear_r2(x: np.ndarray, y: np.ndarray) -> float:
-    # scaling y by a power of two is exact and leaves R^2 unchanged; it keeps
-    # the squares below in range for dp values near the float limit
-    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
-    coef = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coef, x)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0
-    return 1.0 - float(np.sum(resid**2)) / ss_tot
+def _min_linear_r2(x: np.ndarray, ys: np.ndarray) -> float:
+    """Smallest R^2 of the straight-line fits of the columns of ys against x,
+    all in one least-squares solve; a constant column counts as 1.0."""
+    # scaling a column by a power of two is exact and leaves its R^2 unchanged;
+    # it keeps the squares below in range for dp values near the float limit
+    ys = np.ldexp(ys, -np.frexp(np.abs(ys).max(axis=0))[1])
+    slope, intercept = np.polyfit(x, ys, 1)
+    resid = ys - (slope * x[:, None] + intercept)
+    ss_tot = np.sum((ys - ys.mean(axis=0)) ** 2, axis=0)
+    ss_res = np.sum(resid**2, axis=0)
+    flat = ss_tot == 0.0
+    r2 = 1.0 - ss_res / np.where(flat, 1.0, ss_tot)
+    return float(np.where(flat, 1.0, r2).min())
 
 
 # A probe closes from gripper.max_open_mm in probe.approach_step_mm steps, each
@@ -181,7 +184,8 @@ def resolve_calibrate(
             "fewer than 2 angles in [0, 60] deg for the dp-alpha fit"
         )
     hp0 = cfg["probe"]["p0_kpa"]  # the leak gap at the pressure the probes lock
-    _, fwd, bwd = hysteresis_sweep(
+    _, fwd, bwd = built(
+        "probe.p0_kpa", hysteresis_sweep,
         ring, p0=hp0, alpha_max_deg=cal["locked"]["alpha_max_deg"], alpha_step_deg=cal["locked"]["alpha_step_deg"],
     )
 
@@ -193,10 +197,7 @@ def resolve_calibrate(
         # summary: dead-zone extent, dp-alpha linearity, hysteresis gap
         dead_rows = np.all(reg.torque_surface[:, reg.p0_grid >= 5.0] == 0.0, axis=1)
         dead = float(np.max(reg.alpha_grid, where=dead_rows, initial=0.0))
-        r2 = min(
-            _linear_r2(locked.alpha_grid[fit_mask], locked.dp_surface[fit_mask, j])
-            for j in range(locked.p0_grid.size)
-        )
+        r2 = _min_linear_r2(locked.alpha_grid[fit_mask], locked.dp_surface[fit_mask])
         files["calibration_summary.json"] = _json_text({
             "dead_zone_extent_deg": dead,
             "dp_alpha_fit_r2_min": r2,

@@ -422,7 +422,7 @@ def _per_cell_csv(table):
     return "\n".join(lines) + "\n"
 
 
-def test_write_csv_equals_per_cell_format(locked_table, regulated_table):
+def test_write_csv_equals_per_cell_format(ring, locked_table, regulated_table):
     rng = np.random.default_rng(11)
     specials = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, -2.5]
 
@@ -433,6 +433,9 @@ def test_write_csv_equals_per_cell_format(locked_table, regulated_table):
     tables = [
         locked_table,
         regulated_table,
+        # the benchmark's dense shapes: 161 x 121 regulated, 801 x 17 locked
+        _regulated(ring, alpha_step_deg=0.5, p_max_kpa=120.0, p_step_kpa=1.0),
+        _locked(ring, alpha_step_deg=0.1, p0_grid_kpa=[5.0 * j for j in range(17)]),
         CalibrationTable(
             [-0.0, 1e300], [-1e-300, 2.5], [[0.0, -0.0], [1e-300, 2.5]], [[-1e300, 1e300], [-0.0, -2.5]]
         ),
@@ -461,6 +464,22 @@ def test_table_invariants_enforced():
         CalibrationTable(
             np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((3, 2)), np.zeros((2, 2))
         )
+    # NaN fails every comparison and inf - inf is NaN, so neither shows as a step <= 0
+    for alpha_grid, p0_grid in (
+        ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [math.inf] * 3),
+        ([0.0, 1.0, math.inf], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [-math.inf, 0.0, 1.0]),
+    ):
+        with pytest.raises(DomainError, match="_grid is not strictly increasing and finite"):
+            CalibrationTable(alpha_grid, p0_grid, np.zeros((3, 3)), np.zeros((3, 3)))
+    for bad in (math.nan, math.inf):
+        surface = np.zeros((2, 2))
+        surface[1, 1] = bad
+        with pytest.raises(DomainError, match="dp_surface holds a non-finite value"):
+            CalibrationTable([0.0, 1.0], [0.0, 1.0], surface, np.zeros((2, 2)))
+        with pytest.raises(DomainError, match="torque_surface holds a non-finite value"):
+            CalibrationTable([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)), surface)
     with pytest.raises(DomainError, match="alpha=0"):
         CalibrationTable(
             np.array([0.0, 1.0]),

@@ -10,7 +10,7 @@ import numpy as np
 
 from softgrip.cli import (
     EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, MAX_PLAN_PROBES, MAX_PROBE_STEPS,
-    MAX_SETTLE_READS, main,
+    MAX_SETTLE_READS, _min_linear_r2, main,
 )
 from softgrip.config import (
     DEFAULTS,
@@ -333,6 +333,31 @@ def test_cli_calibrate_outputs(tmp_path):
     assert summary["hysteresis_gap_kpa_mean"] > 0.0
 
 
+def _per_column_r2(x, y):
+    """Reference: R^2 of one column's own straight-line fit; a constant column counts as 1.0."""
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
+    resid = y - np.polyval(np.polyfit(x, y, 1), x)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+
+
+def test_min_linear_r2_equals_the_per_column_fits():
+    # one least-squares solve for every column gives each column's own fit, up to rounding
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        n, k = int(rng.integers(2, 100)), int(rng.integers(2, 20))
+        x = np.cumsum(rng.uniform(0.05, 2.0, n))
+        slope = rng.choice([-1.0, 1.0], k) * rng.uniform(0.5, 2.0, k)
+        ys = slope * x[:, None] + rng.uniform(0.0, 10.0, k) * rng.normal(size=(n, k))
+        ys *= 10.0 ** rng.choice([-300, -1, 0, 300], k)  # magnitudes near 1e-300 and 1e300 too
+        # a constant with a short mantissa, so its mean is exact and its spread 0
+        ys[:, rng.integers(k)] = rng.integers(1, 1000) * 2.0 ** int(rng.integers(-1000, 1000))
+        expected = min(_per_column_r2(x, ys[:, j]) for j in range(k))
+        assert _min_linear_r2(x, ys) == pytest.approx(expected, rel=1e-12, abs=0)
+    constant = np.full((5, 3), 3.0 * 2.0**-1000)
+    assert _min_linear_r2(np.arange(5.0), constant) == 1.0
+
+
 def test_cli_probe_cube_ordering(tmp_path):
     krs = {}
     for name in ("cube1", "cube2", "cube3"):
@@ -614,6 +639,7 @@ SPATIAL = {"kind": "linear_positions", "samples": [[0.0, 150.0], [90.0, 25.0]], 
 def _dry_run_case(
     key, value, message, command="probe", config=CUBES, run_flags=("--fixture", "cube1"), id=None
 ):
+    """A config with value at key, or with each of a tuple of values at its tuple of keys."""
     return pytest.param(command, config, run_flags, key, value, message, id=id or f"{command}-{key}-{value}")
 
 
@@ -738,19 +764,46 @@ def _dry_run_case(
             "sensitivity takes a uniform fixture, the scenario command a spatial one\n",
             command="sensitivity", run_flags=("--fixture", "cube3,cube1"), id="sensitivity-spatial---fixture",
         ),
+        # pressures whose sweep overflows the float range
+        _dry_run_case(
+            "calibration.locked.p0_grid_kpa", [0, 1e306],
+            "config error: calibration.locked: dp_surface holds a non-finite value\n",
+            command="calibrate", run_flags=(), id="calibrate-locked-p0-overflows",
+        ),
+        _dry_run_case(
+            "calibration.regulated", {"p_max_kpa": 1e306, "p_step_kpa": 1e305},
+            "config error: calibration.regulated: torque_surface holds a non-finite value\n",
+            command="calibrate", run_flags=(), id="calibrate-regulated-p-overflows",
+        ),
+        _dry_run_case(
+            "probe.p0_kpa", 1e306,
+            "config error: probe.p0_kpa: p0 1e+306 kPa takes the swept pressures, or their sum, past the float range\n",
+            command="calibrate", run_flags=(), id="calibrate-hysteresis-p0-overflows",
+        ),
+        _dry_run_case(  # the sum of finite pressures overflows the mean hysteresis gap
+            ("plant.ring.v0_mm3", "plant.ring.leak_rate_per_s", "probe.p0_kpa"), (1.0, 1e-3, 1e308),
+            "config error: probe.p0_kpa: p0 1e+308 kPa takes the swept pressures, or their sum, past the float range\n",
+            command="calibrate", run_flags=(), id="calibrate-hysteresis-sum-overflows",
+        ),
+        _dry_run_case(  # with no ADC grid and a probe at 0 kPa only the table sees the overflow
+            ("calibration.locked.p0_grid_kpa", "probe.p0_kpa", "plant.sensor.quant_step_kpa"), ([0, 1e306], 0, 0),
+            "config error: calibration.locked: dp_surface holds a non-finite value\n",
+            id="probe-locked-p0-overflows",
+        ),
     ],
 )
 def test_cli_dry_run_rejects_bad_values(
     tmp_path, capsys, command, config, run_flags, key, value, message
 ):
-    # --dry-run builds what a run builds, so it fails with the run's own message
+    # --dry-run builds what a run builds, so it fails with the run's own message, on one line
     with open(config) as fh:
         doc = json.load(fh)
-    _set(doc, key, value)
+    for one_key, one_value in zip(key, value) if isinstance(key, tuple) else [(key, value)]:
+        _set(doc, one_key, one_value)
     path = _write(tmp_path, doc)
     assert main([command, "--config", path, *run_flags, "--dry-run"]) == EXIT_CONFIG
     dry = capsys.readouterr()
-    assert dry.out == "" and dry.err.startswith(message)
+    assert dry.out == "" and dry.err.startswith(message) and dry.err.count("\n") == 1
     out = tmp_path / "x"
     assert main([command, "--config", path, *run_flags, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == dry.err
