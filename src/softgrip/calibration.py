@@ -167,8 +167,8 @@ def hysteresis_sweep(model: RingModel, *, p0: float, alpha_max_deg: float, alpha
     """
     alpha_grid = _alpha_grid(alpha_max_deg, alpha_step_deg)
     path = np.radians(np.concatenate((alpha_grid, alpha_grid[::-1])))
-    state = leak_path(lock(RingState(p_gauge=float(p0)), model), model, path)
-    p = pressure_at_angle(state, model, path)
+    nv = leak_path(lock(RingState(p_gauge=float(p0)), model), model, path)
+    p = pressure_at_angle(nv, model, path)
     with np.errstate(over="ignore"):
         total = p.sum()  # finite only if every pressure is, and so is any mean of them or of their gaps
     if not math.isfinite(total):

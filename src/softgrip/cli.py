@@ -138,8 +138,8 @@ def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
     # a read sums settle_reads readings in ADC steps: each a true pressure, none
     # above hi's at the joint range, plus noise, taken as at most TAIL_SIGMAS
     # sigmas, the most a coarse grid's reading law reaches
-    q, locked = sensor.quant_step, lock(RingState(p_gauge=hi), ring)
-    top = max(sensor.full_scale, pressure_at_angle(locked, ring, math.radians(JOINT_RANGE_DEG)))
+    q, nv = sensor.quant_step, lock(RingState(p_gauge=hi), ring)
+    top = max(sensor.full_scale, pressure_at_angle(nv, ring, math.radians(JOINT_RANGE_DEG)))
     if q > 0 and not math.isfinite(reads * (top + TAIL_SIGMAS * sensor.sigma) / q):
         raise ConfigError(
             f"plant.sensor.quant_step_kpa {q!r} puts probe.settle_reads {reads} readings of up to {top:.6g} kPa "

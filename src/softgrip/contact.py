@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, RangeError, StateError
+from .errors import ConfigError, DomainError, RangeError
 from .geometry import FingerGeometry, _extent, tip_extent, tip_extent_inverse
-from .pneumatics import (
-    RingModel, RingState, _gas_pressure, _torque, _volume, joint_torque, pressure_at_angle,
-)
+from .pneumatics import RingModel, _gas_pressure, _torque, _volume, joint_torque, pressure_at_angle
 
 # Contact torques below this are treated as no resistance at all: the finger
 # does not move. Keeps the zero-stiffness limit well defined.
@@ -105,26 +103,27 @@ class EquilibriumResult:
     saturated: bool = False
 
 
-def _pressure(model, state, alpha):
-    """Gauge pressure of the locked ring at a float alpha in [0, alpha_max], unchecked."""
-    return max(_gas_pressure(model, state.nv_const, _volume(model, alpha)), 0.0)
+def _pressure(model, nv, alpha):
+    """Gauge pressure of the gas quantity nv at a float alpha in [0, alpha_max], unchecked."""
+    return max(_gas_pressure(model, nv, _volume(model, alpha)), 0.0)
 
 
-def _residual(geom, model, state, k_o, d_c, alpha):
+def _residual(geom, model, nv, k_o, d_c, alpha):
     """Joint torque minus contact-force torque at a float alpha in
     [alpha_slack, alpha_max], unchecked."""
-    torque = _torque(model, alpha - model.alpha_slack, _pressure(model, state, alpha))
+    torque = _torque(model, alpha - model.alpha_slack, _pressure(model, nv, alpha))
     return torque - k_o * (d_c - _extent(geom, math.sin, alpha)) * geom.tip_arm
 
 
 def solve_equilibrium(
     geom: FingerGeometry,
     model: RingModel,
-    state: RingState,
+    nv: float,
     k_o: float,
     d_c: float,
 ) -> EquilibriumResult:
-    """Bending angle, force, deformation and dp once the gripper has closed d_c.
+    """Bending angle, force, deformation and dp once the gripper has closed d_c
+    on a ring locked on the gas quantity nv (see pneumatics.lock).
 
     Inside the fabric dead zone the joint exerts no torque, so the finger yields
     freely until the object force vanishes; a closing shallower than the dead-zone
@@ -141,8 +140,6 @@ def solve_equilibrium(
     falls outside the open bracket, or when the bracket has not halved over the
     last three steps.
     """
-    if not state.locked:
-        raise StateError("solve_equilibrium requires a locked ring")
     if d_c < 0:
         raise DomainError(f"closing distance must be non-negative, got {d_c}")
 
@@ -155,7 +152,7 @@ def solve_equilibrium(
     if d_c <= e_slack:
         # free bend: zero-torque yield until the deformation is absorbed
         alpha = tip_extent_inverse(geom, d_c)
-        dp = _pressure(model, state, alpha) - _pressure(model, state, 0.0)
+        dp = _pressure(model, nv, alpha) - _pressure(model, nv, 0.0)
         return EquilibriumResult(alpha, 0.0, 0.0, dp)
     if slack < model.alpha_slack:
         # the dead zone spans the joint range: no torque resists the spring
@@ -164,7 +161,7 @@ def solve_equilibrium(
     # the balance is negative at lo and non-negative at hi throughout
     lo, hi = slack, geom.alpha_max
     f_lo = -k_o * (d_c - e_slack) * geom.tip_arm
-    f_hi = _residual(geom, model, state, k_o, d_c, hi)
+    f_hi = _residual(geom, model, nv, k_o, d_c, hi)
     if f_hi < 0.0:
         # spring dominates everywhere: rigid-object limit, no fingertip yield
         return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0, saturated=True)
@@ -178,7 +175,7 @@ def solve_equilibrium(
         if not lo < alpha < hi or 2.0 * (hi - lo) > widths[0]:
             alpha = 0.5 * (lo + hi)
         widths = (*widths[1:], hi - lo)
-        f = _residual(geom, model, state, k_o, d_c, alpha)
+        f = _residual(geom, model, nv, k_o, d_c, alpha)
         if f < 0.0:
             lo, f_lo = alpha, f
             if kept == 1:
@@ -191,14 +188,14 @@ def solve_equilibrium(
             kept = -1
     alpha = 0.5 * (lo + hi)
     delta = d_c - _extent(geom, math.sin, alpha)
-    dp = _pressure(model, state, alpha) - _pressure(model, state, 0.0)
+    dp = _pressure(model, nv, alpha) - _pressure(model, nv, 0.0)
     return EquilibriumResult(alpha, k_o * delta, delta, dp)
 
 
 def solve_equilibrium_bruteforce(
     geom: FingerGeometry,
     model: RingModel,
-    state: RingState,
+    nv: float,
     k_o: float,
     d_c: float,
     step_deg: float = 1e-3,
@@ -207,17 +204,15 @@ def solve_equilibrium_bruteforce(
 
     Verification only; O(alpha_max / step) residual evaluations, vectorized.
     """
-    if not state.locked:
-        raise StateError("solve_equilibrium_bruteforce requires a locked ring")
     if d_c < 0:
         raise DomainError(f"closing distance must be non-negative, got {d_c}")
-    p0 = pressure_at_angle(state, model, 0.0)
+    p0 = pressure_at_angle(nv, model, 0.0)
 
     if k_o * geom.tip_arm * d_c <= TORQUE_FLOOR:
         return EquilibriumResult(0.0, k_o * d_c, d_c, 0.0)
 
     alphas = np.arange(0.0, geom.alpha_max + 1e-12, math.radians(step_deg))
-    torque = joint_torque(model, alphas, pressure_at_angle(state, model, alphas))
+    torque = joint_torque(model, alphas, pressure_at_angle(nv, model, alphas))
     signs = np.signbit(torque - k_o * (d_c - tip_extent(geom, alphas)) * geom.tip_arm)
     crossings = np.nonzero(signs[:-1] & ~signs[1:])[0]
     if crossings.size == 0:
@@ -227,5 +222,5 @@ def solve_equilibrium_bruteforce(
     delta = d_c - tip_extent(geom, alpha)
     # free-bend roots carry no force by construction
     force = 0.0 if alpha <= model.alpha_slack else k_o * delta
-    dp = pressure_at_angle(state, model, alpha) - p0
+    dp = pressure_at_angle(nv, model, alpha) - p0
     return EquilibriumResult(alpha, force, max(delta, 0.0) if alpha <= model.alpha_slack else delta, dp)

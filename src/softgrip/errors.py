@@ -10,7 +10,7 @@ class DomainError(SoftgripError, ValueError):
 
 
 class StateError(SoftgripError, RuntimeError):
-    """An operation was called in the wrong state (unlocked ring, double lock, ...)."""
+    """A GripperSim was asked to close or approach before its ring was locked."""
 
 
 class RangeError(SoftgripError, ValueError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, StateError
+from .errors import DomainError
 
 JOINT_RANGE_DEG = 80.0  # the ring's cavity must not empty over [0, JOINT_RANGE_DEG]
 
@@ -52,12 +52,10 @@ class RingModel:
 
 @dataclass(frozen=True)
 class RingState:
-    """Ring state, or states as arrays; nv_const is the conserved (p_abs * V) when locked."""
+    """The open ring that the valve closes on, or rings as arrays."""
 
     p_gauge: float = 0.0
     alpha: float = 0.0
-    locked: bool = False
-    nv_const: float = 0.0
 
     def __post_init__(self):
         if _lowest(self.p_gauge) < 0:
@@ -108,19 +106,15 @@ def volume_at_angle(model: RingModel, alpha):
     return volume
 
 
-def lock(state: RingState, model: RingModel) -> RingState:
-    """Close the valve, trapping the current amount of air."""
-    if state.locked:
-        raise StateError("ring is already locked")
-    nv = (state.p_gauge + model.p_atm) * volume_at_angle(model, state.alpha)
-    return replace(state, locked=True, nv_const=nv)
+def lock(state: RingState, model: RingModel):
+    """Close the valve, trapping the gas quantity nv = p_abs * V that the
+    isothermal law conserves; a float, or an array for array states."""
+    return (state.p_gauge + model.p_atm) * volume_at_angle(model, state.alpha)
 
 
-def pressure_at_angle(state: RingState, model: RingModel, alpha):
-    """Gauge pressure of the trapped air at bending angle alpha."""
-    if not state.locked:
-        raise StateError("pressure_at_angle requires a locked ring")
-    return _clip_negative(_gas_pressure(model, state.nv_const, volume_at_angle(model, alpha)))
+def pressure_at_angle(nv, model: RingModel, alpha):
+    """Gauge pressure of the trapped gas quantity nv at bending angle alpha."""
+    return _clip_negative(_gas_pressure(model, nv, volume_at_angle(model, alpha)))
 
 
 def joint_torque(model: RingModel, alpha, p_gauge):
@@ -135,23 +129,20 @@ def joint_torque(model: RingModel, alpha, p_gauge):
     return _torque(model, _clip_negative(alpha - model.alpha_slack), p_gauge)
 
 
-def leak_path(state: RingState, model: RingModel, alphas: np.ndarray) -> RingState:
-    """Locked ring state after a path through the angles alphas (rad), one second a step.
+def leak_path(nv: float, model: RingModel, alphas: np.ndarray) -> np.ndarray:
+    """Trapped gas quantity after each step of a path through the angles
+    alphas (rad), one second a step, starting from nv.
 
     Each step moves to the next angle and leaks the trapped gas quantity by
-    leak_rate, floored at atmospheric pressure at that angle. The result
-    holds the path in alpha and the gas quantity after each step in nv_const,
-    both arrays, ready for pressure_at_angle.
+    leak_rate, floored at atmospheric pressure at that angle. The result is
+    an array that pressure_at_angle takes with alphas.
     """
-    if not state.locked:
-        raise StateError("leak_path requires a locked ring")
     keep = 1.0 - model.leak_rate
-    nv = state.nv_const
     path = []
     for floor in (model.p_atm * volume_at_angle(model, alphas)).tolist():
         nv = max(nv * keep, floor)
         path.append(nv)
-    return replace(state, alpha=alphas, nv_const=np.array(path))
+    return np.array(path)
 
 
 @dataclass(frozen=True)

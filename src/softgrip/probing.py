@@ -124,26 +124,26 @@ class GripperSim:
         self.max_open = max_open
         self.stream = PressureSensor(sensor, seed=seed)
         self.opening = max_open
-        self.state: RingState | None = None
+        self.nv: float | None = None  # trapped gas quantity once locked (pneumatics.lock)
         self.rest_pressure: float | None = None  # true gauge pressure at alpha 0 once locked
         self.lock_reading: float | None = None
 
     def pressurize_and_lock(self, p0: float, settle_reads: int) -> None:
         """Open fully, regulate to p0 at rest, close the valve, record the baseline."""
         self.opening = self.max_open
-        self.state = lock(RingState(p_gauge=p0, alpha=0.0), self.ring)
-        self.rest_pressure = pressure_at_angle(self.state, self.ring, 0.0)
+        self.nv = lock(RingState(p_gauge=p0, alpha=0.0), self.ring)
+        self.rest_pressure = pressure_at_angle(self.nv, self.ring, 0.0)
         self.lock_reading = self.stream.read_avg(p0, settle_reads)
 
     def _plant_pressure(self) -> float:
         pen = max(0.0, self.surface_offset - self.opening)
         if pen <= 0.0:
             return self.rest_pressure
-        return self.rest_pressure + solve_equilibrium(self.geom, self.ring, self.state, self.k_object, pen).dp
+        return self.rest_pressure + solve_equilibrium(self.geom, self.ring, self.nv, self.k_object, pen).dp
 
     def close_to(self, opening: float, settle_reads: int) -> float:
         """Command an opening width and return the measured dp from the lock baseline."""
-        if self.state is None:
+        if self.nv is None:
             raise StateError("gripper must be pressurized and locked first")
         self.opening = max(0.0, opening)
         return self.stream.read_avg(self._plant_pressure(), settle_reads) - self.lock_reading
@@ -159,7 +159,7 @@ class GripperSim:
         is set before each yield; the caller sees only the dp values, and may
         stop at any one.
         """
-        if self.state is None:
+        if self.nv is None:
             raise StateError("gripper must be pressurized and locked first")
         free, opening = [], self.opening
         while opening > 0.0:
@@ -177,7 +177,7 @@ class GripperSim:
     def true_equilibrium(self) -> EquilibriumResult:
         """Ground-truth equilibrium at the current opening, solved afresh (tests only)."""
         pen = max(0.0, self.surface_offset - self.opening)
-        return solve_equilibrium(self.geom, self.ring, self.state, self.k_object, pen)
+        return solve_equilibrium(self.geom, self.ring, self.nv, self.k_object, pen)
 
 
 def detect_contact(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig):

@@ -93,10 +93,10 @@ def test_locked_sweep_grids(locked_table):
 
 def test_locked_sweep_matches_plant_pointwise(ring, locked_table):
     for j, p0 in enumerate(locked_table.p0_grid):
-        state = lock(RingState(p_gauge=float(p0), alpha=0.0), ring)
+        nv = lock(RingState(p_gauge=float(p0), alpha=0.0), ring)
         for i, a_deg in enumerate(locked_table.alpha_grid):
             alpha = math.radians(a_deg)
-            p = pressure_at_angle(state, ring, alpha)
+            p = pressure_at_angle(nv, ring, alpha)
             assert locked_table.dp_surface[i, j] == pytest.approx(p - p0, abs=1e-12)
             assert locked_table.torque_surface[i, j] == pytest.approx(
                 joint_torque(ring, alpha, p), rel=1e-12
@@ -118,10 +118,10 @@ def _scalar_locked_sweep(model, p0_grid, alpha_grid):
     dp = np.empty((alpha_grid.size, p0_grid.size))
     torque = np.empty_like(dp)
     for j, p0 in enumerate(p0_grid):
-        state = lock(RingState(p_gauge=float(p0), alpha=0.0), model)
+        nv = lock(RingState(p_gauge=float(p0), alpha=0.0), model)
         for i, a_deg in enumerate(alpha_grid):
             alpha = math.radians(a_deg)
-            p = pressure_at_angle(state, model, alpha)
+            p = pressure_at_angle(nv, model, alpha)
             dp[i, j] = p - p0 if a_deg > 0.0 else 0.0
             torque[i, j] = joint_torque(model, alpha, p)
     return dp, torque
@@ -201,22 +201,21 @@ def test_hysteresis_vanishes_without_leak():
 
 
 def _stepwise_hysteresis(model, p0, alpha_grid):
-    """Reference: the timed sweep as a loop of scalar leak steps, one RingState per step."""
+    """Reference: the timed sweep as a loop of scalar leak steps on the trapped gas quantity."""
 
-    def step(state, a_deg):
-        state = replace(state, alpha=math.radians(a_deg))
+    def step(nv, a_deg):
+        alpha = math.radians(a_deg)
         if model.leak_rate != 0.0:
-            floor = model.p_atm * volume_at_angle(model, state.alpha)
-            state = replace(state, nv_const=max(state.nv_const * (1.0 - model.leak_rate), floor))
-        return state, pressure_at_angle(state, model, state.alpha)
+            nv = max(nv * (1.0 - model.leak_rate), model.p_atm * volume_at_angle(model, alpha))
+        return nv, pressure_at_angle(nv, model, alpha)
 
-    state = lock(RingState(p_gauge=p0, alpha=0.0), model)
+    nv = lock(RingState(p_gauge=p0, alpha=0.0), model)
     forward, backward = [], []
     for a_deg in alpha_grid:
-        state, p = step(state, a_deg)
+        nv, p = step(nv, a_deg)
         forward.append(p)
     for a_deg in alpha_grid[::-1]:
-        state, p = step(state, a_deg)
+        nv, p = step(nv, a_deg)
         backward.append(p)
     return np.array(forward), np.array(backward[::-1])
 
@@ -277,8 +276,8 @@ def test_interp_tracks_plant_between_nodes(ring, locked_table):
     for _ in range(300):
         a_deg = float(rng.uniform(0.0, 80.0))
         p0 = float(rng.uniform(0.0, 80.0))
-        state = lock(RingState(p_gauge=p0, alpha=0.0), ring)
-        truth = pressure_at_angle(state, ring, math.radians(a_deg)) - p0
+        nv = lock(RingState(p_gauge=p0, alpha=0.0), ring)
+        truth = pressure_at_angle(nv, ring, math.radians(a_deg)) - p0
         assert interp_dp(locked_table, a_deg, p0) == pytest.approx(truth, abs=1e-2)
 
 
@@ -397,10 +396,10 @@ def test_force_from_dp_scales_with_moment_arm(geom, locked_table):
 def test_force_from_dp_matches_plant(ring, geom, locked_table):
     # drive the plant to a known angle and check the inferred force
     p0 = 60.0
-    state = lock(RingState(p_gauge=p0, alpha=0.0), ring)
+    nv = lock(RingState(p_gauge=p0, alpha=0.0), ring)
     for a_deg in (30.0, 45.0, 60.0, 75.0):
         alpha = math.radians(a_deg)
-        p = pressure_at_angle(state, ring, alpha)
+        p = pressure_at_angle(nv, ring, alpha)
         truth = joint_torque(ring, alpha, p) / geom.tip_arm
         alpha_deg, est = force_from_dp(locked_table, geom, p - p0, p0)
         assert alpha_deg == pytest.approx(a_deg, abs=0.05)

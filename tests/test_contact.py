@@ -15,7 +15,7 @@ from softgrip.contact import (
     solve_equilibrium_bruteforce,
     stiffness_at,
 )
-from softgrip.errors import ConfigError, DomainError, RangeError, SoftgripError, StateError
+from softgrip.errors import ConfigError, DomainError, RangeError, SoftgripError
 from softgrip.geometry import FingerGeometry, tip_extent, tip_extent_inverse
 from softgrip.pneumatics import RingModel, RingState, joint_torque, lock, pressure_at_angle
 
@@ -81,8 +81,8 @@ def test_profile_validation():
 
 
 def test_zero_stiffness_limit(geom, ring):
-    state = _locked(ring, 60.0)
-    eq = solve_equilibrium(geom, ring, state, 0.0, 30.0)
+    nv = _locked(ring, 60.0)
+    eq = solve_equilibrium(geom, ring, nv, 0.0, 30.0)
     assert eq.alpha_star == 0.0
     assert eq.force == 0.0
     assert eq.delta == 30.0
@@ -90,17 +90,17 @@ def test_zero_stiffness_limit(geom, ring):
 
 
 def test_no_closing_no_contact(geom, ring):
-    state = _locked(ring, 60.0)
-    eq = solve_equilibrium(geom, ring, state, 100.0, 0.0)
+    nv = _locked(ring, 60.0)
+    eq = solve_equilibrium(geom, ring, nv, 100.0, 0.0)
     assert eq.alpha_star == 0.0 and eq.delta == 0.0
     assert eq.force == 0.0
 
 
 def test_free_bend_inside_dead_zone(geom, ring):
     # a shallow closing is absorbed by the torque-free fabric slack
-    state = _locked(ring, 60.0)
+    nv = _locked(ring, 60.0)
     d_c = 10.0
-    eq = solve_equilibrium(geom, ring, state, 100.0, d_c)
+    eq = solve_equilibrium(geom, ring, nv, 100.0, d_c)
     assert eq.force == 0.0
     assert eq.delta == 0.0
     assert eq.alpha_star == pytest.approx(tip_extent_inverse(geom, d_c), abs=1e-12)
@@ -109,18 +109,18 @@ def test_free_bend_inside_dead_zone(geom, ring):
 
 
 def test_free_bend_boundary(geom, ring):
-    state = _locked(ring, 60.0)
+    nv = _locked(ring, 60.0)
     e_slack = tip_extent(geom, ring.alpha_slack)
-    eq = solve_equilibrium(geom, ring, state, 50.0, e_slack)
+    eq = solve_equilibrium(geom, ring, nv, 50.0, e_slack)
     assert eq.alpha_star == pytest.approx(ring.alpha_slack, abs=1e-9)
     assert eq.force == pytest.approx(0.0, abs=1e-9)
 
 
 def test_equilibrium_balances_torques(geom, ring):
-    state = _locked(ring, 60.0)
+    nv = _locked(ring, 60.0)
     for k in (30.0, 80.0, 200.0):
-        eq = solve_equilibrium(geom, ring, state, k, 30.0)
-        p = pressure_at_angle(state, ring, eq.alpha_star)
+        eq = solve_equilibrium(geom, ring, nv, k, 30.0)
+        p = pressure_at_angle(nv, ring, eq.alpha_star)
         lhs = joint_torque(ring, eq.alpha_star, p)
         rhs = k * eq.delta * geom.tip_arm
         assert lhs == pytest.approx(rhs, rel=2e-3)
@@ -129,37 +129,37 @@ def test_equilibrium_balances_torques(geom, ring):
 
 def test_rigid_object_limit(geom, ring):
     # an extremely stiff object barely deforms; the finger stops early
-    state = _locked(ring, 60.0)
-    eq = solve_equilibrium(geom, ring, state, 1e5, 30.0)
+    nv = _locked(ring, 60.0)
+    eq = solve_equilibrium(geom, ring, nv, 1e5, 30.0)
     assert eq.delta < 0.05
     assert tip_extent(geom, eq.alpha_star) == pytest.approx(30.0, abs=0.05)
 
 
 def test_saturation_branch(geom, ring):
     # stiff object with a closing deeper than the finger can absorb: no root
-    state = _locked(ring, 0.0)
-    eq = solve_equilibrium(geom, ring, state, 1e9, 55.0)
+    nv = _locked(ring, 0.0)
+    eq = solve_equilibrium(geom, ring, nv, 1e9, 55.0)
     assert eq.saturated
     assert eq.alpha_star == 0.0
     assert eq.force == pytest.approx(1e9 * 55.0)
 
 
 def test_stiffer_object_larger_pressure_rise(geom, ring):
-    state = _locked(ring, 60.0)
-    dps = [solve_equilibrium(geom, ring, state, k, 30.0).dp for k in (10, 50, 100, 200, 400)]
+    nv = _locked(ring, 60.0)
+    dps = [solve_equilibrium(geom, ring, nv, k, 30.0).dp for k in (10, 50, 100, 200, 400)]
     assert all(b > a for a, b in zip(dps, dps[1:]))
 
 
 def test_deeper_closing_larger_pressure_rise(geom, ring):
-    state = _locked(ring, 60.0)
-    dps = [solve_equilibrium(geom, ring, state, 100.0, dc).dp for dc in (10, 20, 30, 40)]
+    nv = _locked(ring, 60.0)
+    dps = [solve_equilibrium(geom, ring, nv, 100.0, dc).dp for dc in (10, 20, 30, 40)]
     assert all(b > a for a, b in zip(dps, dps[1:]))
 
 
 def test_solver_matches_bruteforce_reference_case(geom, ring):
-    state = _locked(ring, 60.0)
-    fast = solve_equilibrium(geom, ring, state, 202.39, 30.0)
-    slow = solve_equilibrium_bruteforce(geom, ring, state, 202.39, 30.0)
+    nv = _locked(ring, 60.0)
+    fast = solve_equilibrium(geom, ring, nv, 202.39, 30.0)
+    slow = solve_equilibrium_bruteforce(geom, ring, nv, 202.39, 30.0)
     assert abs(fast.alpha_star - slow.alpha_star) <= math.radians(0.01)
     assert fast.force == pytest.approx(slow.force, rel=5e-3)
 
@@ -170,9 +170,9 @@ def test_solver_matches_bruteforce_randomized(geom, ring):
         k = float(rng.uniform(10.0, 500.0))
         p0 = float(rng.uniform(0.0, 80.0))
         d_c = float(rng.uniform(2.0, 45.0))
-        state = _locked(ring, p0)
-        fast = solve_equilibrium(geom, ring, state, k, d_c)
-        slow = solve_equilibrium_bruteforce(geom, ring, state, k, d_c)
+        nv = _locked(ring, p0)
+        fast = solve_equilibrium(geom, ring, nv, k, d_c)
+        slow = solve_equilibrium_bruteforce(geom, ring, nv, k, d_c)
         assert fast.saturated == slow.saturated
         assert abs(fast.alpha_star - slow.alpha_star) <= math.radians(0.01)
         # half a grid cell of the oracle is its own force resolution
@@ -181,7 +181,7 @@ def test_solver_matches_bruteforce_randomized(geom, ring):
 
 
 def _random_plant(rng):
-    """(geom, ring, state, k_o, d_c) drawn over the valid ranges; the fingertip
+    """(geom, ring, nv, k_o, d_c) drawn over the valid ranges; the fingertip
     extent increases over [0, alpha_max] from zero at rest."""
     ring = RingModel(
         v0=float(rng.uniform(1000.0, 10000.0)),
@@ -195,16 +195,16 @@ def _random_plant(rng):
     geom = FingerGeometry(a=a, b=b, alpha_max=alpha_max)
     d_c = float(rng.uniform(0.0, tip_extent(geom, alpha_max) + 10.0))
     k = float(rng.uniform(10.0, 500.0))
-    state = _locked(ring, float(rng.uniform(0.0, 80.0)))
-    return geom, ring, state, k, d_c
+    nv = _locked(ring, float(rng.uniform(0.0, 80.0)))
+    return geom, ring, nv, k, d_c
 
 
 def test_solver_matches_bruteforce_random_plants():
     rng = np.random.default_rng(33)
     for _ in range(60):
-        geom, ring, state, k, d_c = _random_plant(rng)
-        fast = solve_equilibrium(geom, ring, state, k, d_c)
-        slow = solve_equilibrium_bruteforce(geom, ring, state, k, d_c)
+        geom, ring, nv, k, d_c = _random_plant(rng)
+        fast = solve_equilibrium(geom, ring, nv, k, d_c)
+        slow = solve_equilibrium_bruteforce(geom, ring, nv, k, d_c)
         assert fast.saturated == slow.saturated
         assert abs(fast.alpha_star - slow.alpha_star) <= math.radians(0.01)
         floor = k * geom.radius * math.radians(5e-4)
@@ -212,46 +212,39 @@ def test_solver_matches_bruteforce_random_plants():
 
 
 def test_residual_sign_flips_around_root(geom, ring):
-    state = _locked(ring, 60.0)
+    nv = _locked(ring, 60.0)
     for k in (30.0, 150.0, 400.0):
-        eq = solve_equilibrium(geom, ring, state, k, 30.0)
+        eq = solve_equilibrium(geom, ring, nv, k, 30.0)
         assert not eq.saturated and eq.force > 0.0
         eps = 1e-3
-        assert _residual(geom, ring, state, k, 30.0, eq.alpha_star - eps) < 0.0
-        assert _residual(geom, ring, state, k, 30.0, eq.alpha_star + eps) > 0.0
+        assert _residual(geom, ring, nv, k, 30.0, eq.alpha_star - eps) < 0.0
+        assert _residual(geom, ring, nv, k, 30.0, eq.alpha_star + eps) > 0.0
 
 
 def test_bruteforce_free_bend(geom, ring):
-    state = _locked(ring, 60.0)
-    eq = solve_equilibrium_bruteforce(geom, ring, state, 100.0, 10.0)
+    nv = _locked(ring, 60.0)
+    eq = solve_equilibrium_bruteforce(geom, ring, nv, 100.0, 10.0)
     assert eq.force == 0.0
     assert eq.alpha_star == pytest.approx(tip_extent_inverse(geom, 10.0), abs=math.radians(0.01))
 
 
-def test_solver_requires_locked_state(geom, ring):
-    with pytest.raises(StateError):
-        solve_equilibrium(geom, ring, RingState(p_gauge=60.0), 50.0, 30.0)
-    with pytest.raises(StateError):
-        solve_equilibrium_bruteforce(geom, ring, RingState(p_gauge=60.0), 50.0, 30.0)
-
-
 def test_solver_rejects_negative_closing(geom, ring):
-    state = _locked(ring, 60.0)
+    nv = _locked(ring, 60.0)
     with pytest.raises(DomainError):
-        solve_equilibrium(geom, ring, state, 50.0, -1.0)
+        solve_equilibrium(geom, ring, nv, 50.0, -1.0)
 
 
-def _bisection_reference(geom, ring, state, k_o, d_c):
+def _bisection_reference(geom, ring, nv, k_o, d_c):
     """The plain bisection the solver used before its Illinois step: (alpha or
     None when saturated, residual evaluations including the one at alpha_max)."""
     lo, hi = min(ring.alpha_slack, geom.alpha_max), geom.alpha_max
     evals = 1
-    if _residual(geom, ring, state, k_o, d_c, hi) < 0.0:
+    if _residual(geom, ring, nv, k_o, d_c, hi) < 0.0:
         return None, evals
     while hi - lo > ALPHA_TOL:
         mid = 0.5 * (lo + hi)
         evals += 1
-        if _residual(geom, ring, state, k_o, d_c, mid) < 0.0:
+        if _residual(geom, ring, nv, k_o, d_c, mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -272,15 +265,15 @@ def test_solver_matches_bisection_reference(monkeypatch):
     costs = []
     saturated = 0
     for _ in range(1500):
-        geom, ring, state, k, d_c = _random_plant(rng)
+        geom, ring, nv, k, d_c = _random_plant(rng)
         slack = min(ring.alpha_slack, geom.alpha_max)
         evals[0] = 0
-        eq = solve_equilibrium(geom, ring, state, k, d_c)
+        eq = solve_equilibrium(geom, ring, nv, k, d_c)
         cost = evals[0]
         if k * geom.tip_arm * d_c <= softgrip.contact.TORQUE_FLOOR or d_c <= tip_extent(geom, slack):
             assert cost == 0  # no-resistance and free-bend solves never bracket
             continue
-        ref, ref_cost = _bisection_reference(geom, ring, state, k, d_c)
+        ref, ref_cost = _bisection_reference(geom, ring, nv, k, d_c)
         assert eq.saturated == (ref is None)
         if ref is None:
             saturated += 1
@@ -310,10 +303,10 @@ SOLVE_DIGEST = "2beb2e2ce3e382a779812fcdec0c1922be5aa30fb081e105b66481cf03aba3dc
 def test_solver_outcomes_are_bit_identical():
     rng = np.random.default_rng(2718)
     cases = [_random_plant(rng) for _ in range(2000)]
-    for geom, ring, state, k, d_c in cases[::10]:
-        cases.append((geom, ring, state, 0.0, d_c))  # k_o 0: no resistance
-        cases.append((geom, ring, state, k, -d_c - 1.0))  # DomainError
-        cases.append((geom, ring, state, 1e9, d_c))  # mostly saturated
+    for geom, ring, nv, k, d_c in cases[::10]:
+        cases.append((geom, ring, nv, 0.0, d_c))  # k_o 0: no resistance
+        cases.append((geom, ring, nv, k, -d_c - 1.0))  # DomainError
+        cases.append((geom, ring, nv, 1e9, d_c))  # mostly saturated
     stiff_ring = RingModel(alpha_slack=math.radians(30.0))
     short = FingerGeometry(alpha_max=math.radians(25.0))  # alpha_max below alpha_slack
     for d_c in (0.0, 5.0, tip_extent(short, short.alpha_max), 20.0, 40.0):

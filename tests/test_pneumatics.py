@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from softgrip import pneumatics
-from softgrip.errors import DomainError, StateError
+from softgrip.errors import DomainError
 from softgrip.pneumatics import (
     LEVELS,
     REST_MEAN,
@@ -55,27 +55,20 @@ def test_volume_strictly_decreasing(ring):
 
 
 def test_lock_traps_gas_quantity(ring):
-    state = _locked(ring, 60.0)
-    assert state.nv_const == pytest.approx(806625.0)
-    assert state.locked
-
-
-def test_double_lock_rejected(ring):
-    state = _locked(ring, 60.0)
-    with pytest.raises(StateError):
-        lock(state, ring)
+    nv = _locked(ring, 60.0)
+    assert nv == pytest.approx(806625.0)
 
 
 def test_pressure_at_lock_angle_unchanged(ring):
     for p0 in (0.0, 20.0, 60.0, 150.0):
-        state = _locked(ring, p0)
-        assert pressure_at_angle(state, ring, 0.0) == pytest.approx(p0, abs=1e-12)
+        nv = _locked(ring, p0)
+        assert pressure_at_angle(nv, ring, 0.0) == pytest.approx(p0, abs=1e-12)
 
 
 def test_pressure_frozen_value():
     model = RingModel(kappa=0.15)
-    state = _locked(model, 60.0)
-    dp = pressure_at_angle(state, model, math.radians(20.0)) - 60.0
+    nv = _locked(model, 60.0)
+    dp = pressure_at_angle(nv, model, math.radians(20.0)) - 60.0
     assert dp == pytest.approx(8.913676244087965, abs=1e-9)
 
 
@@ -95,43 +88,38 @@ def test_pressure_matches_ode_oracle(ring):
         k4 = f(al + h, p + h * k3)
         p += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
         al += h
-    state = _locked(ring, p0)
-    assert pressure_at_angle(state, ring, alpha_end) == pytest.approx(p, abs=1e-8)
+    nv = _locked(ring, p0)
+    assert pressure_at_angle(nv, ring, alpha_end) == pytest.approx(p, abs=1e-8)
 
 
 def test_gas_law_invariant_along_sweep(ring):
-    state = _locked(ring, 40.0)
+    nv = _locked(ring, 40.0)
     for alpha in np.linspace(0.0, math.radians(80.0), 33):
-        p = pressure_at_angle(state, ring, float(alpha))
+        p = pressure_at_angle(nv, ring, float(alpha))
         assert (p + ring.p_atm) * volume_at_angle(ring, float(alpha)) == pytest.approx(
-            state.nv_const, rel=1e-12
+            nv, rel=1e-12
         )
 
 
 def test_pressure_rigid_cavity_constant():
     model = RingModel(kappa=0.0)
-    state = _locked(model, 60.0)
+    nv = _locked(model, 60.0)
     for alpha in (0.0, 0.4, 1.2):
-        assert pressure_at_angle(state, model, alpha) == pytest.approx(60.0)
+        assert pressure_at_angle(nv, model, alpha) == pytest.approx(60.0)
 
 
 def test_pressure_rise_strictly_increasing(ring):
-    state = _locked(ring, 60.0)
+    nv = _locked(ring, 60.0)
     grid = np.linspace(0.0, math.radians(80.0), 81)
-    ps = [pressure_at_angle(state, ring, float(a)) for a in grid]
+    ps = [pressure_at_angle(nv, ring, float(a)) for a in grid]
     assert all(b > a for a, b in zip(ps, ps[1:]))
-
-
-def test_pressure_requires_locked_ring(ring):
-    with pytest.raises(StateError):
-        pressure_at_angle(RingState(p_gauge=60.0), ring, 0.1)
 
 
 def test_pressure_rise_nearly_linear_in_angle(ring):
     # fit dp vs alpha over [0, 60 deg]; R^2 must stay high for the estimator
-    state = _locked(ring, 60.0)
+    nv = _locked(ring, 60.0)
     alphas = np.radians(np.arange(0.0, 61.0))
-    dps = np.array([pressure_at_angle(state, ring, a) - 60.0 for a in alphas])
+    dps = np.array([pressure_at_angle(nv, ring, a) - 60.0 for a in alphas])
     coef = np.polyfit(alphas, dps, 1)
     resid = dps - np.polyval(coef, alphas)
     r2 = 1.0 - np.sum(resid**2) / np.sum((dps - dps.mean()) ** 2)
@@ -160,38 +148,35 @@ def test_torque_closed_form(ring):
 
 def test_leak_reduces_gas_quantity(ring):
     model = RingModel(leak_rate=1e-2)
-    state = _locked(model, 60.0)
-    leaked = leak_path(state, model, np.zeros(2))
-    assert leaked.nv_const[0] == pytest.approx(0.99 * state.nv_const, rel=1e-12)
-    assert leaked.nv_const[1] == pytest.approx(0.99**2 * state.nv_const, rel=1e-12)
-    assert leaked.alpha.shape == (2,)
+    nv = _locked(model, 60.0)
+    leaked = leak_path(nv, model, np.zeros(2))
+    assert leaked[0] == pytest.approx(0.99 * nv, rel=1e-12)
+    assert leaked[1] == pytest.approx(0.99**2 * nv, rel=1e-12)
 
 
 def test_leak_noop_cases(ring):
     path = np.radians([0.0, 30.0, 60.0])
     model = RingModel(leak_rate=0.0)
-    state = _locked(model, 60.0)
-    assert np.all(leak_path(state, model, path).nv_const == state.nv_const)
-    with pytest.raises(StateError):
-        leak_path(RingState(p_gauge=60.0), ring, path)
+    nv = _locked(model, 60.0)
+    assert np.all(leak_path(nv, model, path) == nv)
 
 
 def test_leak_floors_at_atmospheric(ring):
     model = RingModel(leak_rate=0.5e6)
-    state = _locked(model, 60.0)
+    nv = _locked(model, 60.0)
     path = np.radians([0.0, 40.0])
-    leaked = leak_path(state, model, path)
-    assert leaked.nv_const[0] == pytest.approx(model.p_atm * model.v0)
-    assert leaked.nv_const[1] == pytest.approx(model.p_atm * volume_at_angle(model, path[1]))
+    leaked = leak_path(nv, model, path)
+    assert leaked[0] == pytest.approx(model.p_atm * model.v0)
+    assert leaked[1] == pytest.approx(model.p_atm * volume_at_angle(model, path[1]))
     assert np.all(pressure_at_angle(leaked, model, path) == 0.0)
 
 
 def test_leak_lowers_pressure_at_same_angle(ring):
     model = RingModel(leak_rate=2e-2)
-    state = _locked(model, 60.0)
+    nv = _locked(model, 60.0)
     alpha = math.radians(40.0)
-    before = pressure_at_angle(state, model, alpha)
-    after = pressure_at_angle(leak_path(state, model, np.full(1, alpha)), model, alpha)
+    before = pressure_at_angle(nv, model, alpha)
+    after = pressure_at_angle(leak_path(nv, model, np.full(1, alpha)), model, alpha)
     assert after[0] < before
 
 

@@ -304,7 +304,7 @@ def test_probe_solves_each_contact_step_once(geom, ring, sensor, locked_table, m
     truth = sim.true_equilibrium()
     assert len(solves) == len(probe_solves) + 1
     assert truth == probe_solves[-1]
-    assert truth == solve_equilibrium(geom, ring, sim.state, 100.0, 40.0 - sim.opening)
+    assert truth == solve_equilibrium(geom, ring, sim.nv, 100.0, 40.0 - sim.opening)
 
     # out of contact close_to solves nothing and true_equilibrium solves alone
     sim.close_to(42.0, 8)
