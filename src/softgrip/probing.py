@@ -222,9 +222,11 @@ def probe(
     contact opening and the lock-referenced dp measured there. The trace
     stores dp relative to that contact baseline so approach-phase offsets do
     not bias k_r; the estimation uses the lock-referenced dp, which the table
-    is built from. Like every estimate, the saturated flag comes from the
-    sensor alone: a last step whose dp does not rise above the contact
-    threshold means the finger could not yield to the object.
+    is built from. Like every estimate, the flags come from the sensor
+    alone: a last step whose dp does not rise above the contact threshold
+    means the finger could not yield to the object (saturated), and one that
+    rises above it but inverts inside the fabric dead zone, where the table's
+    torque is zero whatever the object, measured no force (dead_zone).
     """
     trace = []
     for i in range(1, cfg.n_probe_steps + 1):
@@ -249,6 +251,10 @@ def probe(
         # (a ring property) reaches further than this finger can bend
         report.flags.append("out_of_table")
         return report
+    signal = dp_lock > cfg.threshold(sim.stream.model)
+    if signal and force == 0.0:
+        report.flags.append("dead_zone")
+        return report
 
     report.est_force = force
     # a last command below zero is clipped at the fully-shut stop: divide by the
@@ -263,7 +269,7 @@ def probe(
         report.flags.append("degenerate_deformation")
     else:
         report.k_o_est = 0.0
-    if dp_lock <= cfg.threshold(sim.stream.model):
+    if not signal:
         report.flags.append("saturated")
     return report
 
@@ -296,7 +302,7 @@ def sensitivity_sweep(
     Returns (ranked, left_out): ranked a list of (p0, d_c, separation_kpa, z)
     sorted by descending z, left_out the (p0, d_c) pairs where either object's
     probe carries a flag (for example a closing past the travel left, which
-    is never applied), in grid order. Deterministic: probes run without
+    is never applied, or one that ends in the dead zone), in grid order. Deterministic: probes run without
     noise, and sigma comes from the sensor model.
     """
     quiet = sensor.noiseless()

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from softgrip.cli import EXIT_CONFIG, EXIT_OK, main
+from softgrip.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, main
 from softgrip.config import build_fixture, load_config
 from softgrip.contact import ObjectModel
 from softgrip.geometry import FingerGeometry
@@ -20,11 +20,13 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 CUBES = os.path.join(CONFIG_DIR, "cubes.json")
 BANANA = os.path.join(CONFIG_DIR, "banana.json")
 
+# (config, arguments, exit code); bundled sensitivity leaves out its 10 mm
+# closings, whose probes end in the fabric dead zone (dead_zone)
 COMMANDS = {
-    "calibrate": (CUBES, []),
-    "probe": (CUBES, ["--fixture", "cube3"]),
-    "scenario": (BANANA, []),
-    "sensitivity": (CUBES, []),
+    "calibrate": (CUBES, [], EXIT_OK),
+    "probe": (CUBES, ["--fixture", "cube3"], EXIT_OK),
+    "scenario": (BANANA, [], EXIT_OK),
+    "sensitivity": (CUBES, [], EXIT_RUNTIME_FLAG),
 }
 
 
@@ -41,14 +43,14 @@ def _counted(init, name, built):
 @pytest.mark.parametrize("noise", ["on", "off"])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_each_model_is_built_once_per_command(tmp_path, monkeypatch, command, noise):
-    config, names = COMMANDS[command]
+    config, names, code = COMMANDS[command]
     cfg = load_config(config)
     fixtures = sorted(repr(build_fixture(cfg, name)) for name in cfg["fixtures"])
     built = {cls.__name__: [] for cls in (FingerGeometry, RingModel, SensorModel, ProbeConfig, ObjectModel)}
     for cls in (FingerGeometry, RingModel, SensorModel, ProbeConfig, ObjectModel):
         monkeypatch.setattr(cls, "__init__", _counted(cls.__init__, cls.__name__, built))
     argv = [command, "--config", config, *names, "--noise", noise, "--out", str(tmp_path / "out")]
-    assert main(argv) == EXIT_OK
+    assert main(argv) == code
     counts = {name: len(reprs) for name, reprs in built.items() if name != "ObjectModel"}
     assert counts == {"FingerGeometry": 1, "RingModel": 1, "SensorModel": 1, "ProbeConfig": 1}
     assert sorted(built["ObjectModel"]) == fixtures  # every fixture, each once

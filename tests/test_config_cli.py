@@ -200,10 +200,11 @@ def test_cli_calibrate_golden_csv(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, digests",
+    "argv, code, digests",
     [
         (
             ["probe", "--config", CUBES, "--fixture", "cube3", "--noise", "on"],
+            EXIT_OK,
             {
                 "probe_cube3.json": "0d6d82779ae83da26e842c3c70b22c55a9456ecd2640da9e75afc1105756d104",
                 "probe_cube3_trace.csv": "e676438909583e668589833a85b90d24b327b64788f6354e785381f39a3da944",
@@ -212,6 +213,7 @@ def test_cli_calibrate_golden_csv(tmp_path):
         ),
         (
             ["probe", "--config", CUBES, "--fixture", "cube3", "--noise", "off"],
+            EXIT_OK,
             {
                 "probe_cube3.json": "dc4bf34d3d40fa541a1b09c10a86eee9255a3b71ea26c364d1129513c24d4785",
                 "probe_cube3_trace.csv": "ad5226e93aab1b99ab03a81f54203ae1fe683263c0b2ab28daba4cb22bda20e7",
@@ -220,6 +222,7 @@ def test_cli_calibrate_golden_csv(tmp_path):
         ),
         (
             ["scenario", "--config", BANANA],
+            EXIT_OK,
             {
                 "stiffness_map.json": "e41f837598b7faf91b5931ef4de0add39412f819c21df5c06a366557b15995d6",
                 "stiffness_map.csv": "64281c5c4438041f5e15c996e27978d936e1365ea5f20fb3af93c639aa93a934",
@@ -229,6 +232,7 @@ def test_cli_calibrate_golden_csv(tmp_path):
         ),
         (
             ["scenario", "--config", ORANGE],
+            EXIT_OK,
             {
                 "stiffness_map.json": "d051ca3807ffe5a7c746c9d364e045d85f6c13c1b2cad430866a2285708d99eb",
                 "stiffness_map.csv": "e4fecc68478be27bca44cbe1a41c7a6ac0b8a303f1e11246043d1f930bedca70",
@@ -238,18 +242,19 @@ def test_cli_calibrate_golden_csv(tmp_path):
         ),
         (
             ["sensitivity", "--config", CUBES],
+            EXIT_RUNTIME_FLAG,  # the 10 mm closings end in the dead zone and are left out
             {
-                "sensitivity.csv": "254c6db1805ba56b3663b91d2dd8f56462e9b9b544821a5b20105edaf867928c",
+                "sensitivity.csv": "11f3f575b222a3247c734fdca02b3802eb36ffcd5e71fc4b70e5af755e5dd7e2",
                 "run_meta.json": "aa3fb7d861838af65cee141192bc186629a60c7f9e9d7be0e7e1c1e73aad0944",
             },
         ),
     ],
     ids=["probe-cube3-noise", "probe-cube3-quiet", "scenario-banana", "scenario-orange", "sensitivity-cubes"],
 )
-def test_cli_golden_digests(tmp_path, argv, digests):
+def test_cli_golden_digests(tmp_path, argv, code, digests):
     """Every file a command writes, run_meta.json included, is pinned byte for byte."""
     out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert main([*argv, "--out", str(out)]) == code
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == digests
 
 
@@ -413,6 +418,22 @@ def test_cli_probe_saturated(tmp_path, capsys):
     assert main(["probe", "--config", path, "--fixture", "cube1", "--out", str(tmp_path / "soft")]) == EXIT_OK
 
 
+def test_cli_probe_dead_zone(tmp_path, capsys):
+    # a 10 mm closing ends inside the fabric dead zone: no force, stiffness or deformation is reported
+    with open(CUBES) as fh:
+        doc = json.load(fh)
+    _set(doc, "probe.probe_step_mm", 2)
+    path = _write(tmp_path, doc)
+    for noise in ("on", "off"):
+        out = tmp_path / noise
+        code = main(["probe", "--config", path, "--fixture", "cube1", "--noise", noise, "--out", str(out)])
+        assert code == EXIT_RUNTIME_FLAG
+        assert capsys.readouterr().err == "probe finished with flags: dead_zone\n"
+        report = json.loads((out / "probe_cube1.json").read_text())
+        assert report["flags"] == ["dead_zone"]
+        assert [report[key] for key in ("est_force", "k_r", "k_o_est", "est_delta")] == [None] * 4
+
+
 @pytest.mark.parametrize("fixture, alpha_max", [("cube1", 30.0), ("cube3", 20.0)])
 def test_cli_probe_out_of_table(tmp_path, capsys, fixture, alpha_max):
     # a table that stops at alpha_max cannot invert the last reading of a deeper bend
@@ -507,12 +528,19 @@ def test_cli_scenario_no_safe_grasp_writes_map(tmp_path, capsys):
     assert all("damage_risk" in e["flags"] for e in smap["entries"])
 
 
-def test_cli_sensitivity(tmp_path):
+def test_cli_sensitivity(tmp_path, capsys):
+    # every probe of a 10 mm closing ends in the fabric dead zone (dead_zone), so those pairs are left out
     out = str(tmp_path / "sens")
-    assert main(["sensitivity", "--config", CUBES, "--out", out]) == EXIT_OK
+    assert main(["sensitivity", "--config", CUBES, "--out", out]) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == (
+        "sensitivity left out flagged pairs: "
+        + "; ".join(f"p0={p0:.1f} kPa d_c=10.0 mm" for p0 in (0, 20, 40, 60, 80))
+        + "\n"
+    )
     lines = (tmp_path / "sens" / "sensitivity.csv").read_text().splitlines()
     assert lines[0] == "p0_kpa,dc_mm,separation_kpa,z"
-    assert len(lines) == 1 + 5 * 7
+    assert len(lines) == 1 + 5 * 6
+    assert all(ln.split(",")[1] != "10.0" for ln in lines[1:])
     zs = [float(ln.split(",")[3]) for ln in lines[1:]]
     assert zs == sorted(zs, reverse=True)
 
@@ -552,7 +580,9 @@ def test_cli_sensitivity_fixture_override(tmp_path):
     code = main(
         ["sensitivity", "--config", CUBES, "--fixture", "cube1,cube3", "--out", out]
     )
-    assert code == EXIT_OK
+    assert code == EXIT_RUNTIME_FLAG  # the 10 mm closings end in the dead zone
+    lines = (tmp_path / "sens2" / "sensitivity.csv").read_text().splitlines()
+    assert len(lines) == 1 + 5 * 6
 
 
 def test_cli_seed_override_changes_outputs(tmp_path):
@@ -584,16 +614,16 @@ def _int_spelled(node):
 
 
 @pytest.mark.parametrize(
-    "config, argv",
+    "config, argv, code",
     [
-        (CUBES, ["calibrate"]),
-        (CUBES, ["probe", "--fixture", "cube1", "--noise", "off"]),
-        (CUBES, ["sensitivity"]),
-        (BANANA, ["scenario"]),
+        (CUBES, ["calibrate"], EXIT_OK),
+        (CUBES, ["probe", "--fixture", "cube1", "--noise", "off"], EXIT_OK),
+        (CUBES, ["sensitivity"], EXIT_RUNTIME_FLAG),  # the 10 mm closings end in the dead zone
+        (BANANA, ["scenario"], EXIT_OK),
     ],
     ids=["calibrate", "probe", "sensitivity", "scenario"],
 )
-def test_cli_outputs_do_not_depend_on_number_spelling(tmp_path, config, argv):
+def test_cli_outputs_do_not_depend_on_number_spelling(tmp_path, config, argv, code):
     # 60 and 60.0 are one value: every file, run_meta.json's config hash included, is the same
     resolved = load_config(config)  # every key, with its value as a float where that is its type
     spellings = {"float": json.dumps(resolved), "int": json.dumps(_int_spelled(resolved))}
@@ -603,7 +633,7 @@ def test_cli_outputs_do_not_depend_on_number_spelling(tmp_path, config, argv):
         path = tmp_path / f"{spelling}.json"
         path.write_text(text)
         out = tmp_path / spelling
-        assert main([*argv, "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == code
         outputs[spelling] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert outputs["int"] == outputs["float"]
 

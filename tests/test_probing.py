@@ -262,6 +262,36 @@ def test_probe_reading_past_joint_range_is_out_of_table(ring, quiet_sensor, lock
     assert report.est_force is None and report.k_r is None
 
 
+def _no_estimates(report):
+    return (report.est_force, report.k_r, report.k_o_est, report.est_delta) == (None,) * 4
+
+
+@pytest.mark.parametrize("p0", (0.0, 80.0))
+def test_closings_inside_the_dead_zone_are_flagged(geom, ring, sensor, quiet_sensor, locked_table, p0):
+    # d_c 10 mm lies inside the 14.6 mm fingertip extent of the fabric dead zone,
+    # where the table's torque is zero for any object: the pressure rises above
+    # the threshold, yet measures no force, so cube1 and cube3 cannot be told apart
+    cfg = replace(CFG, p0=p0, probe_step=2.0)
+    sims = [_sim(geom, ring, quiet_sensor, k) for k in (50.83, 202.39)]
+    sims += [_sim(geom, ring, sensor, 50.83, seed=seed) for seed in range(200)]
+    for sim in sims:
+        report = run_probe(sim, locked_table, cfg)
+        assert report.flags == ["dead_zone"] and _no_estimates(report), (sim.k_object, report)
+
+
+@pytest.mark.parametrize("p0", (0.0, 80.0))
+def test_no_unflagged_probe_reports_zero_stiffness(geom, ring, sensor, locked_table, p0):
+    # d_c 15 mm ends just past the dead zone: noise puts some last readings
+    # inside it, and those are flagged rather than reported as k_r 0
+    cfg = replace(CFG, p0=p0, probe_step=3.0)
+    reports = [run_probe(_sim(geom, ring, sensor, 50.83, seed=seed), locked_table, cfg) for seed in range(200)]
+    dead = [rep for rep in reports if "dead_zone" in rep.flags]
+    unflagged = [rep for rep in reports if not rep.flags]
+    assert dead and unflagged  # both outcomes occur
+    assert all(_no_estimates(rep) for rep in dead)
+    assert all(rep.k_r > 0.0 for rep in unflagged)
+
+
 def test_contact_probe_inverts_the_table_twice(geom, ring, sensor, locked_table, monkeypatch):
     # once for the contact opening, once for the final reading's angle and force
     calls = []
