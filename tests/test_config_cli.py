@@ -3,13 +3,15 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
 import numpy as np
 
 from softgrip.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, MAX_PLAN_PROBES, MAX_PROBE_STEPS,
+    COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, MAX_PLAN_PROBES, MAX_PROBE_STEPS,
     MAX_SETTLE_READS, _min_linear_r2, main,
 )
 from softgrip.config import (
@@ -256,6 +258,137 @@ def test_cli_golden_digests(tmp_path, argv, code, digests):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == code
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == digests
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([command, "--config", config] for config in (CUBES, BANANA, ORANGE) for command in COMMANDS),
+        ["probe", "--config", CUBES, "--fixture", "cube1"],
+        ["sensitivity", "--config", CUBES, "--fixture", "cube1,cube3"],
+    ],
+    ids=lambda argv: "-".join([argv[0], os.path.basename(argv[2]), *argv[4:]]),
+)
+def test_cli_dry_run_passes_on_every_bundled_config(capsys, argv):
+    # every command resolves every bundled config, with or without the names it needs, and prints it
+    assert main([*argv, "--dry-run"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out) == load_config(argv[2])
+
+
+def _cubes_with(**sections):
+    """cubes.json with each named section replaced whole."""
+    with open(CUBES) as fh:
+        return {**json.load(fh), **sections}
+
+
+def _left_out(*pairs):
+    return "sensitivity left out flagged pairs: " + "; ".join(f"p0={p0} kPa d_c={dc} mm" for p0, dc in pairs) + "\n"
+
+
+FAR = {"far": {"kind": "uniform", "base_k_n_per_mm": 120.0, "surface_offset_mm": 100.0}}
+P0_GRID = (0.0, 20.0, 40.0, 60.0, 80.0)  # the default calibration.locked.p0_grid_kpa
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, err",
+    [
+        pytest.param(["calibrate"], CUBES, EXIT_OK, "", id="calibrate"),
+        # sensitivity ranks the locked table's pressures; the 10 mm closings end in the fabric dead zone
+        pytest.param(
+            ["sensitivity"], CUBES, EXIT_RUNTIME_FLAG, _left_out(*((p0, 10.0) for p0 in P0_GRID)), id="sensitivity",
+        ),
+        pytest.param(
+            ["sensitivity"], _cubes_with(calibration={"locked": {"p0_grid_kpa": [20.0, 40.0, 60.0]}}),
+            EXIT_RUNTIME_FLAG, _left_out((20.0, 10.0), (40.0, 10.0), (60.0, 10.0)), id="sensitivity-3-pressures",
+        ),
+        pytest.param(["probe", "--fixture", "cube3"], CUBES, EXIT_OK, "", id="probe-cube3"),
+        pytest.param(["scenario"], BANANA, EXIT_OK, "", id="scenario-banana"),
+        # 4096 reads draw each block sum from its binary levels, as the 512-read default does
+        pytest.param(
+            ["probe", "--fixture", "cube3"], _cubes_with(probe={"settle_reads": 4096}), EXIT_OK, "", id="4096-reads",
+        ),
+        # a 5 kPa grid (noise under 4 steps) draws each block as one multinomial over the reading law's cells
+        pytest.param(
+            ["probe", "--fixture", "cube3"], _cubes_with(plant={"sensor": {"quant_step_kpa": 5.0}}), EXIT_OK, "",
+            id="adc-5-kpa",
+        ),
+        # a 0 kPa grid draws one normal a block
+        pytest.param(
+            ["probe", "--fixture", "cube3"], _cubes_with(plant={"sensor": {"quant_step_kpa": 0}}), EXIT_OK, "",
+            id="unquantized",
+        ),
+        # contact_search's shape draws its 150 contact-free approach reads in one batch; on a 2 kPa grid
+        # (b ~ 2.9) in one multinomial draw
+        pytest.param(
+            ["probe", "--fixture", "far"],
+            {"gripper": {"max_open_mm": 400.0}, "probe": {"settle_reads": 6144}, "fixtures": FAR},
+            EXIT_OK, "", id="wide",
+        ),
+        pytest.param(
+            ["probe", "--fixture", "far"],
+            {
+                "gripper": {"max_open_mm": 400.0}, "plant": {"sensor": {"quant_step_kpa": 2.0}},
+                "probe": {"settle_reads": 6144}, "fixtures": FAR,
+            },
+            EXIT_OK, "", id="widecoarse",
+        ),
+        # the gripper shuts before it applies a 60 mm closing from a 40 mm surface
+        pytest.param(
+            ["sensitivity"], _cubes_with(sensitivity={"fixture_a": "cube1", "fixture_b": "cube2", "dc_grid_mm": [10, 30, 60]}),
+            EXIT_RUNTIME_FLAG, _left_out(*((p0, dc) for p0 in P0_GRID for dc in (10.0, 60.0))), id="dc-60",
+        ),
+        # an empty workspace: a surface at 0 mm
+        pytest.param(
+            ["probe", "--fixture", "empty"],
+            {"fixtures": {"empty": {"kind": "uniform", "base_k_n_per_mm": 100.0, "surface_offset_mm": 0.0}}},
+            EXIT_RUNTIME_FLAG, "probe finished with flags: no_contact\n", id="empty",
+        ),
+        # a 10 mm closing ends in the dead zone
+        pytest.param(
+            ["probe", "--fixture", "cube1"], _cubes_with(probe={"probe_step_mm": 2}),
+            EXIT_RUNTIME_FLAG, "probe finished with flags: dead_zone\n", id="deadzone",
+        ),
+    ],
+)
+def test_cli_reruns_are_byte_identical(tmp_path, capsys, argv, config, code, err):
+    # one config and seed, run twice into fresh directories: the same exit, stderr and files,
+    # and no file moved aside (.tmp-*.old) or created under a temporary name left behind
+    path = config if isinstance(config, str) else _write(tmp_path, config)
+    runs = []
+    for run in ("1", "2"):
+        out = tmp_path / run
+        exit_code = main([argv[0], "--config", path, *argv[1:], "--seed", "7", "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "run_meta.json" in files
+        assert [name for name in files if name.startswith(".tmp-") or ".old" in name] == []
+        runs.append((exit_code, capsys.readouterr().err, files))
+    assert runs[0][:2] == (code, err)
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["scenario", "--config", BANANA], EXIT_OK), (["sensitivity", "--config", CUBES], EXIT_RUNTIME_FLAG)],
+    ids=["scenario-banana", "sensitivity-cubes"],
+)
+def test_cli_reruns_in_fresh_processes_are_byte_identical(tmp_path, capsys, argv, code):
+    # two interpreters with different string hashes write what one in-process run writes
+    argv = [*argv, "--seed", "7"]
+    assert main([*argv, "--out", str(tmp_path / "in-process")]) == code
+    runs = {"in-process": (code, capsys.readouterr().err)}
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "softgrip.cli", *argv, "--out", str(tmp_path / hash_seed)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        runs[hash_seed] = (done.returncode, done.stderr)
+    assert runs["1"] == runs["2"] == runs["in-process"]
+    files = {run: {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()} for run in runs}
+    assert files["1"] == files["2"] == files["in-process"]
 
 
 @pytest.mark.parametrize(
@@ -831,10 +964,10 @@ def test_cli_dry_run_rejects_bad_values(
     for one_key, one_value in zip(key, value) if isinstance(key, tuple) else [(key, value)]:
         _set(doc, one_key, one_value)
     path = _write(tmp_path, doc)
-    assert main([command, "--config", path, *run_flags, "--dry-run"]) == EXIT_CONFIG
+    out = tmp_path / "x"
+    assert main([command, "--config", path, *run_flags, "--out", str(out), "--dry-run"]) == EXIT_CONFIG
     dry = capsys.readouterr()
     assert dry.out == "" and dry.err.startswith(message) and dry.err.count("\n") == 1
-    out = tmp_path / "x"
     assert main([command, "--config", path, *run_flags, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == dry.err
     assert not out.exists()
