@@ -129,11 +129,17 @@ class GripperSim:
         self.lock_reading: float | None = None
 
     def pressurize_and_lock(self, p0: float, settle_reads: int) -> None:
-        """Open fully, regulate to p0 at rest, close the valve, record the baseline."""
+        """Open fully, regulate to p0 at rest, close the valve, record the baseline.
+
+        The baseline reads the rest pressure of the locked gas, which every
+        later contact-free read sees, not p0: the two differ by rounding
+        (1.4e-14 kPa at some p0), which a quiet sensor's zero threshold
+        would take for contact.
+        """
         self.opening = self.max_open
         self.nv = lock(RingState(p_gauge=p0, alpha=0.0), self.ring)
         self.rest_pressure = pressure_at_angle(self.nv, self.ring, 0.0)
-        self.lock_reading = self.stream.read_avg(p0, settle_reads)
+        self.lock_reading = self.stream.read_avg(self.rest_pressure, settle_reads)
 
     def _plant_pressure(self) -> float:
         pen = max(0.0, self.surface_offset - self.opening)

@@ -217,8 +217,8 @@ def test_cli_calibrate_golden_csv(tmp_path):
             ["probe", "--config", CUBES, "--fixture", "cube3", "--noise", "off"],
             EXIT_OK,
             {
-                "probe_cube3.json": "dc4bf34d3d40fa541a1b09c10a86eee9255a3b71ea26c364d1129513c24d4785",
-                "probe_cube3_trace.csv": "ad5226e93aab1b99ab03a81f54203ae1fe683263c0b2ab28daba4cb22bda20e7",
+                "probe_cube3.json": "c200a8891d1fbade55bb06961739cd30514c34150cacdebe3f7c9e991a1f2c3a",
+                "probe_cube3_trace.csv": "3cc5d47480af8b2462ddb383648bace2b3a3cd2606cff780cfa969e0c427a916",
                 "run_meta.json": "567de04556f45d4a56abc0985b9eb8922c435e61bb049e74262bcaac0c40813c",
             },
         ),
@@ -246,7 +246,7 @@ def test_cli_calibrate_golden_csv(tmp_path):
             ["sensitivity", "--config", CUBES],
             EXIT_RUNTIME_FLAG,  # the 10 mm closings end in the dead zone and are left out
             {
-                "sensitivity.csv": "11f3f575b222a3247c734fdca02b3802eb36ffcd5e71fc4b70e5af755e5dd7e2",
+                "sensitivity.csv": "bae364a7605a076c9ba8d3a254f66f541b427e82aeeda03889a4f0924edd903c",
                 "run_meta.json": "aa3fb7d861838af65cee141192bc186629a60c7f9e9d7be0e7e1c1e73aad0944",
             },
         ),
@@ -694,6 +694,34 @@ def test_cli_sensitivity_drops_flagged_pairs(tmp_path, capsys):
     lines = (out / "sensitivity.csv").read_text().splitlines()
     assert lines[0] == "p0_kpa,dc_mm,separation_kpa,z"
     assert sorted(ln.split(",")[:2] for ln in lines[1:]) == [["60.0", "30.0"], ["80.0", "30.0"]]
+
+
+OFF_GRID_P0 = 65.33891487757265  # the locked gas's rest pressure rounds 1.4e-14 kPa above it
+
+
+def test_cli_quiet_probe_at_an_off_grid_p0_finds_the_surface(tmp_path):
+    # a quiet sensor's contact threshold is 0 kPa, so the rounding must not read as contact
+    path = _write(tmp_path, _cubes_with(probe={"p0_kpa": OFF_GRID_P0}))
+    out = tmp_path / "x"
+    assert main(["probe", "--config", path, "--fixture", "cube3", "--noise", "off", "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "probe_cube3.json").read_text())
+    assert report["flags"] == []
+    assert report["contact_opening"] == pytest.approx(40.0, abs=0.01)
+    assert report["k_o_est"] == pytest.approx(202.39, rel=1e-3)
+
+
+def test_cli_sensitivity_ranks_an_off_grid_p0_between_its_neighbours(tmp_path, capsys):
+    # z rises with p0 at every closing; a false contact at the off-grid p0 cut its closing short
+    path = _write(tmp_path, _cubes_with(calibration={"locked": {"p0_grid_kpa": [0, 60, OFF_GRID_P0, 80]}}))
+    out = tmp_path / "sens"
+    assert main(["sensitivity", "--config", path, "--out", str(out)]) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == _left_out(*((p0, 10.0) for p0 in (0.0, 60.0, OFF_GRID_P0, 80.0)))
+    z = {}
+    for line in (out / "sensitivity.csv").read_text().splitlines()[1:]:
+        p0, dc, _, score = map(float, line.split(","))
+        z[p0, dc] = score
+    for dc in (15.0, 20.0, 25.0, 30.0, 35.0, 40.0):
+        assert z[60.0, dc] < z[OFF_GRID_P0, dc] < z[80.0, dc], dc
 
 
 def test_cli_sensitivity_rejects_unequal_surface_offsets(tmp_path, capsys):

@@ -70,6 +70,17 @@ def test_detect_contact_off_grid_offsets(geom, ring, quiet_sensor, locked_table)
         assert opening == pytest.approx(offset, abs=CFG.approach_step)
 
 
+def test_quiet_contact_is_found_at_any_supply_pressure(geom, ring, quiet_sensor, locked_table):
+    # a quiet sensor's threshold is 0 kPa, so the lock baseline must read what a
+    # contact-free step reads, rounding and all; p0 runs over the table's range, its top included
+    rng = np.random.default_rng(33)
+    top = float(locked_table.p0_grid[-1])
+    for p0, offset in [(top, 40.0), *zip(rng.uniform(0.0, top, 400).tolist(), rng.uniform(5.0, 44.0, 400).tolist())]:
+        sim = _sim(geom, ring, quiet_sensor, 150.0, offset=offset)
+        opening, _, flags = detect_contact(sim, locked_table, replace(CFG, p0=p0))
+        assert flags == [] and abs(opening - offset) <= CFG.approach_step, (p0, offset, opening, flags)
+
+
 def test_detect_contact_noisy(geom, ring, sensor, locked_table):
     for seed in range(5):
         sim = _sim(geom, ring, sensor, 100.0, offset=40.0, seed=seed)
