@@ -106,7 +106,10 @@ MAX_APPROACH_STEPS = 10_000
 # which must fit in int64; the benchmark reads at most 6,144.
 MAX_SETTLE_READS = 1_000_000
 MAX_PROBE_STEPS = 10_000  # probe.n_probe_steps; the bundled configs take 5
-MAX_PLAN_PROBES = 10_000  # plan.n; the bundled plans probe at most 10 locations
+# the probes of one command: plan.n for scenario, and 2 fixtures at each pressure of
+# calibration.locked.p0_grid_kpa and each closing of sensitivity.dc_grid_mm for
+# sensitivity; the bundled configs take at most 50
+MAX_COMMAND_PROBES = 10_000
 
 
 def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
@@ -239,8 +242,8 @@ def resolve_scenario(
         raise ConfigError("scenario takes its fixture from plan.fixture, not --fixture")
     plan_cfg = cfg["plan"]
     fixture = fixture_named(fixtures, plan_cfg["fixture"], "plan.fixture") if plan_cfg["fixture"] else None
-    if plan_cfg["n"] > MAX_PLAN_PROBES:
-        raise ConfigError(f"plan.n {plan_cfg['n']} exceeds {MAX_PLAN_PROBES}")
+    if plan_cfg["n"] > MAX_COMMAND_PROBES:
+        raise ConfigError(f"plan.n {plan_cfg['n']} exceeds {MAX_COMMAND_PROBES}")
     plan = built("plan", make_plan, plan_cfg["span"], plan_cfg["n"], plan_cfg["avoid_fraction"])
     samples = fixture.profile.samples if fixture else ()  # () for a uniform fixture or none
     if samples and not (samples[0][0] <= 0.0 and plan_cfg["span"] <= samples[-1][0]):
@@ -291,6 +294,12 @@ def resolve_sensitivity(
         built(f"sensitivity.dc_grid_mm entry {dc!r}", replace, probe_cfg, probe_step=dc / probe_cfg.n_probe_steps)
     # fb has fa's offset; the noisy sensor gives the sigma the sweep ranks by
     table, sensor = _rig(cfg, name_a, fa, ring, sensor, True)
+    n_p0, n_dc = table.p0_grid.size, len(sens["dc_grid_mm"])
+    if not 0 < 2 * n_p0 * n_dc <= MAX_COMMAND_PROBES:
+        raise ConfigError(
+            f"sensitivity probes 2 fixtures at the {n_p0} pressures of calibration.locked.p0_grid_kpa and the "
+            f"{n_dc} closings of sensitivity.dc_grid_mm: {2 * n_p0 * n_dc} probes, not 1 to {MAX_COMMAND_PROBES}"
+        )
     if fa is None:
         return _fails(ConfigError(need_pair))
 

@@ -11,7 +11,7 @@ import pytest
 import numpy as np
 
 from softgrip.cli import (
-    COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, MAX_PLAN_PROBES, MAX_PROBE_STEPS,
+    COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, MAX_COMMAND_PROBES, MAX_PROBE_STEPS,
     MAX_SETTLE_READS, _min_linear_r2, main,
 )
 from softgrip.config import (
@@ -917,6 +917,12 @@ def _dry_run_case(
             "config error: sensitivity.dc_grid_mm entry 0.0: approach_step 2.0 and probe_step 0.0 must be positive\n",
             command="sensitivity", run_flags=(),
         ),
+        _dry_run_case(
+            "sensitivity.dc_grid_mm", [],
+            "config error: sensitivity probes 2 fixtures at the 5 pressures of calibration.locked.p0_grid_kpa "
+            "and the 0 closings of sensitivity.dc_grid_mm: 0 probes, not 1 to 10000\n",
+            command="sensitivity", run_flags=(),
+        ),
         _dry_run_case(  # a removed key
             "sensitivity.p0_grid_kpa", [0, 90], "config error: unknown config key 'sensitivity.p0_grid_kpa'\n",
             command="sensitivity", run_flags=(),
@@ -1298,7 +1304,7 @@ def test_cli_sweep_past_the_joint_range_exits_config(tmp_path, capsys, key, valu
         (["probe", "--config", CUBES, "--fixture", "cube1"], "probe.settle_reads", MAX_SETTLE_READS),
         (["scenario", "--config", BANANA], "probe.settle_reads", MAX_SETTLE_READS),
         (["sensitivity", "--config", CUBES], "probe.settle_reads", MAX_SETTLE_READS),
-        (["scenario", "--config", BANANA], "plan.n", MAX_PLAN_PROBES),
+        (["scenario", "--config", BANANA], "plan.n", MAX_COMMAND_PROBES),
     ],
 )
 def test_cli_work_in_proportion_to_a_value_is_capped(tmp_path, capsys, argv, key, cap):
@@ -1313,6 +1319,23 @@ def test_cli_work_in_proportion_to_a_value_is_capped(tmp_path, capsys, argv, key
     out = tmp_path / "x"
     assert main([*command, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {key} {cap + 1} exceeds {cap}\n"
+    assert not out.exists()
+
+
+def test_cli_sensitivity_probes_are_capped(tmp_path, capsys):
+    # 2 fixtures at 5 pressures and 1,000 closings are 10,000 probes, the cap
+    at_cap = _write(tmp_path, _cubes_with(sensitivity={"dc_grid_mm": [30.0] * 1000}))
+    assert main(["sensitivity", "--config", at_cap, "--dry-run"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    # one closing more is past it
+    past = _write(tmp_path, _cubes_with(sensitivity={"dc_grid_mm": [30.0] * 1001}), name="past.json")
+    out = tmp_path / "x"
+    for extra in (["--dry-run"], ["--out", str(out)]):
+        assert main(["sensitivity", "--config", past, *extra]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", (
+            "config error: sensitivity probes 2 fixtures at the 5 pressures of calibration.locked.p0_grid_kpa "
+            f"and the 1001 closings of sensitivity.dc_grid_mm: 10010 probes, not 1 to {MAX_COMMAND_PROBES}\n"
+        ))
     assert not out.exists()
 
 
