@@ -18,7 +18,8 @@ rule holds for every command:
 
 - exit 0: every file is written;
 - exit 3 with a flag (no_contact, contact_overshoot, out_of_table, dead_zone,
-  travel_exhausted, saturated, no safe grasp, a sensitivity pair left out):
+  degenerate_deformation, travel_exhausted, saturated, no safe grasp, a
+  sensitivity pair left out):
   every file is written and the flag goes to stderr;
 - exit 2 (config error), or exit 3 with ``error:``: nothing is written.
 

@@ -567,6 +567,21 @@ def test_cli_probe_dead_zone(tmp_path, capsys):
         assert [report[key] for key in ("est_force", "k_r", "k_o_est", "est_delta")] == [None] * 4
 
 
+@pytest.mark.parametrize("seed", [3, 7])
+def test_cli_probe_degenerate_deformation(tmp_path, capsys, seed):
+    # a 10,000 N/mm cube barely deforms, and on these seeds the noise puts the estimated
+    # deformation below zero: the force and k_r are reported, no Hooke stiffness
+    hard = {"hard": {"kind": "uniform", "base_k_n_per_mm": 10000.0, "surface_offset_mm": 40.0}}
+    out = tmp_path / "x"
+    argv = ["probe", "--config", _write(tmp_path, _cubes_with(fixtures=hard)), "--fixture", "hard", "--seed", str(seed)]
+    assert main([*argv, "--out", str(out)]) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == "probe finished with flags: degenerate_deformation\n"
+    report = json.loads((out / "probe_hard.json").read_text())
+    assert report["flags"] == ["degenerate_deformation"]
+    assert report["est_force"] > 0.0 and report["k_r"] > 0.0 and report["est_delta"] <= 0.0
+    assert report["k_o_est"] is None
+
+
 @pytest.mark.parametrize("fixture, alpha_max", [("cube1", 30.0), ("cube3", 20.0)])
 def test_cli_probe_out_of_table(tmp_path, capsys, fixture, alpha_max):
     # a table that stops at alpha_max cannot invert the last reading of a deeper bend
