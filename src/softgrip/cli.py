@@ -291,16 +291,17 @@ def resolve_sensitivity(
                 f"sensitivity probes both fixtures at one surface offset; fixtures.{name_a}.surface_offset_mm "
                 f"is {fa.surface_offset!r} and fixtures.{name_b}.surface_offset_mm is {fb.surface_offset!r}"
             )
-    for dc in sens["dc_grid_mm"]:  # the probe settings the sweep takes at each closing
-        built(f"sensitivity.dc_grid_mm entry {dc!r}", replace, probe_cfg, probe_step=dc / probe_cfg.n_probe_steps)
-    # fb has fa's offset; the noisy sensor gives the sigma the sweep ranks by
-    table, sensor = _rig(cfg, name_a, fa, ring, sensor, True)
-    n_p0, n_dc = table.p0_grid.size, len(sens["dc_grid_mm"])
+    # counted before any closing is checked, so a grid past the cap costs no work per entry
+    n_p0, n_dc = len(cfg["calibration"]["locked"]["p0_grid_kpa"]), len(sens["dc_grid_mm"])
     if not 0 < 2 * n_p0 * n_dc <= MAX_COMMAND_PROBES:
         raise ConfigError(
             f"sensitivity probes 2 fixtures at the {n_p0} pressures of calibration.locked.p0_grid_kpa and the "
             f"{n_dc} closings of sensitivity.dc_grid_mm: {2 * n_p0 * n_dc} probes, not 1 to {MAX_COMMAND_PROBES}"
         )
+    for dc in sens["dc_grid_mm"]:  # the probe settings the sweep takes at each closing
+        built(f"sensitivity.dc_grid_mm entry {dc!r}", replace, probe_cfg, probe_step=dc / probe_cfg.n_probe_steps)
+    # fb has fa's offset; the noisy sensor gives the sigma the sweep ranks by
+    table, sensor = _rig(cfg, name_a, fa, ring, sensor, True)
     if fa is None:
         return _fails(ConfigError(need_pair))
 
