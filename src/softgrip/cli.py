@@ -293,10 +293,11 @@ def resolve_sensitivity(
             )
     # counted before any closing is checked, so a grid past the cap costs no work per entry
     n_p0, n_dc = len(cfg["calibration"]["locked"]["p0_grid_kpa"]), len(sens["dc_grid_mm"])
-    if not 0 < 2 * n_p0 * n_dc <= MAX_COMMAND_PROBES:
+    probes = 2 * n_p0 * n_dc
+    if not 0 < probes <= MAX_COMMAND_PROBES:
         raise ConfigError(
             f"sensitivity probes 2 fixtures at the {n_p0} pressures of calibration.locked.p0_grid_kpa and the "
-            f"{n_dc} closings of sensitivity.dc_grid_mm: {2 * n_p0 * n_dc} probes, not 1 to {MAX_COMMAND_PROBES}"
+            f"{n_dc} closings of sensitivity.dc_grid_mm: {probes} probes, not 1 to {MAX_COMMAND_PROBES}"
         )
     for dc in sens["dc_grid_mm"]:  # the probe settings the sweep takes at each closing
         built(f"sensitivity.dc_grid_mm entry {dc!r}", replace, probe_cfg, probe_step=dc / probe_cfg.n_probe_steps)
