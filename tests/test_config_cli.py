@@ -335,7 +335,8 @@ P0_GRID = (0.0, 20.0, 40.0, 60.0, 80.0)  # the default calibration.locked.p0_gri
         ),
         # the gripper shuts before it applies a 60 mm closing from a 40 mm surface
         pytest.param(
-            ["sensitivity"], _cubes_with(sensitivity={"fixture_a": "cube1", "fixture_b": "cube2", "dc_grid_mm": [10, 30, 60]}),
+            ["sensitivity"],
+            _cubes_with(sensitivity={"fixture_a": "cube1", "fixture_b": "cube2", "dc_grid_mm": [10, 30, 60]}),
             EXIT_RUNTIME_FLAG, _left_out(*((p0, dc) for p0 in P0_GRID for dc in (10.0, 60.0))), id="dc-60",
         ),
         # an empty workspace: a surface at 0 mm
