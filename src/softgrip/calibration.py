@@ -25,8 +25,9 @@ from .pneumatics import (
 class CalibrationTable:
     """Gridded dp(alpha, p0) and torque(alpha, p0) surfaces with provenance metadata.
 
-    The grids and surfaces are read-only copies, so what the lookups derive
-    from them (list forms, the dp column blended at a p0) is derived once.
+    Each dp column is non-decreasing along alpha, and zero at alpha 0. The grids and surfaces
+    are read-only copies, so what the lookups derive from them (list forms, the columns
+    blended at a p0) is derived once.
     """
 
     alpha_grid: np.ndarray  # deg, strictly increasing
@@ -34,7 +35,7 @@ class CalibrationTable:
     dp_surface: np.ndarray  # kPa, shape (n_alpha, n_p0)
     torque_surface: np.ndarray  # N*mm, shape (n_alpha, n_p0)
     meta: dict = field(default_factory=dict)
-    # p0 -> (dp column blended at p0, its running maximum), as lists; see angle_from_dp
+    # p0 -> (dp column, torque column) blended at p0, as lists; see _column
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,9 +58,9 @@ class CalibrationTable:
         for name in ("dp_surface", "torque_surface"):
             if not np.isfinite(getattr(self, name)).all():
                 raise DomainError(f"{name} holds a non-finite value")
-        if self.alpha_grid[0] == 0.0 and np.any(np.abs(self.dp_surface[0]) > 1e-9):
+        if self.alpha_grid[0] == 0.0 and np.any(self.dp_surface[0] != 0.0):
             raise DomainError("dp_surface row at alpha=0 must be zero")
-        if np.any(np.diff(self.dp_surface, axis=0) < -1e-9):
+        if np.any(np.diff(self.dp_surface, axis=0) < 0.0):
             raise DomainError("dp_surface must be non-decreasing along the alpha axis")
 
     # list forms for the scalar lookups: indexing and bisecting a list is
@@ -72,14 +73,6 @@ class CalibrationTable:
     @cached_property
     def _p0s(self) -> list:
         return self.p0_grid.tolist()
-
-    @cached_property
-    def _dp_rows(self) -> list:
-        return self.dp_surface.tolist()
-
-    @cached_property
-    def _torque_rows(self) -> list:
-        return self.torque_surface.tolist()
 
 
 # A sweep larger than these is a config error, so that a tiny step fails at once
@@ -139,7 +132,8 @@ def generate_locked_sweep(
 ) -> CalibrationTable:
     """Locked-air-volume sweep: pressurize at alpha=0, lock, sweep alpha upward.
 
-    Records dp relative to the lock baseline and the torque at the instantaneous
+    Records dp from the alpha-0 row, the locked gas's rest pressure by the float operations of
+    GripperSim.pressurize_and_lock, each monotone in alpha, and the torque at the instantaneous
     trapped-gas pressure. The sweep is treated as instantaneous (no leakage);
     use hysteresis_sweep for the timed forward/backward comparison.
     """
@@ -153,8 +147,7 @@ def generate_locked_sweep(
     alphas = np.radians(alpha_grid)
     with np.errstate(over="ignore", invalid="ignore"):  # the table rejects what overflows
         p = pressure_at_angle(lock(RingState(p_gauge=p0_grid), model), model, alphas[:, None])
-        dp = p - p0_grid
-        dp[0] = 0.0  # the baseline row is zero by definition; drop float residue
+        dp = p - p[0]
         torque = joint_torque(model, alphas[:, None], p)
     meta = {"mode": "locked", "alpha_step_deg": repr(alpha_step_deg)}
     return CalibrationTable(alpha_grid, p0_grid, dp, torque, meta)
@@ -186,59 +179,53 @@ def _cell(grid: list, value: float, label: str) -> tuple[int, float]:
     return i, min(max(t, 0.0), 1.0)
 
 
-def _bilinear(rows: list, table: CalibrationTable, alpha_deg: float, p0: float) -> float:
-    i, ta = _cell(table._alphas, alpha_deg, "alpha_deg")
-    j, tp = _cell(table._p0s, p0, "p0_kpa")
-    return float(
-        (1 - ta) * (1 - tp) * rows[i][j]
-        + ta * (1 - tp) * rows[i + 1][j]
-        + (1 - ta) * tp * rows[i][j + 1]
-        + ta * tp * rows[i + 1][j + 1]
-    )
+def _column(table: CalibrationTable, p0: float) -> tuple[list, list]:
+    """The (dp, torque) columns blended at p0, as lists, kept on the table per p0.
 
-
-def interp_dp(table: CalibrationTable, alpha_deg: float, p0: float) -> float:
-    """Bilinear dp lookup (kPa); exact at grid nodes, no extrapolation."""
-    return _bilinear(table._dp_rows, table, alpha_deg, p0)
-
-
-def interp_torque(table: CalibrationTable, alpha_deg: float, p0: float) -> float:
-    """Bilinear torque lookup (N*mm); exact at grid nodes, no extrapolation."""
-    return _bilinear(table._torque_rows, table, alpha_deg, p0)
-
-
-def _dp_column(table: CalibrationTable, p0: float) -> tuple[list, list]:
-    """The table's dp column blended at p0 and its running maximum, as lists.
-
-    Kept on the table per p0: a probe inverts all its readings at one p0.
-    """
+    Each rounded product and sum is monotone in its terms, so a blend of non-decreasing columns
+    is non-decreasing."""
     column = table._columns.get(p0)
     if column is None:
         j, tp = _cell(table._p0s, p0, "p0_kpa")
-        col = (1 - tp) * table.dp_surface[:, j] + tp * table.dp_surface[:, j + 1]
-        column = table._columns[p0] = (col.tolist(), np.maximum.accumulate(col).tolist())
+        surfaces = (table.dp_surface, table.torque_surface)
+        column = table._columns[p0] = tuple(((1 - tp) * s[:, j] + tp * s[:, j + 1]).tolist() for s in surfaces)
     return column
+
+
+def _lerp(table: CalibrationTable, which: int, alpha_deg: float, p0: float) -> float:
+    i, t = _cell(table._alphas, alpha_deg, "alpha_deg")
+    column = _column(table, p0)[which]
+    return float((1 - t) * column[i] + t * column[i + 1])
+
+
+def interp_dp(table: CalibrationTable, alpha_deg: float, p0: float) -> float:
+    """dp lookup (kPa), linear along alpha at p0; exact at grid nodes, no extrapolation."""
+    return _lerp(table, 0, alpha_deg, p0)
+
+
+def interp_torque(table: CalibrationTable, alpha_deg: float, p0: float) -> float:
+    """Torque lookup (N*mm), linear along alpha at p0; exact at grid nodes, no extrapolation."""
+    return _lerp(table, 1, alpha_deg, p0)
 
 
 def angle_from_dp(table: CalibrationTable, dp: float, p0: float) -> float:
     """Smallest bending angle (deg) at which the interpolated dp reaches the measurement.
 
-    At fixed p0 the bilinear surface is piecewise linear in alpha, so the
-    inversion is exact: blend the two bracketing p0 columns, find the first
-    node whose running maximum reaches dp (the table lets a column dip by up to
-    1e-9), and solve the linear segment that ends there.
+    At fixed p0 the lookup is piecewise linear in alpha, so the inversion is exact: bisect
+    the non-decreasing dp column for the first node that reaches dp, and solve the linear
+    segment that ends there.
     """
     if dp < 0:
         raise DomainError(f"dp must be non-negative, got {dp}")
-    col, reach = _dp_column(table, p0)
-    if dp > reach[-1] + 1e-12:
-        raise SaturationError(f"dp={dp} kPa above the table maximum {reach[-1]} kPa at p0={p0}")
+    col = _column(table, p0)[0]
+    if dp > col[-1] + 1e-12:
+        raise SaturationError(f"dp={dp} kPa above the table maximum {col[-1]} kPa at p0={p0}")
     grid = table._alphas
     if dp <= col[0]:
         return grid[0]
     # cap dp within the 1e-12 saturation slack; then col[k - 1] < dp <= col[k]
-    dp = min(dp, reach[-1])
-    k = bisect_left(reach, dp)
+    dp = min(dp, col[-1])
+    k = bisect_left(col, dp)
     t = (dp - col[k - 1]) / (col[k] - col[k - 1])
     return float(grid[k - 1] + t * (grid[k] - grid[k - 1]))
 

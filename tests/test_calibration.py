@@ -10,6 +10,7 @@ from softgrip.calibration import (
     MAX_GRID_POINTS,
     MAX_TABLE_CELLS,
     CalibrationTable,
+    _column,
     _grid,
     angle_from_dp,
     force_from_dp,
@@ -28,7 +29,11 @@ from softgrip.errors import (
     SaturationError,
     SoftgripError,
 )
-from softgrip.pneumatics import RingModel, RingState, joint_torque, lock, pressure_at_angle, volume_at_angle
+from softgrip.geometry import FingerGeometry
+from softgrip.pneumatics import (
+    RingModel, RingState, SensorModel, joint_torque, lock, pressure_at_angle, volume_at_angle,
+)
+from softgrip.probing import GripperSim
 
 LOCKED = DEFAULTS["calibration"]["locked"]
 
@@ -113,16 +118,25 @@ def test_locked_sweep_dp_monotone(locked_table):
     assert np.all(np.diff(locked_table.dp_surface[1:], axis=1) > 0.0)
 
 
+def _rest_pressure(model, p0):
+    """The true pressure of a probe's lock baseline at p0, as the probe's handle computes it."""
+    sim = GripperSim(FingerGeometry(), model, SensorModel().noiseless(), 0.0, 0.0, max_open=1.0)
+    sim.pressurize_and_lock(float(p0), 1)
+    return sim.rest_pressure
+
+
 def _scalar_locked_sweep(model, p0_grid, alpha_grid):
-    """Reference: the locked sweep as a loop of scalar plant calls."""
+    """Reference: the locked sweep as a loop of scalar plant calls, dp measured
+    from a probe's lock baseline."""
     dp = np.empty((alpha_grid.size, p0_grid.size))
     torque = np.empty_like(dp)
     for j, p0 in enumerate(p0_grid):
         nv = lock(RingState(p_gauge=float(p0), alpha=0.0), model)
+        rest = _rest_pressure(model, p0)
         for i, a_deg in enumerate(alpha_grid):
             alpha = math.radians(a_deg)
             p = pressure_at_angle(nv, model, alpha)
-            dp[i, j] = p - p0 if a_deg > 0.0 else 0.0
+            dp[i, j] = p - rest
             torque[i, j] = joint_torque(model, alpha, p)
     return dp, torque
 
@@ -155,13 +169,13 @@ def test_sweeps_equal_scalar_loops():
 
 
 def _per_p0_locked_sweep(model, p0_grid, alpha_grid):
-    """Reference: the locked sweep locked and swept once per p0, one array call each."""
+    """Reference: the locked sweep locked and swept once per p0, one array call
+    each, dp measured from a probe's lock baseline."""
     alphas = np.radians(alpha_grid)
     p = np.stack(
         [pressure_at_angle(lock(RingState(p_gauge=float(p0)), model), model, alphas) for p0 in p0_grid], axis=1
     )
-    dp = p - p0_grid
-    dp[0] = 0.0
+    dp = p - np.array([_rest_pressure(model, p0) for p0 in p0_grid])
     return dp, joint_torque(model, alphas[:, None], p)
 
 
@@ -353,16 +367,59 @@ def test_angle_from_dp_exact_inverse(locked_table):
         assert a == pytest.approx(_bisect_angle_from_dp(locked_table, dp, p0), abs=1e-3)
 
 
-def test_angle_from_dp_smallest_angle_on_flat_and_dipping_columns():
-    # the validator lets a column dip by up to 1e-9; the first crossing is returned
+def test_angle_from_dp_smallest_angle_on_flat_columns():
+    # on a flat stretch the first node that reaches dp is returned
     alpha = np.array([0.0, 1.0, 2.0, 3.0])
-    col = np.array([0.0, 2.0, 2.0 - 5e-10, 3.0])
+    col = np.array([0.0, 2.0, 2.0, 3.0])
     table = CalibrationTable(alpha, np.array([0.0, 1.0]), np.c_[col, col], np.zeros((4, 2)))
     assert angle_from_dp(table, 1.0, 0.5) == 0.5
     assert angle_from_dp(table, 2.0, 0.5) == 1.0
     assert angle_from_dp(table, 2.0 - 2.5e-10, 0.5) == pytest.approx(1.0, abs=1e-9)
     assert angle_from_dp(table, 2.5, 0.5) == pytest.approx(2.5)
     assert angle_from_dp(table, 3.0 + 1e-13, 0.5) == 3.0
+
+
+def test_table_rejects_a_dip_or_a_nonzero_rest_row():
+    # no slack: a dip of one ulp, or a rest row off zero by one subnormal, is refused
+    alpha, p0 = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0])
+    for col in ([0.0, 2.0, np.nextafter(2.0, 0.0)], [0.0, 2.0, 2.0 - 5e-10], [0.0, -1e-300, 1.0]):
+        with pytest.raises(DomainError, match="non-decreasing"):
+            CalibrationTable(alpha, p0, np.c_[[0.0, 1.0, 2.0], col], np.zeros((3, 2)))
+    for rest in (5e-324, -5e-324, 1e-12):
+        with pytest.raises(DomainError, match="alpha=0 must be zero"):
+            CalibrationTable(alpha, p0, np.c_[[0.0, 1.0, 2.0], [rest, 1.0, 2.0]], np.zeros((3, 2)))
+    # -0.0 equals zero, and a grid that does not start at alpha 0 has no rest row
+    CalibrationTable(alpha, p0, np.c_[[-0.0, 1.0, 2.0], [0.0, 1.0, 2.0]], np.zeros((3, 2)))
+    CalibrationTable(alpha + 1.0, p0, np.c_[[5.0, 6.0, 7.0], [1.0, 1.0, 2.0]], np.zeros((3, 2)))
+
+
+def test_generated_tables_and_their_blends_are_monotone():
+    # every locked table has an exactly zero alpha-0 row and non-decreasing dp
+    # columns, and so does the dp column it blends at any p0 between two nodes:
+    # each float operation of the sweep, and of the blend, is monotone in alpha
+    rng = np.random.default_rng(2574)
+    for _ in range(400):
+        model = RingModel(
+            v0=float(10.0 ** rng.uniform(2.0, 5.0)),
+            kappa=0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 0.7)),
+            alpha_slack=math.radians(float(rng.uniform(0.0, 30.0))),
+            c1=float(rng.uniform(0.0, 60000.0)),
+            c2=float(rng.uniform(0.0, 1200.0)),
+            p_atm=float(10.0 ** rng.uniform(-1.0, 6.0)),
+        )
+        step = float(10.0 ** rng.uniform(-3.0, 1.0))
+        alpha_max = min(float(rng.uniform(10.0, 80.0)), 2000 * step)
+        p0_grid = np.unique(rng.uniform(0.0, 200.0, int(rng.integers(2, 8))))
+        if p0_grid.size < 2:
+            continue
+        if rng.random() < 0.3:
+            p0_grid[0] = 0.0
+        table = _locked(model, p0_grid_kpa=p0_grid, alpha_max_deg=alpha_max, alpha_step_deg=step)
+        assert np.all(table.dp_surface[0] == 0.0)
+        assert np.all(np.diff(table.dp_surface, axis=0) >= 0.0)
+        for p0 in rng.uniform(p0_grid[0], p0_grid[-1], 5).tolist():
+            blend = np.array(_column(table, p0)[0])
+            assert blend[0] == 0.0 and np.all(np.diff(blend) >= 0.0), (model, p0)
 
 
 def test_angle_from_dp_errors(locked_table):
@@ -568,14 +625,14 @@ def _outcome(fn, *args):
 
 
 # sha256 over the repr of the table inversions' outcomes on the cases below,
-# pinned from the inversions as first written: a faster lookup must keep every
-# result, and every error message, bit for bit
-INVERSION_DIGEST = "2b070fa2d6817c9888efc76de470e4c9792defdc43107073431597bd75a49ce6"
+# pinned from the lookups that read one blended column per p0: a faster lookup
+# must keep every result, and every error message, bit for bit
+INVERSION_DIGEST = "d9122641ca83769b9fa33d7f7d4b47501eb6d8fbe2a88929c58d6951866b0ace"
 
 
 def test_inversion_outcomes_are_bit_identical(geom, locked_table):
     alpha = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    col = np.array([0.0, 2.0, 2.0 - 5e-10, 2.0, 3.0])  # a flat stretch with a tolerated dip
+    col = np.array([0.0, 2.0, 2.0, 2.0, 3.0])  # a flat stretch
     torque = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 7.0], [9.0, 11.0], [12.0, 15.0]])  # a dead zone
     flat = CalibrationTable(alpha, np.array([0.0, 10.0]), np.c_[col, 1.5 * col], torque)
     rng = np.random.default_rng(1618)

@@ -192,12 +192,12 @@ def test_cli_calibrate_golden_csv(tmp_path):
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
     assert digests == {
         "regulated.csv": "71da02f9d0dc26befa6f2c285ab2ba502828613d48840eb3a1fca0ebeb5c277d",
-        "locked.csv": "b3fdf56450578ed494bb20909c4176e53b567836d0a3e420db399fb9a8f23a65",
+        "locked.csv": "cf4eb17082a5bab4b5375f42eb51dd420c67fd4a61b395e6f2f5bae5ccd6425d",
     }
     rows = {name: hashlib.sha256(data.split(b"\n", 2)[2]).hexdigest() for name, data in files.items()}
     assert rows == {
         "regulated.csv": "219a9281fe2c7f8d7648344ee79aaea8a48b78f30fc137be7738e36967ebbbb9",
-        "locked.csv": "273fcad63ceeef85688b5836743b56a95fa45a795b468db22b681a75489c9fdf",
+        "locked.csv": "e0644bccb7ae0466f4bafb924575a9ed88b996bb2383b1ba5243db3fb2345afd",
     }
 
 
@@ -208,7 +208,7 @@ def test_cli_calibrate_golden_csv(tmp_path):
             ["probe", "--config", CUBES, "--fixture", "cube3", "--noise", "on"],
             EXIT_OK,
             {
-                "probe_cube3.json": "0d6d82779ae83da26e842c3c70b22c55a9456ecd2640da9e75afc1105756d104",
+                "probe_cube3.json": "ed2aef427c8c514a19b853b164124fb7e6e77bd94b2b2772686328c36f748bf9",
                 "probe_cube3_trace.csv": "e676438909583e668589833a85b90d24b327b64788f6354e785381f39a3da944",
                 "run_meta.json": "cc6c26f4fdf48ebecfd4c45703ff27b70af2850a8bdaac657664320d41ad9c6d",
             },
@@ -217,8 +217,8 @@ def test_cli_calibrate_golden_csv(tmp_path):
             ["probe", "--config", CUBES, "--fixture", "cube3", "--noise", "off"],
             EXIT_OK,
             {
-                "probe_cube3.json": "c200a8891d1fbade55bb06961739cd30514c34150cacdebe3f7c9e991a1f2c3a",
-                "probe_cube3_trace.csv": "3cc5d47480af8b2462ddb383648bace2b3a3cd2606cff780cfa969e0c427a916",
+                "probe_cube3.json": "dc4bf34d3d40fa541a1b09c10a86eee9255a3b71ea26c364d1129513c24d4785",
+                "probe_cube3_trace.csv": "ad5226e93aab1b99ab03a81f54203ae1fe683263c0b2ab28daba4cb22bda20e7",
                 "run_meta.json": "567de04556f45d4a56abc0985b9eb8922c435e61bb049e74262bcaac0c40813c",
             },
         ),
@@ -226,9 +226,9 @@ def test_cli_calibrate_golden_csv(tmp_path):
             ["scenario", "--config", BANANA],
             EXIT_OK,
             {
-                "stiffness_map.json": "e41f837598b7faf91b5931ef4de0add39412f819c21df5c06a366557b15995d6",
-                "stiffness_map.csv": "64281c5c4438041f5e15c996e27978d936e1365ea5f20fb3af93c639aa93a934",
-                "stiffness_map_long.csv": "e184403e55bafe32d7573667329a348fcd36af0f8009328329b99d77d9059626",
+                "stiffness_map.json": "c8d4699bde7a3cac3a2aab9bfa0105a06311d792f58e851c35e26fbc40a1b641",
+                "stiffness_map.csv": "f88e4f9a731a488a9c5504772c95592f706adcbe37a9d3ba75154aae37a59ac4",
+                "stiffness_map_long.csv": "22af6e4d2d5cb6b03d2b72da2f7de4cb30cc6fb59cadc33fa79a68243977eb6b",
                 "run_meta.json": "5f8db29864c1764c7a92d1fd1ceb1df04a37e9536690061342a337e0c9f23049",
             },
         ),
@@ -236,9 +236,9 @@ def test_cli_calibrate_golden_csv(tmp_path):
             ["scenario", "--config", ORANGE],
             EXIT_OK,
             {
-                "stiffness_map.json": "d051ca3807ffe5a7c746c9d364e045d85f6c13c1b2cad430866a2285708d99eb",
-                "stiffness_map.csv": "e4fecc68478be27bca44cbe1a41c7a6ac0b8a303f1e11246043d1f930bedca70",
-                "stiffness_map_long.csv": "b0b5a58b8048bfb4e01b367b3faa293650232ca44d31c9ad9fba6e74852d9a89",
+                "stiffness_map.json": "2a59d6ce8619e6741051f445c0cded369b249984583dec2dcd0ed3396ebc09e1",
+                "stiffness_map.csv": "1abf785a3e3a2a6e4d2bea40a27ec684c5f4e9be182c8032dc66f79f77d1c03f",
+                "stiffness_map_long.csv": "8fa3c8170f09a3318b320caf39df1e1c1f25cad0c0c47d7445578e92999e6de2",
                 "run_meta.json": "36b778d2215bc37e938150718fcc8f70cb69fd15815cb92dee2a57a8237d2274",
             },
         ),
@@ -246,7 +246,7 @@ def test_cli_calibrate_golden_csv(tmp_path):
             ["sensitivity", "--config", CUBES],
             EXIT_RUNTIME_FLAG,  # the 10 mm closings end in the dead zone and are left out
             {
-                "sensitivity.csv": "bae364a7605a076c9ba8d3a254f66f541b427e82aeeda03889a4f0924edd903c",
+                "sensitivity.csv": "11f3f575b222a3247c734fdca02b3802eb36ffcd5e71fc4b70e5af755e5dd7e2",
                 "run_meta.json": "aa3fb7d861838af65cee141192bc186629a60c7f9e9d7be0e7e1c1e73aad0944",
             },
         ),
