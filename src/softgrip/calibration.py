@@ -230,6 +230,26 @@ def angle_from_dp(table: CalibrationTable, dp: float, p0: float) -> float:
     return float(grid[k - 1] + t * (grid[k] - grid[k - 1]))
 
 
+def misreads_kink(table: CalibrationTable, alpha_deg: float, p0: float) -> bool:
+    """Whether the torque lookup at alpha_deg misreads the kink at the dead zone's edge.
+
+    The kink cell of the torque column blended at p0 has a low node of 0 and a high node
+    above 0: the slack lies somewhere inside it, and the lookup spreads torque over the
+    whole cell. An angle strictly inside it misreads when the lookup differs by more than
+    5% from the line through the column's first two nonzero nodes, or when the column
+    has no second one.
+    """
+    i, t = _cell(table._alphas, alpha_deg, "alpha_deg")
+    torque, grid = _column(table, p0)[1], table._alphas
+    if not (0.0 < t < 1.0 and torque[i] == 0.0 < torque[i + 1]):
+        return False
+    if i + 2 == len(grid):
+        return True
+    slope = (torque[i + 2] - torque[i + 1]) / (grid[i + 2] - grid[i + 1])
+    line = torque[i + 1] + (alpha_deg - grid[i + 1]) * slope
+    return abs(t * torque[i + 1] - line) > 0.05 * abs(line)
+
+
 def force_from_dp(table: CalibrationTable, geom: FingerGeometry, dp: float, p0: float):
     """(alpha_deg, force N): the bending angle and normal contact force inferred
     from a measured pressure change, from one table inversion.

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .calibration import CalibrationTable, angle_from_dp, force_from_dp, interp_torque
+from .calibration import CalibrationTable, angle_from_dp, force_from_dp, interp_torque, misreads_kink
 from .contact import EquilibriumResult, solve_equilibrium
 from .errors import ConfigError, RangeError, StateError
 from .geometry import FingerGeometry, object_deformation, tip_extent
@@ -232,7 +232,9 @@ def probe(
     alone: a last step whose dp does not rise above the contact threshold
     means the finger could not yield to the object (saturated), and one that
     rises above it but inverts inside the fabric dead zone, where the table's
-    torque is zero whatever the object, measured no force (dead_zone).
+    torque is zero whatever the object, measured no force (dead_zone), and one
+    that inverts into the cell holding the dead zone's edge, where the table's
+    torque is a guess, cannot be read (kink; see misreads_kink).
     """
     trace = []
     for i in range(1, cfg.n_probe_steps + 1):
@@ -260,6 +262,9 @@ def probe(
     signal = dp_lock > cfg.threshold(sim.stream.model)
     if signal and force == 0.0:
         report.flags.append("dead_zone")
+        return report
+    if misreads_kink(table, alpha_deg, cfg.p0):
+        report.flags.append("kink")
         return report
 
     report.est_force = force

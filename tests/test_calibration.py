@@ -19,6 +19,7 @@ from softgrip.calibration import (
     hysteresis_sweep,
     interp_dp,
     interp_torque,
+    misreads_kink,
     write_csv,
 )
 from softgrip.config import DEFAULTS
@@ -461,6 +462,25 @@ def test_force_from_dp_matches_plant(ring, geom, locked_table):
         alpha_deg, est = force_from_dp(locked_table, geom, p - p0, p0)
         assert alpha_deg == pytest.approx(a_deg, abs=0.05)
         assert est == pytest.approx(truth, rel=5e-3)
+
+
+def test_misreads_kink_inside_the_kink_cell_only():
+    # torque 0 at 1 deg and 4 at 2 deg: the slack lies in the 1-2 deg cell; the
+    # line through the next two nodes, (2, 4) and (3, 10), crosses zero at 1.33 deg
+    alpha, p0 = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0])
+    dp = np.c_[alpha, alpha]
+    table = CalibrationTable(alpha, p0, dp, np.c_[[0.0, 0.0, 4.0, 10.0], [0.0, 0.0, 4.0, 10.0]])
+    assert misreads_kink(table, 1.5, 0.5)  # the lookup reads 2.0, the line 1.0
+    assert misreads_kink(table, 1.2, 0.5)  # the line is below zero
+    assert not misreads_kink(table, 1.98, 0.5)  # 3.92 against 3.88, within 5%
+    for a in (0.5, 1.0, 2.0, 2.5, 3.0):  # outside the cell, or on one of its nodes
+        assert not misreads_kink(table, a, 0.5)
+    # a column whose nonzero torque is linear from the low node reads the cell exactly
+    straight = CalibrationTable(alpha, p0, dp, np.c_[[0.0, 0.0, 5.0, 10.0], [0.0, 0.0, 5.0, 10.0]])
+    assert not misreads_kink(straight, 1.5, 0.5)
+    # with no second nonzero node there is no line to check the cell against
+    last = CalibrationTable(alpha, p0, dp, np.c_[[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, 4.0]])
+    assert misreads_kink(last, 2.5, 0.5) and not misreads_kink(last, 1.5, 0.5)
 
 
 def _per_cell_csv(table):

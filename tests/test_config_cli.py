@@ -583,6 +583,22 @@ def test_cli_probe_degenerate_deformation(tmp_path, capsys, seed):
     assert report["k_o_est"] is None
 
 
+def test_cli_probe_kink(tmp_path, capsys):
+    # a slack of 19.5 deg lies inside the table's 19-20 deg cell, whose lookup spreads
+    # torque over the whole cell: unflagged, this probe read 13.01 N against a true 9.35 N
+    doc = {
+        "plant": {"ring": {"alpha_slack_deg": 19.5}},
+        "fixtures": {"soft": {"kind": "uniform", "base_k_n_per_mm": 0.6, "surface_offset_mm": 40.0}},
+    }
+    out = tmp_path / "x"
+    argv = ["probe", "--config", _write(tmp_path, doc), "--fixture", "soft", "--noise", "off", "--out", str(out)]
+    assert main(argv) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == "probe finished with flags: kink\n"
+    report = json.loads((out / "probe_soft.json").read_text())
+    assert report["flags"] == ["kink"]
+    assert (report["est_force"], report["k_r"], report["k_o_est"], report["est_delta"]) == (None,) * 4
+
+
 @pytest.mark.parametrize("fixture, alpha_max", [("cube1", 30.0), ("cube3", 20.0)])
 def test_cli_probe_out_of_table(tmp_path, capsys, fixture, alpha_max):
     # a table that stops at alpha_max cannot invert the last reading of a deeper bend
