@@ -18,7 +18,7 @@ rule holds for every command:
 
 - exit 0: every file is written;
 - exit 3 with a flag (no_contact, contact_overshoot, out_of_table, dead_zone,
-  degenerate_deformation, travel_exhausted, saturated, no safe grasp, a
+  kink, degenerate_deformation, travel_exhausted, saturated, no safe grasp, a
   sensitivity pair left out):
   every file is written and the flag goes to stderr;
 - exit 2 (config error), or exit 3 with ``error:``: nothing is written.
@@ -111,14 +111,18 @@ MAX_PROBE_STEPS = 10_000  # probe.n_probe_steps; the bundled configs take 5
 # calibration.locked.p0_grid_kpa and each closing of sensitivity.dc_grid_mm for
 # sensitivity; the bundled configs take at most 50
 MAX_COMMAND_PROBES = 10_000
+# the closings of one command, its probes times each probe's approach and probe steps:
+# a command's time grows with them, as a settle read costs the same at any length;
+# contact_search takes 205, fruit_scenario 280 and the bundled sensitivity 1,960
+MAX_COMMAND_CLOSINGS = 1_000_000
 
 
-def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
+def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool, probes: int, probes_from: str):
     """(locked table, sensor) of a probing command; the sensor is quiet without noise.
 
     The gripper must open past the fixture's surface (check_travel) in bounded approach
-    steps, a probe take bounded steps and settle reads, and probe.p0_kpa lie in the table's
-    p0 grid.
+    steps, a probe take bounded steps and settle reads, the command's probes (as many as
+    probes_from names) take bounded closings, and probe.p0_kpa lie in the table's p0 grid.
     """
     max_open, step = cfg["gripper"]["max_open_mm"], cfg["probe"]["approach_step_mm"]
     keys = "gripper.max_open_mm" if fixture is None else f"gripper.max_open_mm and fixtures.{name}.surface_offset_mm"
@@ -133,6 +137,14 @@ def _rig(cfg: dict, name: str | None, fixture, ring, sensor, noise: bool):
         raise ConfigError(f"probe.settle_reads {reads} exceeds {MAX_SETTLE_READS}")
     if probe_steps > MAX_PROBE_STEPS:
         raise ConfigError(f"probe.n_probe_steps {probe_steps} exceeds {MAX_PROBE_STEPS}")
+    approach = math.ceil(max_open / step)
+    closings = probes * (approach + probe_steps)
+    if closings > MAX_COMMAND_CLOSINGS:
+        raise ConfigError(
+            f"{probes} probes ({probes_from}) of {approach} approach steps (gripper.max_open_mm / "
+            f"probe.approach_step_mm) and {probe_steps} probe steps (probe.n_probe_steps) each: "
+            f"{closings} closings, more than {MAX_COMMAND_CLOSINGS}"
+        )
     table = built("calibration.locked", generate_locked_sweep, ring, **cfg["calibration"]["locked"])
     lo, hi, p0 = float(table.p0_grid[0]), float(table.p0_grid[-1]), cfg["probe"]["p0_kpa"]
     if not lo <= p0 <= hi:
@@ -217,7 +229,7 @@ def resolve_probe(
     cfg: dict, fixture_name: str | None, noise: bool, geom, ring, sensor, probe_cfg, fixtures
 ) -> Run:
     fixture = _uniform_fixture(fixtures, fixture_name, "--fixture", "probe") if fixture_name else None
-    table, sensor = _rig(cfg, fixture_name, fixture, ring, sensor, noise)
+    table, sensor = _rig(cfg, fixture_name, fixture, ring, sensor, noise, 1, "probe")
     if fixture is None:
         return _fails(ConfigError("probe requires --fixture"))
     sim = GripperSim(
@@ -252,7 +264,7 @@ def resolve_scenario(
             f"plan.span {plan_cfg['span']!r} probes [0, {plan_cfg['span']!r}], but fixture "
             f"'{plan_cfg['fixture']}' is sampled over [{samples[0][0]!r}, {samples[-1][0]!r}]"
         )
-    table, sensor = _rig(cfg, plan_cfg["fixture"], fixture, ring, sensor, noise)
+    table, sensor = _rig(cfg, plan_cfg["fixture"], fixture, ring, sensor, noise, plan_cfg["n"], "plan.n")
     if fixture is None:
         return _fails(ConfigError("plan.fixture must name a fixture"))
 
@@ -302,7 +314,10 @@ def resolve_sensitivity(
     for dc in sens["dc_grid_mm"]:  # the probe settings the sweep takes at each closing
         built(f"sensitivity.dc_grid_mm entry {dc!r}", replace, probe_cfg, probe_step=dc / probe_cfg.n_probe_steps)
     # fb has fa's offset; the noisy sensor gives the sigma the sweep ranks by
-    table, sensor = _rig(cfg, name_a, fa, ring, sensor, True)
+    table, sensor = _rig(
+        cfg, name_a, fa, ring, sensor, True, probes,
+        "2 fixtures x calibration.locked.p0_grid_kpa x sensitivity.dc_grid_mm",
+    )
     if fa is None:
         return _fails(ConfigError(need_pair))
 

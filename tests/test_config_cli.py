@@ -11,8 +11,8 @@ import pytest
 import numpy as np
 
 from softgrip.cli import (
-    COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, MAX_COMMAND_PROBES, MAX_PROBE_STEPS,
-    MAX_SETTLE_READS, _min_linear_r2, main,
+    COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME_FLAG, MAX_APPROACH_STEPS, MAX_COMMAND_CLOSINGS, MAX_COMMAND_PROBES,
+    MAX_PROBE_STEPS, MAX_SETTLE_READS, _min_linear_r2, main,
 )
 from softgrip.config import (
     DEFAULTS,
@@ -1367,6 +1367,56 @@ def test_cli_sensitivity_probes_are_capped(tmp_path, capsys):
         assert capsys.readouterr() == ("", (
             "config error: sensitivity probes 2 fixtures at the 5 pressures of calibration.locked.p0_grid_kpa "
             f"and the 1001 closings of sensitivity.dc_grid_mm: 10010 probes, not 1 to {MAX_COMMAND_PROBES}\n"
+        ))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "plan_n, probe_steps, closings",
+    [
+        (10_000, 10, MAX_COMMAND_CLOSINGS),  # 10,000 probes of 90 + 10 closings: the cap
+        (9_901, 11, MAX_COMMAND_CLOSINGS + 1),  # 9,901 of 90 + 11: one closing past it
+        (10_000, 10_000, 100_900_000),  # each count at its own cap
+    ],
+)
+def test_cli_scenario_closings_are_capped(tmp_path, capsys, plan_n, probe_steps, closings):
+    # a command's closings, its probes times each one's approach and probe steps, are
+    # capped: a settle read costs the same at any length, so they set its time
+    with open(BANANA) as fh:
+        doc = json.load(fh)
+    _set(doc, "plan.n", plan_n)
+    _set(doc, "probe.approach_step_mm", 0.5)  # 45 mm in 90 steps
+    _set(doc, "probe.n_probe_steps", probe_steps)
+    path, out = _write(tmp_path, doc), tmp_path / "x"
+    if closings <= MAX_COMMAND_CLOSINGS:
+        assert main(["scenario", "--config", path, "--dry-run"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        return
+    for extra in (["--dry-run"], ["--out", str(out)]):
+        assert main(["scenario", "--config", path, *extra]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", (
+            f"config error: {plan_n} probes (plan.n) of 90 approach steps (gripper.max_open_mm / "
+            f"probe.approach_step_mm) and {probe_steps} probe steps (probe.n_probe_steps) each: "
+            f"{closings} closings, more than {MAX_COMMAND_CLOSINGS}\n"
+        ))
+    assert not out.exists()
+
+
+def test_cli_sensitivity_closings_are_capped(tmp_path, capsys):
+    # 2 fixtures at 5 pressures and 1,000 closings are 10,000 probes, each of 23
+    # approach and 77 probe steps: 1,000,000 closings, the cap; one probe step more is past it
+    doc = _cubes_with(sensitivity={"dc_grid_mm": [30.0] * 1000})
+    _set(doc, "probe.n_probe_steps", 77)
+    assert main(["sensitivity", "--config", _write(tmp_path, doc), "--dry-run"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    _set(doc, "probe.n_probe_steps", 78)
+    path, out = _write(tmp_path, doc, name="past.json"), tmp_path / "x"
+    for extra in (["--dry-run"], ["--out", str(out)]):
+        assert main(["sensitivity", "--config", path, *extra]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", (
+            "config error: 10000 probes (2 fixtures x calibration.locked.p0_grid_kpa x sensitivity.dc_grid_mm) "
+            "of 23 approach steps (gripper.max_open_mm / probe.approach_step_mm) and 78 probe steps "
+            f"(probe.n_probe_steps) each: 1010000 closings, more than {MAX_COMMAND_CLOSINGS}\n"
         ))
     assert not out.exists()
 
