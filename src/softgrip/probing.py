@@ -234,7 +234,8 @@ def probe(
     rises above it but inverts inside the fabric dead zone, where the table's
     torque is zero whatever the object, measured no force (dead_zone), and one
     that inverts into the cell holding the dead zone's edge, where the table's
-    torque is a guess, cannot be read (kink; see misreads_kink).
+    torque strays from the torque past the edge, cannot be read (kink; see
+    misreads_kink).
     """
     trace = []
     for i in range(1, cfg.n_probe_steps + 1):

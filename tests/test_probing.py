@@ -466,9 +466,9 @@ def test_approach_draws_the_contact_free_stretch_in_one_batch(geom, ring, sensor
 
 def test_unflagged_probes_are_accurate_near_an_off_grid_slack(quiet_sensor):
     # 600 noise-free probes of random plants on a 1 deg table: where the slack lies
-    # off the grid, the lookup across its cell invented torque, and 18 unflagged
-    # probes here missed k_o by more than 10% or the force by more than 5%; every
-    # such probe is now flagged kink, as is 1 probe that was within both
+    # off the grid, the lookup across its cell invents torque. Unflagged, 18 of these
+    # probes miss k_o by more than 10% or the force by more than 5%; the kink flag
+    # takes them, 1 probe within both and 2 that would flag degenerate_deformation
     rng = np.random.default_rng(7)
     kinks = 0
     for _ in range(600):
