@@ -1,6 +1,6 @@
 """Characterization sweeps of the plant, gridded lookup tables with bilinear
-interpolation, and the inverse queries used by the estimator
-(dp -> angle -> torque -> force).
+interpolation, and the inverse queries the estimator reads them with
+(dp -> angle -> torque; probing.force_from_dp names the zone of a reading).
 
 Table grids are stored in external units: degrees, kPa, N*mm.
 """
@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError, SaturationError
-from .geometry import FingerGeometry
 from .pneumatics import (
     JOINT_RANGE_DEG, RingModel, RingState, joint_torque, leak_path, lock, pressure_at_angle,
 )
@@ -248,18 +247,6 @@ def misreads_kink(table: CalibrationTable, alpha_deg: float, p0: float) -> bool:
     slope = (torque[i + 2] - torque[i + 1]) / (grid[i + 2] - grid[i + 1])
     line = torque[i + 1] + (alpha_deg - grid[i + 1]) * slope
     return abs(t * torque[i + 1] - line) > 0.05 * abs(line)
-
-
-def force_from_dp(table: CalibrationTable, geom: FingerGeometry, dp: float, p0: float):
-    """(alpha_deg, force N): the bending angle and normal contact force inferred
-    from a measured pressure change, from one table inversion.
-
-    The locked-sweep torque column at (alpha, p0) is recorded at the trapped-gas
-    pressure reached at that angle, i.e. already at the current pressure p0 + dp,
-    so no further pressure adjustment is applied.
-    """
-    alpha_deg = angle_from_dp(table, dp, p0)
-    return alpha_deg, interp_torque(table, alpha_deg, p0) / geom.tip_arm
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,9 @@ class ObjectModel:
             raise ConfigError("damage_threshold must be positive when set")
 
 
-def stiffness_at(obj: ObjectModel | StiffnessProfile, coord: float) -> float:
-    """Local stiffness (N/mm) at a probing coordinate."""
-    profile = obj.profile if isinstance(obj, ObjectModel) else obj
+def stiffness_at(obj: ObjectModel, coord: float) -> float:
+    """Local stiffness (N/mm) of an object at a probing coordinate."""
+    profile = obj.profile
     if profile.kind == "uniform":
         return profile.base_k
     coords = np.array([c for c, _ in profile.samples])

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .calibration import CalibrationTable, angle_from_dp, force_from_dp, interp_torque, misreads_kink
+from .calibration import CalibrationTable, angle_from_dp, interp_torque, misreads_kink
 from .contact import EquilibriumResult, solve_equilibrium
 from .errors import ConfigError, RangeError, StateError
 from .geometry import FingerGeometry, object_deformation, tip_extent
@@ -186,16 +186,38 @@ class GripperSim:
         return solve_equilibrium(self.geom, self.ring, self.nv, self.k_object, pen)
 
 
+def force_from_dp(table: CalibrationTable, geom: FingerGeometry, dp: float, p0: float):
+    """(zone, alpha_deg, force N): the estimator's one reading of a lock-referenced dp.
+
+    The zone names what the reading shows: "past" the table, or past the finger's alpha_max,
+    which the table (a ring property) can outreach, with no angle or force; a "free" bend,
+    where the table's torque is zero, inside the fabric dead zone; the dead zone's "kink" (see
+    misreads_kink), with no force; or "loaded", the force being the torque over the tip arm.
+    The locked-sweep torque column is recorded at the trapped-gas pressure reached at each
+    angle, i.e. already at p0 + dp, so no further pressure adjustment is applied.
+    """
+    try:
+        alpha_deg = angle_from_dp(table, dp, p0)
+    except RangeError:
+        return "past", None, None
+    if math.radians(alpha_deg) > geom.alpha_max:
+        return "past", None, None
+    torque = interp_torque(table, alpha_deg, p0)
+    if torque != 0.0 and misreads_kink(table, alpha_deg, p0):
+        return "kink", alpha_deg, None
+    return "loaded" if torque else "free", alpha_deg, torque / geom.tip_arm
+
+
 def detect_contact(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig):
     """Close in approach_step increments until the pressure signal crosses the
     threshold, then refine the contact opening from the free-bend pressure rise.
 
     Returns (contact_opening, contact_dp, flags), contact_dp being the
     lock-referenced dp at the step that crossed the threshold. Travel
-    exhaustion yields (None, None, ['no_contact']). A crossing reading that
-    inverts to an angle where the table's torque is already nonzero (or past
-    the table) shows a step that closed beyond the dead zone, where the
-    free-bend inversion no longer gives the contact opening: that yields
+    exhaustion yields (None, None, ['no_contact']). A crossing reading in any
+    zone but the free bend (see force_from_dp) shows a step that closed beyond
+    the dead zone, or past the finger's joint range, where the free-bend
+    inversion no longer gives the contact opening: that yields
     (None, None, ['contact_overshoot']).
     """
     sim.pressurize_and_lock(cfg.p0, cfg.settle_reads)
@@ -203,12 +225,8 @@ def detect_contact(sim: GripperSim, table: CalibrationTable, cfg: ProbeConfig):
     for dp in sim.approach(cfg.approach_step, cfg.settle_reads):
         if dp > threshold:
             # invert the dead-zone free bend to estimate the true contact opening
-            try:
-                alpha_deg = angle_from_dp(table, dp, cfg.p0)
-                overshoot = interp_torque(table, alpha_deg, cfg.p0) > 0.0
-            except RangeError:  # a reading past the table is past the dead zone too
-                overshoot = True
-            if overshoot:
+            zone, alpha_deg, _ = force_from_dp(table, sim.geom, dp, cfg.p0)
+            if zone != "free":
                 return None, None, ["contact_overshoot"]
             pen_hat = tip_extent(sim.geom, math.radians(alpha_deg))
             return sim.opening + pen_hat, dp, []
@@ -229,13 +247,12 @@ def probe(
     stores dp relative to that contact baseline so approach-phase offsets do
     not bias k_r; the estimation uses the lock-referenced dp, which the table
     is built from. Like every estimate, the flags come from the sensor
-    alone: a last step whose dp does not rise above the contact threshold
-    means the finger could not yield to the object (saturated), and one that
-    rises above it but inverts inside the fabric dead zone, where the table's
-    torque is zero whatever the object, measured no force (dead_zone), and one
-    that inverts into the cell holding the dead zone's edge, where the table's
-    torque strays from the torque past the edge, cannot be read (kink; see
-    misreads_kink).
+    alone, through the zone force_from_dp reads the last step in. Three
+    leave no estimates: past the table or the finger's joint range
+    (out_of_table), a free bend above the contact threshold, whose zero
+    torque says nothing of the object (dead_zone), and the kink (kink). A
+    last step whose dp does not rise above the threshold means the finger
+    could not yield to the object (saturated).
     """
     trace = []
     for i in range(1, cfg.n_probe_steps + 1):
@@ -250,22 +267,11 @@ def probe(
         # contact estimate, cannot be told from a closing that ends at zero
         report.flags.append("travel_exhausted")
         return report
-    try:
-        alpha_deg, force = force_from_dp(table, sim.geom, max(dp_lock, 0.0), cfg.p0)
-    except RangeError:
-        alpha_deg = math.inf
-    alpha = math.radians(alpha_deg)
-    if alpha > sim.geom.alpha_max:
-        # beyond the table, or beyond the finger's joint range where the table
-        # (a ring property) reaches further than this finger can bend
-        report.flags.append("out_of_table")
-        return report
+    zone, alpha_deg, force = force_from_dp(table, sim.geom, max(dp_lock, 0.0), cfg.p0)
     signal = dp_lock > cfg.threshold(sim.stream.model)
-    if signal and force == 0.0:
-        report.flags.append("dead_zone")
-        return report
-    if misreads_kink(table, alpha_deg, cfg.p0):
-        report.flags.append("kink")
+    flag = {"past": "out_of_table", "kink": "kink", "free": "dead_zone" if signal else None}.get(zone)
+    if flag is not None:
+        report.flags.append(flag)
         return report
 
     report.est_force = force
@@ -273,7 +279,7 @@ def probe(
     # closing applied from the estimated contact opening, not the one commanded
     applied = min(contact_opening, cfg.d_c)
     report.k_r = report.est_force / applied
-    delta_hat = object_deformation(sim.geom, applied, alpha)
+    delta_hat = object_deformation(sim.geom, applied, math.radians(alpha_deg))
     report.est_delta = delta_hat
     if delta_hat > 1e-9:
         report.k_o_est = report.est_force / delta_hat

@@ -13,7 +13,6 @@ from softgrip.calibration import (
     _column,
     _grid,
     angle_from_dp,
-    force_from_dp,
     generate_locked_sweep,
     generate_regulated_sweep,
     hysteresis_sweep,
@@ -34,7 +33,7 @@ from softgrip.geometry import FingerGeometry
 from softgrip.pneumatics import (
     RingModel, RingState, SensorModel, joint_torque, lock, pressure_at_angle, volume_at_angle,
 )
-from softgrip.probing import GripperSim
+from softgrip.probing import GripperSim, force_from_dp
 
 LOCKED = DEFAULTS["calibration"]["locked"]
 
@@ -431,39 +430,6 @@ def test_angle_from_dp_errors(locked_table):
         angle_from_dp(locked_table, dp_max + 1.0, 60.0)
 
 
-def test_force_from_dp_zero_in_dead_zone(geom, locked_table):
-    # small dp maps to angles inside the fabric dead zone: zero torque, zero force
-    assert force_from_dp(locked_table, geom, 0.0, 60.0) == (0.0, 0.0)
-    dp_at_15deg = interp_dp(locked_table, 15.0, 60.0)
-    alpha_deg, force = force_from_dp(locked_table, geom, dp_at_15deg, 60.0)
-    assert alpha_deg == pytest.approx(15.0, abs=1e-9)
-    assert force == pytest.approx(0.0, abs=1e-9)
-
-
-def test_force_from_dp_scales_with_moment_arm(geom, locked_table):
-    from dataclasses import replace
-
-    dp = interp_dp(locked_table, 45.0, 60.0)
-    a1, f1 = force_from_dp(locked_table, geom, dp, 60.0)
-    a2, f2 = force_from_dp(locked_table, replace(geom, tip_arm=2 * geom.tip_arm), dp, 60.0)
-    assert f1 > 0.0
-    assert a1 == a2 == angle_from_dp(locked_table, dp, 60.0)
-    assert f2 == pytest.approx(f1 / 2.0)
-
-
-def test_force_from_dp_matches_plant(ring, geom, locked_table):
-    # drive the plant to a known angle and check the inferred force
-    p0 = 60.0
-    nv = lock(RingState(p_gauge=p0, alpha=0.0), ring)
-    for a_deg in (30.0, 45.0, 60.0, 75.0):
-        alpha = math.radians(a_deg)
-        p = pressure_at_angle(nv, ring, alpha)
-        truth = joint_torque(ring, alpha, p) / geom.tip_arm
-        alpha_deg, est = force_from_dp(locked_table, geom, p - p0, p0)
-        assert alpha_deg == pytest.approx(a_deg, abs=0.05)
-        assert est == pytest.approx(truth, rel=5e-3)
-
-
 def test_misreads_kink_inside_the_kink_cell_only():
     # torque 0 at 1 deg and 4 at 2 deg: the slack lies in the 1-2 deg cell; the
     # line through the next two nodes, (2, 4) and (3, 10), crosses zero at 1.33 deg
@@ -645,9 +611,10 @@ def _outcome(fn, *args):
 
 
 # sha256 over the repr of the table inversions' outcomes on the cases below,
-# pinned from the lookups that read one blended column per p0: a faster lookup
+# pinned from the lookups that read one blended column per p0, and from
+# probing.force_from_dp's (zone, alpha_deg, force) readings: a faster lookup
 # must keep every result, and every error message, bit for bit
-INVERSION_DIGEST = "d9122641ca83769b9fa33d7f7d4b47501eb6d8fbe2a88929c58d6951866b0ace"
+INVERSION_DIGEST = "a1c530c2bfa340abfd907a197ed4f0f516af8870003dc339db298314fcb8a010"
 
 
 def test_inversion_outcomes_are_bit_identical(geom, locked_table):

@@ -614,6 +614,37 @@ def test_cli_probe_out_of_table(tmp_path, capsys, fixture, alpha_max):
     assert report["est_force"] is None and report["k_r"] is None and report["k_o_est"] is None
 
 
+def _short_finger(config):
+    """config with a finger that stops at 10 deg, inside the 20 deg dead zone, approached in 6 mm steps."""
+    with open(config) as fh:
+        doc = json.load(fh)
+    _set(doc, "plant.geometry.alpha_max_deg", 10.0)
+    _set(doc, "probe.approach_step_mm", 6.0)
+    return doc
+
+
+def test_cli_probe_crossing_past_a_short_finger_is_contact_overshoot(tmp_path, capsys):
+    # the step that crosses the threshold bends the finger to within 0.2 mm of its full extent,
+    # and noise reads the bend past 10 deg: this exited 3 with a DomainError and wrote nothing
+    out = tmp_path / "x"
+    argv = ["probe", "--config", _write(tmp_path, _short_finger(CUBES)), "--fixture", "cube1", "--seed", "2"]
+    assert main([*argv, "--out", str(out)]) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == "probe finished with flags: contact_overshoot\n"
+    report = json.loads((out / "probe_cube1.json").read_text())
+    assert report["flags"] == ["contact_overshoot"] and report["contact_opening"] is None
+
+
+def test_cli_scenario_on_a_short_finger_writes_its_map(tmp_path, capsys):
+    # as above, two banana locations overshoot; the rest saturate the short finger
+    out = tmp_path / "x"
+    argv = ["scenario", "--config", _write(tmp_path, _short_finger(BANANA)), "--seed", "0", "--out", str(out)]
+    assert main(argv) == EXIT_RUNTIME_FLAG
+    assert capsys.readouterr().err == "no safe grasp location: every probed entry is flagged\n"
+    smap = json.loads((out / "stiffness_map.json").read_text())
+    assert smap["chosen"] is None
+    assert sum(e["flags"] == ["contact_overshoot"] for e in smap["entries"]) == 2
+
+
 def test_cli_runtime_error_writes_nothing(tmp_path, capsys, monkeypatch):
     def fail(sim, table, cfg):
         raise RangeError("dp=99.0 outside calibrated hull [0.0, 40.0]")

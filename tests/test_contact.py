@@ -24,16 +24,19 @@ def _locked(ring, p0):
     return lock(RingState(p_gauge=p0, alpha=0.0), ring)
 
 
-BANANA = StiffnessProfile(
-    kind="linear_positions",
-    samples=((0.0, 150.0), (70.0, 150.0), (80.0, 25.0), (90.0, 25.0)),
+BANANA = ObjectModel(
+    profile=StiffnessProfile(
+        kind="linear_positions",
+        samples=((0.0, 150.0), (70.0, 150.0), (80.0, 25.0), (90.0, 25.0)),
+    ),
+    surface_offset=40.0,
 )
 
 
 def test_uniform_profile():
-    prof = StiffnessProfile(kind="uniform", base_k=42.0)
-    assert stiffness_at(prof, 0.0) == 42.0
-    assert stiffness_at(prof, 123.0) == 42.0
+    obj = ObjectModel(profile=StiffnessProfile(kind="uniform", base_k=42.0), surface_offset=40.0)
+    assert stiffness_at(obj, 0.0) == 42.0
+    assert stiffness_at(obj, 123.0) == 42.0
 
 
 def test_sampled_profile_interpolates():
@@ -57,7 +60,7 @@ def test_profile_range_check():
 
 
 def test_object_model_via_stiffness_at():
-    obj = ObjectModel(profile=BANANA, surface_offset=40.0, damage_threshold=500.0)
+    obj = ObjectModel(profile=BANANA.profile, surface_offset=40.0, damage_threshold=500.0)
     assert stiffness_at(obj, 80.0) == 25.0
 
 
@@ -75,9 +78,9 @@ def test_profile_validation():
     with pytest.raises(ConfigError):
         StiffnessProfile(kind="angular_positions", samples=((0.0, 1.0), (190.0, 2.0)))
     with pytest.raises(ConfigError):
-        ObjectModel(profile=BANANA, surface_offset=-1.0)
+        ObjectModel(profile=BANANA.profile, surface_offset=-1.0)
     with pytest.raises(ConfigError):
-        ObjectModel(profile=BANANA, surface_offset=40.0, damage_threshold=0.0)
+        ObjectModel(profile=BANANA.profile, surface_offset=40.0, damage_threshold=0.0)
 
 
 def test_zero_stiffness_limit(geom, ring):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -6,17 +7,22 @@ import pytest
 
 import softgrip.calibration
 import softgrip.probing
-from softgrip.calibration import generate_locked_sweep
+from softgrip.calibration import (
+    angle_from_dp, generate_locked_sweep, interp_dp, interp_torque, misreads_kink,
+)
 from softgrip.config import DEFAULTS
 from softgrip.contact import solve_equilibrium
-from softgrip.errors import ConfigError, SaturationError, StateError
-from softgrip.geometry import FingerGeometry
-from softgrip.pneumatics import PressureSensor, RingModel, measurement_sigma
+from softgrip.errors import ConfigError, RangeError, SaturationError, StateError
+from softgrip.geometry import FingerGeometry, tip_extent
+from softgrip.pneumatics import (
+    PressureSensor, RingModel, RingState, joint_torque, lock, measurement_sigma, pressure_at_angle,
+)
 from softgrip.probing import (
     GripperSim,
     ProbeConfig,
     check_travel,
     detect_contact,
+    force_from_dp,
     probe,
     run_probe,
     sensitivity_sweep,
@@ -261,16 +267,103 @@ def test_saturated_flag_matches_plant_truth(ring, sensor, quiet_sensor, locked_t
     assert 40 <= saturated <= 760  # both outcomes occur often
 
 
-def test_probe_reading_past_joint_range_is_out_of_table(ring, quiet_sensor, locked_table, monkeypatch):
-    # the table reaches 80 deg, a short finger less: an inverted angle past the
-    # finger's joint range (noise near a full bend) is flagged, not a DomainError
-    geom = FingerGeometry(alpha_max=math.radians(40.0))
-    monkeypatch.setattr(softgrip.probing, "force_from_dp", lambda table, geom, dp, p0: (40.5, 123.0))
-    sim = _sim(geom, ring, quiet_sensor, 100.0)
-    sim.pressurize_and_lock(CFG.p0, CFG.settle_reads)
-    report = probe(sim, locked_table, CFG, 40.0, 0.0)
-    assert report.flags == ["out_of_table"]
-    assert report.est_force is None and report.k_r is None
+def test_probe_reading_past_joint_range_is_out_of_table(ring, sensor, locked_table):
+    # the table reaches 80 deg, this finger 34: a 100 N/mm cube bends it to 33.88 deg,
+    # and noise reads some of those bends past 34 deg, which are flagged, not a DomainError
+    geom = FingerGeometry(alpha_max=math.radians(34.0))
+    past = 0
+    for seed in range(40):
+        sim = _sim(geom, ring, sensor, 100.0, seed=seed)
+        sim.pressurize_and_lock(CFG.p0, CFG.settle_reads)
+        report = probe(sim, locked_table, CFG, 40.0, 0.0)  # the trace holds the lock-referenced dp
+        beyond = angle_from_dp(locked_table, max(report.dp_trace[-1][1], 0.0), CFG.p0) > 34.0
+        assert (report.flags == ["out_of_table"]) == beyond, seed
+        assert _no_estimates(report) == beyond, seed
+        past += beyond
+    assert 5 <= past <= 35  # both outcomes occur often
+
+
+def test_short_fingers_never_raise(ring, sensor, locked_table):
+    # fingers that stop at 8-20 deg, inside the 20 deg dead zone: the approach step that
+    # crosses the threshold bends the finger to within 0.5 mm of its full extent, where
+    # noise reads some bends past alpha_max. Those are contact_overshoot, not a DomainError
+    rng = np.random.default_rng(35)
+    overshoots = 0
+    for seed in range(200):
+        geom = FingerGeometry(alpha_max=math.radians(rng.uniform(8.0, 20.0)))
+        first = rng.uniform(0.0, 1.5)  # mm of the first closing into the object, below the threshold
+        step = tip_extent(geom, geom.alpha_max) - rng.uniform(0.0, 0.5) - first
+        cfg = replace(CFG, p0=float(rng.uniform(40.0, 80.0)), approach_step=step)
+        k = float(10.0 ** rng.uniform(math.log10(3.0), 3.0))
+        sim = GripperSim(geom, ring, sensor, k, 40.0, max_open=40.0 + step - first, seed=seed)
+        report = run_probe(sim, locked_table, cfg)
+        overshoots += report.flags == ["contact_overshoot"]
+    assert 10 <= overshoots <= 190  # past the finger's range often, and not always
+
+
+def test_force_from_dp_zero_in_dead_zone(geom, locked_table):
+    # small dp maps to angles inside the fabric dead zone: a free bend, zero torque, zero force
+    assert force_from_dp(locked_table, geom, 0.0, 60.0) == ("free", 0.0, 0.0)
+    dp_at_15deg = interp_dp(locked_table, 15.0, 60.0)
+    zone, alpha_deg, force = force_from_dp(locked_table, geom, dp_at_15deg, 60.0)
+    assert zone == "free" and force == 0.0
+    assert alpha_deg == pytest.approx(15.0, abs=1e-9)
+
+
+def test_force_from_dp_scales_with_moment_arm(geom, locked_table):
+    dp = interp_dp(locked_table, 45.0, 60.0)
+    z1, a1, f1 = force_from_dp(locked_table, geom, dp, 60.0)
+    z2, a2, f2 = force_from_dp(locked_table, replace(geom, tip_arm=2 * geom.tip_arm), dp, 60.0)
+    assert z1 == z2 == "loaded" and f1 > 0.0
+    assert a1 == a2 == angle_from_dp(locked_table, dp, 60.0)
+    assert f2 == pytest.approx(f1 / 2.0)
+
+
+def test_force_from_dp_matches_plant(ring, geom, locked_table):
+    # drive the plant to a known angle and check the inferred force
+    p0 = 60.0
+    nv = lock(RingState(p_gauge=p0, alpha=0.0), ring)
+    for a_deg in (30.0, 45.0, 60.0, 75.0):
+        alpha = math.radians(a_deg)
+        p = pressure_at_angle(nv, ring, alpha)
+        truth = joint_torque(ring, alpha, p) / geom.tip_arm
+        zone, alpha_deg, est = force_from_dp(locked_table, geom, p - p0, p0)
+        assert zone == "loaded"
+        assert alpha_deg == pytest.approx(a_deg, abs=0.05)
+        assert est == pytest.approx(truth, rel=5e-3)
+
+
+def test_force_from_dp_zone_agrees_with_the_lookups(ring, locked_table):
+    # the zone is what the table's own lookups say of the reading, on the bundled table and
+    # on one whose 19.5 deg slack lies inside its 19-20 deg cell, where the kink shows
+    off_grid = _table_at(replace(ring, alpha_slack=math.radians(19.5)), [0.0, 20.0, 40.0, 60.0, 80.0])
+    rng = np.random.default_rng(2035)
+    zones = Counter()
+    for table in (locked_table, off_grid):
+        p_lo, p_hi = table.p0_grid[0], table.p0_grid[-1]
+        for _ in range(60):
+            geom = FingerGeometry(alpha_max=math.radians(rng.uniform(5.0, 80.0)))
+            p0 = float(rng.choice(table.p0_grid)) if rng.random() < 0.3 else float(rng.uniform(p_lo, p_hi))
+            top = interp_dp(table, float(table.alpha_grid[-1]), p0)
+            for dp in rng.uniform(0.0, top + 1.0, 40).tolist():
+                zone, alpha_deg, force = force_from_dp(table, geom, dp, p0)
+                zones[zone] += 1
+                try:
+                    angle = angle_from_dp(table, dp, p0)
+                except RangeError:
+                    angle = math.inf
+                if math.radians(angle) > geom.alpha_max:
+                    assert (zone, alpha_deg, force) == ("past", None, None)
+                    continue
+                torque = interp_torque(table, angle, p0)
+                assert alpha_deg == angle
+                assert (zone == "free") == (torque == 0.0)
+                assert (zone == "kink") == misreads_kink(table, angle, p0)
+                if zone == "kink":
+                    assert force is None
+                else:
+                    assert force == torque / geom.tip_arm
+    assert set(zones) == {"past", "free", "kink", "loaded"}, zones
 
 
 def _no_estimates(report):
