@@ -48,7 +48,6 @@ from .config import (
     build_fixture, build_geometry, build_probe_config, build_ring, build_sensor, built, config_hash,
     fixture_named, load_config,
 )
-from .contact import stiffness_at
 from .errors import ConfigError, SoftgripError
 from .planner import execute_plan, make_plan
 from .pneumatics import JOINT_RANGE_DEG, TAIL_SIGMAS, RingState, lock, pressure_at_angle
@@ -168,7 +167,7 @@ def _uniform_fixture(fixtures: dict, name: str, source: str, command: str):
     """The fixture of that name, which source (the flag or config key that gave
     the name) must name uniform: command probes it at one location."""
     fixture = fixture_named(fixtures, name, source)
-    if fixture.profile.kind != "uniform":
+    if fixture.kind != "uniform":
         raise ConfigError(
             f"{source} names fixture '{name}', which has a spatial profile; "
             f"{command} takes a uniform fixture, the scenario command a spatial one"
@@ -233,7 +232,7 @@ def resolve_probe(
     if fixture is None:
         return _fails(ConfigError("probe requires --fixture"))
     sim = GripperSim(
-        geom, ring, sensor, stiffness_at(fixture, 0.0), fixture.surface_offset,
+        geom, ring, sensor, fixture.base_k, fixture.surface_offset,
         max_open=cfg["gripper"]["max_open_mm"], seed=cfg["seed"],
     )
 
@@ -258,7 +257,7 @@ def resolve_scenario(
     if plan_cfg["n"] > MAX_COMMAND_PROBES:
         raise ConfigError(f"plan.n {plan_cfg['n']} exceeds {MAX_COMMAND_PROBES}")
     plan = built("plan", make_plan, plan_cfg["span"], plan_cfg["n"], plan_cfg["avoid_fraction"])
-    samples = fixture.profile.samples if fixture else ()  # () for a uniform fixture or none
+    samples = fixture.samples if fixture else ()  # () for a uniform fixture or none
     if samples and not (samples[0][0] <= 0.0 and plan_cfg["span"] <= samples[-1][0]):
         raise ConfigError(
             f"plan.span {plan_cfg['span']!r} probes [0, {plan_cfg['span']!r}], but fixture "
@@ -323,7 +322,7 @@ def resolve_sensitivity(
 
     def run():
         ranked, left_out = sensitivity_sweep(
-            geom, ring, sensor, table, stiffness_at(fa, 0.0), stiffness_at(fb, 0.0),
+            geom, ring, sensor, table, fa.base_k, fb.base_k,
             dc_grid=sens["dc_grid_mm"], base_cfg=probe_cfg,
             surface_offset=fa.surface_offset, max_open=cfg["gripper"]["max_open_mm"],
         )

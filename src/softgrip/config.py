@@ -15,7 +15,7 @@ import json
 import math
 from copy import deepcopy
 
-from .contact import ObjectModel, StiffnessProfile
+from .contact import ObjectModel
 from .errors import ConfigError, DomainError
 from .geometry import FingerGeometry
 from .pneumatics import RingModel, SensorModel
@@ -279,10 +279,9 @@ def fixture_named(fixtures: dict, name: str, key: str):
 
 
 def build_fixture(cfg: dict, name: str) -> ObjectModel:
-    path, raw = f"fixtures.{name}", {**_FIXTURE_FIELDS, **fixture_named(cfg["fixtures"], name, "fixtures")}
-    samples = () if raw["kind"] == "uniform" else tuple(map(tuple, raw["samples"]))
-    profile = built(path, StiffnessProfile, kind=raw["kind"], base_k=raw["base_k_n_per_mm"], samples=samples)
+    raw = {**_FIXTURE_FIELDS, **fixture_named(cfg["fixtures"], name, "fixtures")}
     return built(
-        path, ObjectModel,
-        profile=profile, surface_offset=raw["surface_offset_mm"], damage_threshold=raw["damage_threshold_n"],
+        f"fixtures.{name}", ObjectModel,
+        surface_offset=raw["surface_offset_mm"], kind=raw["kind"], base_k=raw["base_k_n_per_mm"],
+        samples=tuple(map(tuple, raw["samples"])), damage_threshold=raw["damage_threshold_n"],
     )

@@ -1,6 +1,6 @@
-"""Object models with optional spatial stiffness profiles, and the quasi-static
-equilibrium between the pressurized joint and a linear-spring object, plus the
-brute-force grid oracle used in verification.
+"""Linear-spring objects, with a uniform (base_k) or sampled (samples) stiffness
+as their kind says; the quasi-static equilibrium between the pressurized joint
+and such an object; and the brute-force grid oracle used in verification.
 
 Both the solver and the oracle evaluate the torque balance through the plant
 formulas in `pneumatics` and `geometry`. The oracle calls the checked public
@@ -35,17 +35,20 @@ ALPHA_TOL = 1e-7  # rad, final bracket width of the equilibrium solver
 
 
 @dataclass(frozen=True)
-class StiffnessProfile:
-    """Spatial stiffness of an object: uniform, or sampled along a line / around an axis.
+class ObjectModel:
+    """A linear-spring object: contact opening, spatial stiffness, damage limit.
 
-    Sampled kinds interpolate piecewise-linearly between (coordinate, stiffness)
-    pairs; coordinates are mm for linear_positions, degrees in [0, 180] for
-    angular_positions.
+    A uniform object has one stiffness base_k. A sampled kind interpolates
+    piecewise-linearly between (coordinate, stiffness) pairs in samples;
+    coordinates are mm for linear_positions, degrees in [0, 180] for
+    angular_positions. Each kind takes only its own stiffness field.
     """
 
+    surface_offset: float  # gripper opening (mm) at which first contact occurs
     kind: str = "uniform"
-    base_k: float = 0.0
+    base_k: float = 0.0  # N/mm
     samples: tuple = ()
+    damage_threshold: float | None = None  # N, optional
 
     def __post_init__(self):
         if self.kind not in ("uniform", "linear_positions", "angular_positions"):
@@ -53,42 +56,37 @@ class StiffnessProfile:
         if self.kind == "uniform":
             if self.base_k <= 0:
                 raise ConfigError(f"uniform profile needs base_k > 0, got {self.base_k}")
-            return
-        if len(self.samples) < 2:
-            raise ConfigError("sampled profile needs at least 2 samples")
-        coords = [c for c, _ in self.samples]
-        if any(c2 <= c1 for c1, c2 in zip(coords, coords[1:])):
-            raise ConfigError("sample coordinates must be strictly increasing")
-        if any(k <= 0 for _, k in self.samples):
-            raise ConfigError("all sampled stiffness values must be positive")
-        if self.kind == "angular_positions" and not (
-            0.0 <= coords[0] and coords[-1] <= 180.0
-        ):
-            raise ConfigError("angular coordinates must lie in [0, 180] deg")
-
-
-@dataclass(frozen=True)
-class ObjectModel:
-    """A linear-spring object: stiffness profile, contact opening, damage limit."""
-
-    profile: StiffnessProfile
-    surface_offset: float  # gripper opening (mm) at which first contact occurs
-    damage_threshold: float | None = None  # N, optional
-
-    def __post_init__(self):
+        else:
+            if len(self.samples) < 2:
+                raise ConfigError("sampled profile needs at least 2 samples")
+            coords = [c for c, _ in self.samples]
+            if any(c2 <= c1 for c1, c2 in zip(coords, coords[1:])):
+                raise ConfigError("sample coordinates must be strictly increasing")
+            if any(k <= 0 for _, k in self.samples):
+                raise ConfigError("all sampled stiffness values must be positive")
+            if self.kind == "angular_positions" and not (0.0 <= coords[0] and coords[-1] <= 180.0):
+                raise ConfigError("angular coordinates must lie in [0, 180] deg")
         if self.surface_offset < 0:
             raise ConfigError(f"surface_offset must be non-negative, got {self.surface_offset}")
         if self.damage_threshold is not None and self.damage_threshold <= 0:
             raise ConfigError("damage_threshold must be positive when set")
+        # a forgotten kind reads as uniform, so a stray stiffness field is an error, never
+        # dropped; checked last, so a fixture failing an earlier check keeps its message
+        if self.kind == "uniform" and self.samples:
+            raise ConfigError(
+                "kind 'uniform' (the default) takes base_k, not samples; a sampled profile sets kind to "
+                "'linear_positions' or 'angular_positions'"
+            )
+        if self.kind != "uniform" and self.base_k != 0:
+            raise ConfigError(f"kind '{self.kind}' takes samples, not base_k, got base_k {self.base_k}")
 
 
 def stiffness_at(obj: ObjectModel, coord: float) -> float:
     """Local stiffness (N/mm) of an object at a probing coordinate."""
-    profile = obj.profile
-    if profile.kind == "uniform":
-        return profile.base_k
-    coords = np.array([c for c, _ in profile.samples])
-    ks = np.array([k for _, k in profile.samples])
+    if obj.kind == "uniform":
+        return obj.base_k
+    coords = np.array([c for c, _ in obj.samples])
+    ks = np.array([k for _, k in obj.samples])
     if not coords[0] <= coord <= coords[-1]:
         raise RangeError(f"coordinate {coord} outside sampled span [{coords[0]}, {coords[-1]}]")
     return float(np.interp(coord, coords, ks))

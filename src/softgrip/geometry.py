@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
+from .pneumatics import JOINT_RANGE_DEG
 
 
 @dataclass(frozen=True)
@@ -25,22 +26,23 @@ class FingerGeometry:
     deformation is measured from first contact. tip_arm is the moment arm (mm)
     of the fingertip contact force about the joint.
 
-    With a, b > 0, beta lies in (0, 90) deg, and with alpha_max <= 80 deg,
-    alpha - beta stays in (-90, 90) deg over [0, alpha_max], so the extent is
-    strictly increasing over the joint range. The equilibrium solver and
-    tip_extent_inverse rely on both facts.
+    With a, b > 0, beta lies in (0, 90) deg, and with alpha_max <= JOINT_RANGE_DEG
+    (80 deg, over which RingModel keeps the cavity open), alpha - beta stays in
+    (-90, 90) deg over [0, alpha_max], so the extent is strictly increasing
+    over the joint range. The equilibrium solver and tip_extent_inverse rely on
+    both facts, and contact's unchecked cores on the cavity staying open.
     """
 
     a: float = 15.0
     b: float = 40.0
-    alpha_max: float = math.radians(80.0)
+    alpha_max: float = math.radians(JOINT_RANGE_DEG)
     tip_arm: float = 40.0
 
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
             raise DomainError(f"link lengths must be positive, got a={self.a}, b={self.b}")
-        if not 0.0 < self.alpha_max <= math.radians(80.0) + 1e-12:
-            raise DomainError(f"alpha_max must be in (0, 80 deg], got {self.alpha_max} rad")
+        if not 0.0 < self.alpha_max <= math.radians(JOINT_RANGE_DEG) + 1e-12:
+            raise DomainError(f"alpha_max must be in (0, {JOINT_RANGE_DEG:g} deg], got {self.alpha_max} rad")
         if self.tip_arm <= 0:
             raise DomainError(f"tip_arm must be positive, got {self.tip_arm}")
 

@@ -37,7 +37,7 @@ class ProbePlan:
 def make_plan(span: float, n: int, avoid_fraction: float) -> ProbePlan:
     """n equally spaced probing locations over [0, span] (none for n < 0).
 
-    The fixture's profile kind gives the unit: mm along the body for
+    The fixture's kind gives the unit: mm along the body for
     linear_positions, wrist angles in degrees for angular_positions.
     """
     return ProbePlan(tuple(float(x) for x in np.linspace(0.0, span, max(n, 0))), avoid_fraction)

@@ -82,7 +82,7 @@ def test_builders_roundtrip_units(tmp_path):
 def test_build_fixture_from_bundled_config():
     cfg = load_config(CUBES)
     cube3 = build_fixture(cfg, "cube3")
-    assert cube3.profile.base_k == 202.39
+    assert cube3.base_k == 202.39
     assert cube3.surface_offset == 40.0
     with pytest.raises(ConfigError, match="cube1"):
         build_fixture(cfg, "missing")
@@ -870,10 +870,11 @@ def test_build_fixture_fills_field_defaults(tmp_path):
         "stray": {**spelled, "samples": [[0.0, 1.0], [10.0, 2.0]]},
     }
     cfg = load_config(_write(tmp_path, {"fixtures": fixtures}))
-    built = {name: build_fixture(cfg, name) for name in fixtures}
-    assert built["omitted"] == built["spelled"] == built["stray"]
-    assert built["stray"].profile.samples == ()  # a uniform profile ignores samples
-    assert built["spelled"].damage_threshold is None
+    assert build_fixture(cfg, "omitted") == build_fixture(cfg, "spelled")
+    assert build_fixture(cfg, "spelled").damage_threshold is None
+    # a uniform fixture takes no samples: a forgotten kind would otherwise drop them unseen
+    with pytest.raises(ConfigError, match=r"^fixtures\.stray: kind 'uniform' \(the default\) takes base_k, not samples"):
+        build_fixture(cfg, "stray")
 
 
 def test_first_fault_in_file_order_is_reported(tmp_path):
@@ -888,6 +889,13 @@ def test_first_fault_in_file_order_is_reported(tmp_path):
 
 # a fixture sampled along its length, which only the scenario command probes
 SPATIAL = {"kind": "linear_positions", "samples": [[0.0, 150.0], [90.0, 25.0]], "surface_offset_mm": 40.0}
+# the bundled banana with its kind left out and a base_k set: it reads as uniform
+KINDLESS_BANANA = {**load_config(BANANA)["fixtures"]["banana"], "base_k_n_per_mm": 150.0}
+del KINDLESS_BANANA["kind"]
+STRAY_SAMPLES = (
+    "kind 'uniform' (the default) takes base_k, not samples; "
+    "a sampled profile sets kind to 'linear_positions' or 'angular_positions'\n"
+)
 
 
 def _dry_run_case(
@@ -1023,6 +1031,15 @@ def _dry_run_case(
             "config error: --fixture names fixture 'cube3', which has a spatial profile; "
             "sensitivity takes a uniform fixture, the scenario command a spatial one\n",
             command="sensitivity", run_flags=("--fixture", "cube3,cube1"), id="sensitivity-spatial---fixture",
+        ),
+        # a stiffness field that the fixture's kind ignores
+        _dry_run_case(
+            "fixtures.banana", KINDLESS_BANANA, f"config error: fixtures.banana: {STRAY_SAMPLES}",
+            command="scenario", config=BANANA, run_flags=(), id="scenario-kindless-banana",
+        ),
+        _dry_run_case(
+            "fixtures.cube1.samples", [[0, 10], [90, 200]], f"config error: fixtures.cube1: {STRAY_SAMPLES}",
+            id="probe-uniform-fixture-with-samples",
         ),
         # pressures whose sweep overflows the float range
         _dry_run_case(

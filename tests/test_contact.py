@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from collections import Counter
@@ -9,7 +10,6 @@ import softgrip.contact
 from softgrip.contact import (
     ALPHA_TOL,
     ObjectModel,
-    StiffnessProfile,
     _residual,
     solve_equilibrium,
     solve_equilibrium_bruteforce,
@@ -25,16 +25,14 @@ def _locked(ring, p0):
 
 
 BANANA = ObjectModel(
-    profile=StiffnessProfile(
-        kind="linear_positions",
-        samples=((0.0, 150.0), (70.0, 150.0), (80.0, 25.0), (90.0, 25.0)),
-    ),
     surface_offset=40.0,
+    kind="linear_positions",
+    samples=((0.0, 150.0), (70.0, 150.0), (80.0, 25.0), (90.0, 25.0)),
 )
 
 
 def test_uniform_profile():
-    obj = ObjectModel(profile=StiffnessProfile(kind="uniform", base_k=42.0), surface_offset=40.0)
+    obj = ObjectModel(surface_offset=40.0, kind="uniform", base_k=42.0)
     assert stiffness_at(obj, 0.0) == 42.0
     assert stiffness_at(obj, 123.0) == 42.0
 
@@ -60,27 +58,31 @@ def test_profile_range_check():
 
 
 def test_object_model_via_stiffness_at():
-    obj = ObjectModel(profile=BANANA.profile, surface_offset=40.0, damage_threshold=500.0)
+    obj = dataclasses.replace(BANANA, damage_threshold=500.0)
     assert stiffness_at(obj, 80.0) == 25.0
 
 
+# (fields changed on BANANA, the start of the message), in the order ObjectModel checks them
+INVALID_OBJECTS = [
+    ({"kind": "radial"}, "unknown stiffness profile kind 'radial'"),
+    ({"kind": "uniform", "base_k": 0.0}, "uniform profile needs base_k > 0, got 0.0"),
+    ({"samples": ((0.0, 1.0),)}, "sampled profile needs at least 2 samples"),
+    ({"samples": ((0.0, 1.0), (0.0, 2.0))}, "sample coordinates must be strictly increasing"),
+    ({"samples": ((0.0, 1.0), (1.0, -2.0))}, "all sampled stiffness values must be positive"),
+    ({"kind": "angular_positions", "samples": ((0.0, 1.0), (190.0, 2.0))}, "angular coordinates must lie in [0, 180]"),
+    ({"surface_offset": -1.0}, "surface_offset must be non-negative, got -1.0"),
+    ({"damage_threshold": 0.0}, "damage_threshold must be positive when set"),
+    # each kind takes only its own stiffness field; a forgotten kind reads as uniform
+    ({"kind": "uniform", "base_k": 150.0}, "kind 'uniform' (the default) takes base_k, not samples;"),
+    ({"base_k": 150.0}, "kind 'linear_positions' takes samples, not base_k, got base_k 150.0"),
+]
+
+
 def test_profile_validation():
-    with pytest.raises(ConfigError):
-        StiffnessProfile(kind="radial")
-    with pytest.raises(ConfigError):
-        StiffnessProfile(kind="uniform", base_k=0.0)
-    with pytest.raises(ConfigError):
-        StiffnessProfile(kind="linear_positions", samples=((0.0, 1.0),))
-    with pytest.raises(ConfigError):
-        StiffnessProfile(kind="linear_positions", samples=((0.0, 1.0), (0.0, 2.0)))
-    with pytest.raises(ConfigError):
-        StiffnessProfile(kind="linear_positions", samples=((0.0, 1.0), (1.0, -2.0)))
-    with pytest.raises(ConfigError):
-        StiffnessProfile(kind="angular_positions", samples=((0.0, 1.0), (190.0, 2.0)))
-    with pytest.raises(ConfigError):
-        ObjectModel(profile=BANANA.profile, surface_offset=-1.0)
-    with pytest.raises(ConfigError):
-        ObjectModel(profile=BANANA.profile, surface_offset=40.0, damage_threshold=0.0)
+    for fields, message in INVALID_OBJECTS:
+        with pytest.raises(ConfigError) as exc:
+            dataclasses.replace(BANANA, **fields)
+        assert str(exc.value).startswith(message), fields
 
 
 def test_zero_stiffness_limit(geom, ring):

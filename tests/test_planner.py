@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from softgrip.config import DEFAULTS
-from softgrip.contact import ObjectModel, StiffnessProfile
+from softgrip.contact import ObjectModel
 from softgrip.errors import ConfigError
 from softgrip.planner import ProbePlan, StiffnessMap, execute_plan, make_plan
 from softgrip.probing import ProbeConfig
@@ -12,26 +14,22 @@ AVOID = DEFAULTS["plan"]["avoid_fraction"]
 PLAN = {"seed": DEFAULTS["seed"], "max_open": DEFAULTS["gripper"]["max_open_mm"]}
 
 BANANA = ObjectModel(
-    profile=StiffnessProfile(
-        kind="linear_positions",
-        samples=(
-            (0.0, 150.0), (10.0, 150.0), (20.0, 150.0), (30.0, 150.0),
-            (40.0, 150.0), (50.0, 150.0), (60.0, 150.0), (70.0, 150.0),
-            (80.0, 25.0), (90.0, 25.0),
-        ),
-    ),
     surface_offset=40.0,
+    kind="linear_positions",
+    samples=(
+        (0.0, 150.0), (10.0, 150.0), (20.0, 150.0), (30.0, 150.0),
+        (40.0, 150.0), (50.0, 150.0), (60.0, 150.0), (70.0, 150.0),
+        (80.0, 25.0), (90.0, 25.0),
+    ),
 )
 
 ORANGE = ObjectModel(
-    profile=StiffnessProfile(
-        kind="angular_positions",
-        samples=(
-            (0.0, 150.0), (30.0, 25.0), (60.0, 25.0), (90.0, 25.0),
-            (120.0, 150.0), (150.0, 150.0), (180.0, 150.0),
-        ),
-    ),
     surface_offset=40.0,
+    kind="angular_positions",
+    samples=(
+        (0.0, 150.0), (30.0, 25.0), (60.0, 25.0), (90.0, 25.0),
+        (120.0, 150.0), (150.0, 150.0), (180.0, 150.0),
+    ),
 )
 
 
@@ -99,9 +97,7 @@ def test_orange_soft_arc_avoided(geom, ring, quiet_sensor, locked_table):
 
 
 def test_uniform_object_nothing_avoided(geom, ring, quiet_sensor, locked_table):
-    uniform = ObjectModel(
-        profile=StiffnessProfile(kind="uniform", base_k=100.0), surface_offset=40.0
-    )
+    uniform = ObjectModel(surface_offset=40.0, kind="uniform", base_k=100.0)
     plan = make_plan(50.0, 4, AVOID)
     smap = execute_plan(plan, uniform, geom, ring, quiet_sensor, locked_table, CFG, **PLAN)
     assert smap.avoided == []
@@ -109,12 +105,7 @@ def test_uniform_object_nothing_avoided(geom, ring, quiet_sensor, locked_table):
 
 
 def test_map_ranking_matches_true_stiffness(geom, ring, quiet_sensor, locked_table):
-    gradient = ObjectModel(
-        profile=StiffnessProfile(
-            kind="linear_positions", samples=((0.0, 40.0), (60.0, 220.0))
-        ),
-        surface_offset=40.0,
-    )
+    gradient = ObjectModel(surface_offset=40.0, kind="linear_positions", samples=((0.0, 40.0), (60.0, 220.0)))
     plan = make_plan(60.0, 4, 0.0)
     smap = execute_plan(plan, gradient, geom, ring, quiet_sensor, locked_table, CFG, **PLAN)
     krs = [k for _, k, _ in smap.entries]
@@ -131,9 +122,7 @@ def test_avoid_fraction_zero_keeps_everything(geom, ring, quiet_sensor, locked_t
 
 
 def test_damage_threshold_flags_and_avoids(geom, ring, quiet_sensor, locked_table):
-    fragile = ObjectModel(
-        profile=BANANA.profile, surface_offset=40.0, damage_threshold=300.0
-    )
+    fragile = dataclasses.replace(BANANA, damage_threshold=300.0)
     plan = make_plan(90.0, 10, AVOID)
     smap = execute_plan(plan, fragile, geom, ring, quiet_sensor, locked_table, CFG, **PLAN)
     # the firm region exceeds the damage limit; only the soft tail is graspable
@@ -145,11 +134,7 @@ def test_damage_threshold_flags_and_avoids(geom, ring, quiet_sensor, locked_tabl
 
 
 def test_all_locations_flagged_chooses_none(geom, ring, quiet_sensor, locked_table):
-    doomed = ObjectModel(
-        profile=StiffnessProfile(kind="uniform", base_k=150.0),
-        surface_offset=40.0,
-        damage_threshold=1.0,
-    )
+    doomed = ObjectModel(surface_offset=40.0, kind="uniform", base_k=150.0, damage_threshold=1.0)
     plan = make_plan(30.0, 3, AVOID)
     smap = execute_plan(plan, doomed, geom, ring, quiet_sensor, locked_table, CFG, **PLAN)
     assert smap.chosen is None
